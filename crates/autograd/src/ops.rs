@@ -116,8 +116,8 @@ impl Op {
                 acc(*b, -&ratio);
             }
             Op::MatMul(a, b) => {
-                acc(*a, g.matmul(&values[*b].transpose()));
-                acc(*b, values[*a].transpose().matmul(g));
+                acc(*a, g.matmul_nt(&values[*b]));
+                acc(*b, values[*a].matmul_tn(g));
             }
             Op::AddRowBroadcast(a, b) => {
                 acc(*a, g.clone());
@@ -216,7 +216,7 @@ impl Op {
                         *d = 2.0 * (rs * xv - *d);
                     }
                 }
-                let mut dc = g.transpose().matmul(vx);
+                let mut dc = g.matmul_tn(vx);
                 for j in 0..dc.rows() {
                     let cs = col_s[j];
                     for (d, &cv) in dc.row_mut(j).iter_mut().zip(vc.row(j)) {

@@ -187,7 +187,7 @@ impl Starmie {
         }
 
         let embedded = projector.infer(&params, &base).normalize_rows();
-        let sim = embedded.matmul(&embedded.transpose());
+        let sim = embedded.matmul_nt(&embedded);
         let n = texts.len();
         let edges: Vec<(usize, usize)> = (0..n)
             .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))

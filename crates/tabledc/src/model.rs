@@ -157,6 +157,11 @@ pub struct TableDc {
     params: Params,
     ae: Autoencoder,
     centers: ParamId,
+    /// Column means of the training matrix, applied to every inference
+    /// input so new rows are scored on the training scale.
+    x_mean: Vec<f64>,
+    /// Inverse column standard deviations of the training matrix.
+    x_inv_std: Vec<f64>,
 }
 
 /// Result of fitting TableDC to a dataset.
@@ -195,7 +200,9 @@ impl TableDc {
 
         // Standardize features in front of the encoder (part of the deep
         // model's preprocessing; the raw matrix is what SC baselines see).
-        let x = &x.standardize_cols();
+        // The statistics are kept so inference applies the same transform.
+        let (x_mean, x_inv_std) = x.col_standardization();
+        let x = &x.standardize_cols_with(&x_mean, &x_inv_std);
 
         // Line 1: pretrain the autoencoder.
         let mut params = Params::new();
@@ -211,7 +218,7 @@ impl TableDc {
         let c0 = config.init.centers(&z0, config.k, rng);
         let centers = params.register_named("centers", c0);
 
-        let mut model = TableDc { config, params, ae, centers };
+        let mut model = TableDc { config, params, ae, centers, x_mean, x_inv_std };
         let fit = model.train(x);
         (model, fit)
     }
@@ -276,7 +283,8 @@ impl TableDc {
         }
     }
 
-    /// Lines 3–12 of Algorithm 1: the joint optimization loop.
+    /// Lines 3–12 of Algorithm 1: the joint optimization loop over the
+    /// standardized training matrix `x`.
     fn train(&mut self, x: &Matrix) -> TableDcFit {
         let _train_timer = obs::span!("tabledc.train");
         let cfg = self.config.clone();
@@ -419,7 +427,7 @@ impl TableDc {
 
         if cfg.epochs == 0 {
             // Still produce assignments from the initialized model.
-            let (q, m) = self.soft_assignments(x);
+            let (q, m) = self.soft_assignments_std(x);
             final_q = q;
             final_m = m;
         }
@@ -468,13 +476,19 @@ impl TableDc {
 
     /// Computes `(q, m)` for (possibly new) data without training.
     ///
-    /// Standardization statistics are computed over the full matrix first;
-    /// everything downstream is row-independent, so inference runs in
-    /// parallel row blocks (each with its own local [`Tape`]) on the
-    /// [`runtime::global`] pool with bit-identical results for every thread
-    /// count.
+    /// Rows are standardized with the training matrix's column statistics,
+    /// so every row is scored independently of the others in the call: a
+    /// 1-row request gets the same answer as that row inside a full-matrix
+    /// call. Inference runs in parallel row blocks (each with its own local
+    /// [`Tape`]) on the [`runtime::global`] pool with bit-identical results
+    /// for every thread count.
     pub fn soft_assignments(&self, x: &Matrix) -> (Matrix, Matrix) {
-        self.soft_assignments_std(&x.standardize_cols())
+        self.soft_assignments_std(&self.standardize(x))
+    }
+
+    /// `x` on the training scale (see [`Matrix::standardize_cols_with`]).
+    fn standardize(&self, x: &Matrix) -> Matrix {
+        x.standardize_cols_with(&self.x_mean, &self.x_inv_std)
     }
 
     /// Batched `(q, m)` inference on an already-standardized matrix.
@@ -484,20 +498,22 @@ impl TableDc {
         if n <= Self::INFER_BATCH {
             return self.soft_assignments_block(x);
         }
-        let num_blocks = n.div_ceil(Self::INFER_BATCH);
-        let mut slots: Vec<Option<(Matrix, Matrix)>> = vec![None; num_blocks];
-        runtime::par_for_rows(runtime::global(), &mut slots, 1, 1, |b, slot| {
+        let k = self.params.get(self.centers).rows();
+        let mut q = Matrix::zeros(n, k);
+        let mut m = Matrix::zeros(n, k);
+        // One slot per block: the block's disjoint rows of `q` and `m`.
+        let block_len = Self::INFER_BATCH * k;
+        let mut blocks: Vec<(&mut [f64], &mut [f64])> =
+            q.as_mut_slice().chunks_mut(block_len).zip(m.as_mut_slice().chunks_mut(block_len)).collect();
+        runtime::par_for_rows(runtime::global(), &mut blocks, 1, 1, |b, slot| {
             let start = b * Self::INFER_BATCH;
             let end = (start + Self::INFER_BATCH).min(n);
             let rows: Vec<usize> = (start..end).collect();
-            slot[0] = Some(self.soft_assignments_block(&x.select_rows(&rows)));
+            let (qb, mb) = self.soft_assignments_block(&x.select_rows(&rows));
+            let (q_out, m_out) = &mut slot[0];
+            q_out.copy_from_slice(qb.as_slice());
+            m_out.copy_from_slice(mb.as_slice());
         });
-        let mut it = slots.into_iter().map(|s| s.expect("every block filled"));
-        let (mut q, mut m) = it.next().expect("at least one block");
-        for (qb, mb) in it {
-            q = q.vcat(&qb);
-            m = m.vcat(&mb);
-        }
         (q, m)
     }
 
@@ -525,9 +541,10 @@ impl TableDc {
         self.soft_assignments(x).0.argmax_rows()
     }
 
-    /// The latent embedding of `x` under the trained encoder.
+    /// The latent embedding of `x` (standardized with the training
+    /// statistics) under the trained encoder.
     pub fn embed(&self, x: &Matrix) -> Matrix {
-        self.ae.embed(&self.params, &x.standardize_cols())
+        self.ae.embed(&self.params, &self.standardize(x))
     }
 
     /// The learned cluster centers (`k × latent_dim`).
@@ -1039,6 +1056,22 @@ mod tests {
         assert!(q_blocked == q_ref, "blocked q differs from single-tape q");
         assert!(m_blocked == m_ref, "blocked m differs from single-tape m");
         assert_eq!(q_blocked.shape(), (cfg.n, 3));
+    }
+
+    #[test]
+    fn single_row_predict_matches_full_matrix_predict() {
+        // Inference standardizes with the training statistics, so a 1-row
+        // request is scored exactly like the same row inside a full call.
+        let (x, _) = workload(15);
+        let (model, _) = TableDc::fit(small_config(4), &x, &mut rng(16));
+        let full = model.predict(&x);
+        let (q_full, _) = model.soft_assignments(&x);
+        for (i, &label) in full.iter().enumerate() {
+            let row = x.select_rows(&[i]);
+            assert_eq!(model.predict(&row), vec![label], "row {i}");
+            let (q_row, _) = model.soft_assignments(&row);
+            assert!(q_row.row(0) == q_full.row(i), "row {i}: q differs from the full-matrix q");
+        }
     }
 
     #[test]

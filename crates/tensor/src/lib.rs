@@ -6,9 +6,13 @@
 //! heart of TableDC (paper Eq. 3–6), and seeded random construction
 //! ([`random`]).
 //!
-//! Everything is pure safe Rust with no external numerics dependencies; the
-//! hot kernels (matmul, cdist) are written so that LLVM auto-vectorizes the
-//! inner loops.
+//! Everything is pure Rust with no external numerics dependencies. The hot
+//! kernel is the packed, register-tiled matmul in [`par`] (which the cdist
+//! kernels reduce to); it reads transposed operands in place
+//! ([`Matrix::matmul_tn`], [`Matrix::matmul_nt`]), runs an AVX2-compiled
+//! copy of its body when the CPU has AVX2, and keeps the naive loop's exact
+//! per-element arithmetic, so every result is bit-identical across thread
+//! counts and CPUs.
 
 pub mod distance;
 pub mod linalg;

@@ -248,16 +248,33 @@ impl Matrix {
 
     /// Matrix product `self · other`.
     ///
-    /// The kernel is the classic `ikj` loop order so the innermost loop
-    /// streams contiguously through both the output row and the right-hand
-    /// row, which LLVM auto-vectorizes; output row blocks are computed in
-    /// parallel on the [`runtime::global`] pool. Results are bit-identical
-    /// for every thread count.
+    /// Runs the packed, register-tiled kernel of [`crate::par`] in parallel
+    /// row blocks on the [`runtime::global`] pool. Each output element is
+    /// the plain ascending-`p` sum of separately rounded products, so
+    /// results are bit-identical for every thread count and CPU.
     ///
     /// # Panics
     /// Panics if `self.cols != other.rows`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         crate::par::matmul(runtime::global(), self, other)
+    }
+
+    /// `selfᵀ · other` without materializing the transpose; bit-identical
+    /// to `self.transpose().matmul(other)`.
+    ///
+    /// # Panics
+    /// Panics if `self.rows != other.rows`.
+    pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
+        crate::par::matmul_tn(runtime::global(), self, other)
+    }
+
+    /// `self · otherᵀ` without materializing the transpose; bit-identical
+    /// to `self.matmul(&other.transpose())`.
+    ///
+    /// # Panics
+    /// Panics if `self.cols != other.cols`.
+    pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
+        crate::par::matmul_nt(runtime::global(), self, other)
     }
 
     /// Sum of all elements.
@@ -369,6 +386,14 @@ impl Matrix {
     /// with zero variance are left centered only). The usual preprocessing
     /// in front of neural encoders.
     pub fn standardize_cols(&self) -> Matrix {
+        let (means, inv_std) = self.col_standardization();
+        self.standardize_cols_with(&means, &inv_std)
+    }
+
+    /// The per-column statistics [`Matrix::standardize_cols`] applies:
+    /// `(means, inverse standard deviations)`, with the inverse set to 1
+    /// for zero-variance columns.
+    pub fn col_standardization(&self) -> (Vec<f64>, Vec<f64>) {
         let means = self.col_means();
         let mut vars = vec![0.0f64; self.cols()];
         for row in self.row_iter() {
@@ -378,7 +403,7 @@ impl Matrix {
             }
         }
         let n = self.rows().max(1) as f64;
-        let inv_std: Vec<f64> = vars
+        let inv_std = vars
             .iter()
             .map(|&v| {
                 let std = (v / n).sqrt();
@@ -389,9 +414,20 @@ impl Matrix {
                 }
             })
             .collect();
+        (means, inv_std)
+    }
+
+    /// Applies given column statistics: `(x − mean) · inv_std` per column,
+    /// e.g. a training set's [`Matrix::col_standardization`] to new rows.
+    ///
+    /// # Panics
+    /// Panics if either slice's length differs from the column count.
+    pub fn standardize_cols_with(&self, means: &[f64], inv_std: &[f64]) -> Matrix {
+        assert_eq!(means.len(), self.cols, "standardize_cols_with: {} means for {} columns", means.len(), self.cols);
+        assert_eq!(inv_std.len(), self.cols, "standardize_cols_with: {} scales for {} columns", inv_std.len(), self.cols);
         let mut out = self.clone();
         for row in out.data.chunks_exact_mut(self.cols.max(1)) {
-            for ((x, &m), &inv) in row.iter_mut().zip(&means).zip(&inv_std) {
+            for ((x, &m), &inv) in row.iter_mut().zip(means).zip(inv_std) {
                 *x = (*x - m) * inv;
             }
         }

@@ -9,6 +9,15 @@
 //! serial predecessor — parallelism only re-schedules disjoint row blocks —
 //! so outputs are **bit-identical for every thread count**, including the
 //! `TABLEDC_THREADS=1` pure-serial mode.
+//!
+//! The matmul kernel ([`matmul`], [`matmul_tn`], [`matmul_nt`]) is packed
+//! and register-tiled: B is packed into KC×NR column panels, A into MR×KC
+//! row panels, and an MR×NR micro-kernel accumulates in registers. Its body
+//! is compiled twice — for the baseline target and with AVX2 enabled — and
+//! the AVX2 copy is picked at runtime when the CPU supports it. Both copies
+//! add the separately rounded products `a[i][p] * b[p][j]` for ascending
+//! `p` onto 0.0, with no fused multiply-add, so their output is the naive
+//! triple loop's to the bit.
 
 use runtime::{block_rows, par_for_rows, par_join, ThreadPool};
 
@@ -18,12 +27,85 @@ use crate::matrix::Matrix;
 /// dominates under this size; the cutoff never affects results).
 const MIN_MAP_ROWS: usize = 64;
 
+/// Rows of one micro-tile: the micro-kernel keeps an MR×NR block of the
+/// output in registers.
+const MR: usize = 4;
+/// Columns of one micro-tile (two AVX2 vectors of `f64`).
+const NR: usize = 8;
+/// Depth of one packed slab of the inner dimension: an MR×KC panel of A
+/// (8 KiB) stays in L1 while the KC×NR panels of B stream past it.
+const KC: usize = 256;
+
+/// A read-only matrix operand addressed through strides: element `(i, j)`
+/// is `data[i * rs + j * cs]`. Packing reads through it, so a transposed
+/// operand is consumed in place instead of being copied first.
+#[derive(Clone, Copy)]
+struct Operand<'a> {
+    data: &'a [f64],
+    rs: usize,
+    cs: usize,
+}
+
+impl<'a> Operand<'a> {
+    /// `m` as stored (row-major).
+    fn plain(m: &'a Matrix) -> Self {
+        Operand { data: m.as_slice(), rs: m.cols(), cs: 1 }
+    }
+
+    /// `mᵀ`, read in place.
+    fn transposed(m: &'a Matrix) -> Self {
+        Operand { data: m.as_slice(), rs: 1, cs: m.cols() }
+    }
+
+    #[inline(always)]
+    fn at(&self, i: usize, j: usize) -> f64 {
+        self.data[i * self.rs + j * self.cs]
+    }
+}
+
+/// Which compiled copy of the kernel body runs. Both copies perform the
+/// same scalar operations in the same order (see [`micro`]), so the choice
+/// never changes output bits — only speed.
+#[derive(Clone, Copy, Debug)]
+enum Isa {
+    /// The build's baseline target features (SSE2 on x86-64).
+    Plain,
+    /// The body compiled with AVX2 enabled.
+    #[cfg(target_arch = "x86_64")]
+    Avx2(isa::Avx2Detected),
+}
+
+mod isa {
+    use super::Isa;
+
+    /// Proof that runtime detection found AVX2: private to this module, so
+    /// [`Isa::avx2`] is the only way to obtain an [`Isa::Avx2`].
+    #[cfg(target_arch = "x86_64")]
+    #[derive(Clone, Copy, Debug)]
+    pub(super) struct Avx2Detected(());
+
+    impl Isa {
+        /// The fastest copy this CPU can run.
+        pub(super) fn detect() -> Isa {
+            Isa::avx2().unwrap_or(Isa::Plain)
+        }
+
+        /// The AVX2 copy, if this CPU supports AVX2.
+        pub(super) fn avx2() -> Option<Isa> {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return Some(Isa::Avx2(Avx2Detected(())));
+            }
+            None
+        }
+    }
+}
+
 /// Matrix product `a · b` on an explicit pool.
 ///
-/// The kernel is the classic `ikj` loop order: the innermost loop streams
-/// contiguously through the output row and the right-hand row, and is kept
-/// free of branches so LLVM auto-vectorizes it. Output rows are computed in
-/// disjoint parallel blocks.
+/// Runs the packed kernel described in the module docs; output rows are
+/// computed in disjoint parallel blocks and are bit-identical for every
+/// thread count.
 ///
 /// # Panics
 /// Panics if `a.cols() != b.rows()`.
@@ -37,28 +119,197 @@ pub fn matmul(pool: &ThreadPool, a: &Matrix, b: &Matrix) -> Matrix {
         b.rows(),
         b.cols()
     );
+    gemm(pool, Isa::detect(), (a.rows(), a.cols(), b.cols()), Operand::plain(a), Operand::plain(b))
+}
+
+/// Transposed-left product `aᵀ · b` on an explicit pool, without
+/// materializing `aᵀ`. Bit-identical to `matmul(pool, &a.transpose(), b)`.
+///
+/// # Panics
+/// Panics if `a.rows() != b.rows()`.
+pub fn matmul_tn(pool: &ThreadPool, a: &Matrix, b: &Matrix) -> Matrix {
+    assert_eq!(
+        a.rows(),
+        b.rows(),
+        "matmul_tn: inner dimensions differ ({}x{}ᵀ · {}x{})",
+        a.rows(),
+        a.cols(),
+        b.rows(),
+        b.cols()
+    );
+    gemm(pool, Isa::detect(), (a.cols(), a.rows(), b.cols()), Operand::transposed(a), Operand::plain(b))
+}
+
+/// Transposed-right product `a · bᵀ` on an explicit pool, without
+/// materializing `bᵀ`. Bit-identical to `matmul(pool, a, &b.transpose())`.
+///
+/// # Panics
+/// Panics if `a.cols() != b.cols()`.
+pub fn matmul_nt(pool: &ThreadPool, a: &Matrix, b: &Matrix) -> Matrix {
+    assert_eq!(
+        a.cols(),
+        b.cols(),
+        "matmul_nt: inner dimensions differ ({}x{} · {}x{}ᵀ)",
+        a.rows(),
+        a.cols(),
+        b.rows(),
+        b.cols()
+    );
+    gemm(pool, Isa::detect(), (a.rows(), a.cols(), b.rows()), Operand::plain(a), Operand::transposed(b))
+}
+
+/// The packed, register-tiled product of an `n×k` operand `a` and a `k×m`
+/// operand `b`.
+///
+/// The inner dimension is walked in slabs of [`KC`]. For each slab, `b` is
+/// packed into KC×NR column panels, then every parallel row
+/// block packs MR×KC panels of `a` and runs the MR×NR [`micro`] kernel over
+/// all column panels, carrying partial sums through the output between
+/// slabs. Every output element therefore sees exactly
+/// `acc = 0.0; for p in 0..k { acc += a[i][p] * b[p][j] }`, with the
+/// multiply and add rounded separately — the same bits as a naive loop,
+/// whatever the blocking, thread count or [`Isa`].
+fn gemm(pool: &ThreadPool, isa: Isa, (n, k, m): (usize, usize, usize), a: Operand, b: Operand) -> Matrix {
     let _timer = obs::span!("tensor.matmul");
-    let (n, k, m) = (a.rows(), a.cols(), b.cols());
     let mut out = Matrix::zeros(n, m);
     if n == 0 || m == 0 || k == 0 {
         return out;
     }
+    let panels = m.div_ceil(NR);
+    let mut b_pack = vec![0.0; k.min(KC) * panels * NR];
     // Cheap rows (small k·m) get coarser blocks so per-task work stays
     // meaningful; the blocking is invisible in the output.
     let min_rows = (32_768 / (k * m).max(1)).max(8);
-    let block = block_rows(n, pool.threads(), min_rows);
-    par_for_rows(pool, out.as_mut_slice(), m, block, |first_row, chunk| {
-        for (r, out_row) in chunk.chunks_exact_mut(m).enumerate() {
-            let a_row = a.row(first_row + r);
-            for (p, &av) in a_row.iter().enumerate() {
-                let b_row = b.row(p);
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
+    let block = block_rows(n, pool.threads(), min_rows).next_multiple_of(MR);
+    for pc in (0..k).step_by(KC) {
+        let kc = KC.min(k - pc);
+        let b_slab = &mut b_pack[..kc * panels * NR];
+        pack_b(b, pc, kc, m, b_slab);
+        let b_slab = &*b_slab;
+        par_for_rows(pool, out.as_mut_slice(), m, block, |first_row, chunk| {
+            let rows = RowBlock { a, first_row, pc, kc, b_slab, m };
+            match isa {
+                Isa::Plain => rows.run(chunk),
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: an `Avx2Detected` exists only after
+                // `is_x86_feature_detected!("avx2")` returned true.
+                Isa::Avx2(_) => unsafe { rows.run_avx2(chunk) },
+            }
+        });
+    }
+    out
+}
+
+/// Packs rows `pc..pc + kc` of `b` into `dst` as consecutive KC×NR column
+/// panels, each stored p-major (`NR` values per `p`), zero-padding the
+/// columns past `m` in the last panel. Packing is O(k·m) against the
+/// product's O(n·k·m), so it runs serially.
+fn pack_b(b: Operand, pc: usize, kc: usize, m: usize, dst: &mut [f64]) {
+    for (jp, panel) in dst.chunks_exact_mut(kc * NR).enumerate() {
+        let j0 = jp * NR;
+        let nr = NR.min(m - j0);
+        for (p, dst_row) in panel.chunks_exact_mut(NR).enumerate() {
+            for (c, v) in dst_row[..nr].iter_mut().enumerate() {
+                *v = b.at(pc + p, j0 + c);
+            }
+            dst_row[nr..].fill(0.0);
+        }
+    }
+}
+
+/// One parallel row block's share of one KC slab.
+struct RowBlock<'a> {
+    a: Operand<'a>,
+    /// Output row of the block's first row.
+    first_row: usize,
+    /// First inner index of the slab.
+    pc: usize,
+    /// Slab depth.
+    kc: usize,
+    /// The slab of `b`, packed by [`pack_b`].
+    b_slab: &'a [f64],
+    /// Output columns.
+    m: usize,
+}
+
+impl RowBlock<'_> {
+    /// [`RowBlock::run`]'s body compiled with AVX2 enabled.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn run_avx2(&self, out: &mut [f64]) {
+        self.run(out);
+    }
+
+    /// Accumulates this slab's contribution into the block's output rows
+    /// `out` (row-major, `m` columns).
+    #[inline(always)]
+    fn run(&self, out: &mut [f64]) {
+        let Self { a, first_row, pc, kc, b_slab, m } = *self;
+        let rows = out.len() / m;
+        let mut a_panel = [0.0f64; MR * KC];
+        for i0 in (0..rows).step_by(MR) {
+            let mr = MR.min(rows - i0);
+            // Pack the MR×kc panel of `a`, p-major, zero-padding rows
+            // past the end of the block.
+            for r in 0..MR {
+                let dst = a_panel[r..].iter_mut().step_by(MR).take(kc);
+                if r < mr {
+                    let start = (first_row + i0 + r) * a.rs + pc * a.cs;
+                    dst.zip(a.data[start..].iter().step_by(a.cs)).for_each(|(d, &v)| *d = v);
+                } else {
+                    dst.for_each(|d| *d = 0.0);
+                }
+            }
+            for (jp, b_panel) in b_slab.chunks_exact(kc * NR).enumerate() {
+                let j0 = jp * NR;
+                let nr = NR.min(m - j0);
+                let mut c = [[0.0; NR]; MR];
+                if pc > 0 {
+                    for (r, c_row) in c.iter_mut().enumerate().take(mr) {
+                        copy_tile_row(&mut c_row[..nr], &out[(i0 + r) * m + j0..][..nr]);
+                    }
+                }
+                micro(kc, &a_panel, b_panel, &mut c);
+                for (r, c_row) in c.iter().enumerate().take(mr) {
+                    copy_tile_row(&mut out[(i0 + r) * m + j0..][..nr], &c_row[..nr]);
                 }
             }
         }
-    });
-    out
+    }
+}
+
+/// Copies one row of a tile (at most NR values). Full-width rows take a
+/// constant-length path, which compiles to two vector moves instead of a
+/// `memcpy` call that costs as much as a short micro-kernel run.
+#[inline(always)]
+fn copy_tile_row(dst: &mut [f64], src: &[f64]) {
+    if dst.len() == NR {
+        dst[..NR].copy_from_slice(&src[..NR]);
+    } else {
+        dst.copy_from_slice(src);
+    }
+}
+
+/// The MR×NR register-tile micro-kernel: `c += a_panel · b_panel` over
+/// `kc` steps, `p` ascending, with each product rounded before it is added
+/// (no fused multiply-add). Kept a separate always-inlined function so the
+/// accumulator tile lives in registers rather than being spilled.
+#[inline(always)]
+fn micro(kc: usize, a_panel: &[f64], b_panel: &[f64], c: &mut [[f64; NR]; MR]) {
+    let mut acc = *c;
+    for (a, b) in a_panel[..kc * MR].chunks_exact(MR).zip(b_panel[..kc * NR].chunks_exact(NR)) {
+        let a: &[f64; MR] = a.try_into().expect("MR-wide chunk");
+        let b: &[f64; NR] = b.try_into().expect("NR-wide chunk");
+        for (acc_row, &av) in acc.iter_mut().zip(a) {
+            for (acc_v, &bv) in acc_row.iter_mut().zip(b) {
+                *acc_v += av * bv;
+            }
+        }
+    }
+    *c = acc;
 }
 
 /// Pairwise squared Euclidean distances on an explicit pool (see
@@ -77,7 +328,7 @@ pub fn sq_euclidean_cdist(pool: &ThreadPool, x: &Matrix, y: &Matrix) -> Matrix {
         || x.row_iter().map(|r| r.iter().map(|v| v * v).sum()).collect(),
         || y.row_iter().map(|r| r.iter().map(|v| v * v).sum()).collect(),
     );
-    let mut g = matmul(pool, x, &y.transpose());
+    let mut g = matmul_nt(pool, x, y);
     let m = g.cols();
     if m == 0 || g.rows() == 0 {
         return g;
@@ -100,7 +351,7 @@ pub fn sq_euclidean_cdist(pool: &ThreadPool, x: &Matrix, y: &Matrix) -> Matrix {
 pub fn cosine_cdist(pool: &ThreadPool, x: &Matrix, y: &Matrix) -> Matrix {
     assert_eq!(x.cols(), y.cols(), "cosine_cdist: feature dims differ");
     let (xn, yn) = par_join(pool, || normalize_rows(pool, x), || normalize_rows(pool, y));
-    let mut sim = matmul(pool, &xn, &yn.transpose());
+    let mut sim = matmul_nt(pool, &xn, &yn);
     map_rows(pool, &mut sim, |row| {
         for s in row {
             *s = (1.0 - s.clamp(-1.0, 1.0)).max(0.0);
@@ -211,6 +462,77 @@ mod tests {
         }
     }
 
+    /// The reference product: `out[i][j]` starts at 0.0 and adds
+    /// `a[i][p] * b[p][j]` for ascending `p`, each product rounded before
+    /// the add — the arithmetic every kernel copy must reproduce bit for bit.
+    fn naive(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for p in 0..a.cols() {
+                let av = a[(i, p)];
+                for j in 0..b.cols() {
+                    out[(i, j)] += av * b[(p, j)];
+                }
+            }
+        }
+        out
+    }
+
+    fn assert_same_bits(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}: shape");
+        for (idx, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {idx}: {g} vs {w}");
+        }
+    }
+
+    /// `(n, k, m)` products covering MR/NR remainders on both sides, k = 1,
+    /// k exactly KC, k past KC (several slabs), and 64-row batch shapes.
+    const SHAPES: [(usize, usize, usize); 12] = [
+        (1, 1, 1),
+        (3, 1, 5),
+        (5, 7, 3),
+        (7, 5, 13),
+        (4, 8, 8),
+        (13, 256, 9),
+        (13, 257, 9),
+        (9, 513, 17),
+        (67, 33, 29),
+        (64, 48, 37),
+        (64, 160, 256),
+        (64, 64, 128),
+    ];
+
+    #[test]
+    fn nn_nt_tn_match_naive_reference_bitwise() {
+        for (s, &(n, k, m)) in SHAPES.iter().enumerate() {
+            let a = test_matrix(n, k, 10 + s as u64);
+            let b = test_matrix(k, m, 40 + s as u64);
+            let want = naive(&a, &b);
+            let (at, bt) = (a.transpose(), b.transpose());
+            for pool in pools() {
+                let what = |op: &str| format!("{op} {n}x{k}·{k}x{m}, {} threads", pool.threads());
+                assert_same_bits(&matmul(&pool, &a, &b), &want, &what("nn"));
+                assert_same_bits(&matmul_tn(&pool, &at, &b), &want, &what("tn"));
+                assert_same_bits(&matmul_nt(&pool, &a, &bt), &want, &what("nt"));
+            }
+        }
+    }
+
+    #[test]
+    fn plain_and_avx2_copies_agree_bitwise() {
+        // Without AVX2 only the plain copy can run; there is nothing to compare.
+        let Some(avx2) = Isa::avx2() else { return };
+        for (s, &(n, k, m)) in SHAPES.iter().enumerate() {
+            let a = test_matrix(n, k, 70 + s as u64);
+            let b = test_matrix(m, k, 90 + s as u64);
+            for pool in pools() {
+                let run = |isa| gemm(&pool, isa, (n, k, m), Operand::plain(&a), Operand::transposed(&b));
+                let what = format!("{n}x{k}·{k}x{m}, {} threads", pool.threads());
+                assert_same_bits(&run(avx2), &run(Isa::Plain), &what);
+            }
+        }
+    }
+
     #[test]
     fn cdist_bit_identical_across_pools() {
         let x = test_matrix(131, 17, 3);
@@ -240,6 +562,10 @@ mod tests {
             assert_eq!(matmul(&pool, &Matrix::zeros(0, 5), &Matrix::zeros(5, 3)).shape(), (0, 3));
             assert_eq!(matmul(&pool, &Matrix::zeros(4, 0), &Matrix::zeros(0, 3)).shape(), (4, 3));
             assert_eq!(matmul(&pool, &Matrix::zeros(4, 5), &Matrix::zeros(5, 0)).shape(), (4, 0));
+            assert_eq!(matmul_tn(&pool, &Matrix::zeros(5, 0), &Matrix::zeros(5, 3)).shape(), (0, 3));
+            assert!(matmul_tn(&pool, &Matrix::zeros(0, 4), &Matrix::zeros(0, 3)) == Matrix::zeros(4, 3));
+            assert!(matmul_nt(&pool, &Matrix::zeros(4, 0), &Matrix::zeros(3, 0)) == Matrix::zeros(4, 3));
+            assert_eq!(matmul_nt(&pool, &Matrix::zeros(4, 5), &Matrix::zeros(0, 5)).shape(), (4, 0));
             // 1×1.
             let one = Matrix::from_rows(&[&[3.0]]);
             assert_eq!(matmul(&pool, &one, &one)[(0, 0)], 9.0);
