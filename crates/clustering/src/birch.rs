@@ -8,15 +8,15 @@
 //! point if its radius stays below the threshold `T`, otherwise a new entry
 //! is created, with node splits propagating upward bounded by the branching
 //! factor `B` (internal) and leaf capacity `L`. A final global-clustering
-//! step groups the leaf subclusters into `K` clusters (here: weighted
-//! K-means over subcluster centroids, the same refinement scikit-learn
+//! step groups the leaf subclusters into `K` clusters (here: the shared
+//! K-means engine, [`KMeans::fit_weighted`], over subcluster centroids
+//! weighted by their point counts — the same refinement scikit-learn
 //! uses), and each point inherits the label of its nearest subcluster.
 
 use rand::rngs::StdRng;
-use tensor::distance::sq_euclidean;
 use tensor::Matrix;
 
-use crate::kmeans::{centroids_from_labels, kmeans_pp_seeds};
+use crate::kmeans::{centroids_from_labels, nearest, KMeans};
 
 /// A clustering feature: the additive sufficient statistics of a
 /// subcluster (paper §3.2: "the number of data points per cluster, squared,
@@ -314,155 +314,26 @@ impl Birch {
         );
         let weights: Vec<f64> = subclusters.iter().map(|c| c.n).collect();
 
-        // Weighted K-means over subcluster centroids.
+        // Weighted K-means over subcluster centroids; 8 restarts ranked by
+        // weighted inertia protect against unlucky seedings over the
+        // (possibly many) subclusters.
         let k = self.k.min(n_subclusters);
-        let sub_labels = weighted_kmeans(&centroids, &weights, k, 100, rng);
+        let global = {
+            let _timer = obs::span!("kmeans.weighted");
+            KMeans { n_init: 8, ..KMeans::new(k) }.fit_weighted(&centroids, &weights, rng)
+        };
 
         // Each data point inherits the label of its nearest subcluster.
-        let mut labels = Vec::with_capacity(x.rows());
-        for row in x.row_iter() {
-            let mut best = 0;
-            let mut best_d = f64::INFINITY;
-            for (s, c) in subclusters.iter().enumerate() {
-                let d = sq_euclidean(row, &c.centroid());
-                if d < best_d {
-                    best_d = d;
-                    best = s;
-                }
-            }
-            labels.push(sub_labels[best]);
-        }
+        let labels: Vec<usize> =
+            nearest(x, &centroids).0.into_iter().map(|s| global.labels[s]).collect();
 
         // Final centers: mean of the points assigned to each cluster
-        // (Algorithm 2, line 12), falling back to the weighted subcluster
-        // mean for empty clusters.
-        let fallback = {
-            let mut f = Matrix::zeros(k, x.cols());
-            let mut wsum = vec![0.0; k];
-            for (s, cf) in subclusters.iter().enumerate() {
-                let l = sub_labels[s];
-                wsum[l] += cf.n;
-                for (fv, &lsv) in f.row_mut(l).iter_mut().zip(&cf.ls) {
-                    *fv += lsv;
-                }
-            }
-            for l in 0..k {
-                if wsum[l] > 0.0 {
-                    for fv in f.row_mut(l) {
-                        *fv /= wsum[l];
-                    }
-                }
-            }
-            f
-        };
-        let centers = centroids_from_labels(x, &labels, k, &fallback);
+        // (Algorithm 2, line 12); an empty cluster keeps its weighted
+        // subcluster mean from the global step.
+        let centers = centroids_from_labels(x, &labels, k, &global.centroids);
 
         BirchResult { labels, centers, n_subclusters, threshold_used }
     }
-}
-
-/// Weighted Lloyd iterations on a small set of (weighted) points, with
-/// restarts — the global-clustering step over CF subcluster centroids.
-/// The best run by *weighted* inertia wins, which protects the final
-/// centers against unlucky seedings over the (possibly many) subclusters.
-fn weighted_kmeans(
-    points: &Matrix,
-    weights: &[f64],
-    k: usize,
-    max_iter: usize,
-    rng: &mut StdRng,
-) -> Vec<usize> {
-    const RESTARTS: usize = 8;
-    let _timer = obs::span!("kmeans.weighted");
-    let mut best: Option<(f64, Vec<usize>)> = None;
-    for _ in 0..RESTARTS {
-        let labels = weighted_kmeans_once(points, weights, k, max_iter, rng);
-        let inertia = weighted_inertia(points, weights, &labels, k);
-        if best.as_ref().is_none_or(|(b, _)| inertia < *b) {
-            best = Some((inertia, labels));
-        }
-    }
-    best.expect("at least one restart ran").1
-}
-
-/// Weighted sum of squared distances to the (weighted) cluster means.
-fn weighted_inertia(points: &Matrix, weights: &[f64], labels: &[usize], k: usize) -> f64 {
-    let d = points.cols();
-    let mut sums = Matrix::zeros(k, d);
-    let mut wsum = vec![0.0f64; k];
-    for (i, &l) in labels.iter().enumerate() {
-        wsum[l] += weights[i];
-        for (s, &v) in sums.row_mut(l).iter_mut().zip(points.row(i)) {
-            *s += weights[i] * v;
-        }
-    }
-    for c in 0..k {
-        if wsum[c] > 0.0 {
-            let inv = 1.0 / wsum[c];
-            for s in sums.row_mut(c) {
-                *s *= inv;
-            }
-        }
-    }
-    labels
-        .iter()
-        .enumerate()
-        .map(|(i, &l)| weights[i] * sq_euclidean(points.row(i), sums.row(l)))
-        .sum()
-}
-
-fn weighted_kmeans_once(
-    points: &Matrix,
-    weights: &[f64],
-    k: usize,
-    max_iter: usize,
-    rng: &mut StdRng,
-) -> Vec<usize> {
-    let n = points.rows();
-    let mut centers = kmeans_pp_seeds(points, k, rng);
-    let mut labels = vec![0usize; n];
-    for _ in 0..max_iter {
-        // Assign.
-        let mut changed = false;
-        for i in 0..n {
-            let mut best = labels[i];
-            let mut best_d = f64::INFINITY;
-            for c in 0..k {
-                let d = sq_euclidean(points.row(i), centers.row(c));
-                if d < best_d {
-                    best_d = d;
-                    best = c;
-                }
-            }
-            if best != labels[i] {
-                labels[i] = best;
-                changed = true;
-            }
-        }
-        // Update (weighted means).
-        let d = points.cols();
-        let mut sums = Matrix::zeros(k, d);
-        let mut wsum = vec![0.0f64; k];
-        for i in 0..n {
-            let l = labels[i];
-            wsum[l] += weights[i];
-            for (s, &v) in sums.row_mut(l).iter_mut().zip(points.row(i)) {
-                *s += weights[i] * v;
-            }
-        }
-        for c in 0..k {
-            if wsum[c] > 0.0 {
-                let inv = 1.0 / wsum[c];
-                for (cv, sv) in centers.row_mut(c).iter_mut().zip(sums.row(c)) {
-                    *cv = sv * inv;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    labels
 }
 
 /// Output of a BIRCH run.
@@ -482,6 +353,7 @@ pub struct BirchResult {
 mod tests {
     use super::*;
     use crate::metrics::accuracy;
+    use tensor::distance::sq_euclidean;
     use tensor::random::{randn, rng};
 
     fn blobs(n_per: usize, spread: f64, seed: u64) -> (Matrix, Vec<usize>) {
@@ -582,6 +454,36 @@ mod tests {
         let x = Matrix::from_row_vecs(&rows);
         let result = Birch::new(30).fit(&x, &mut rng(8));
         assert!(accuracy(&result.labels, &truth) > 0.8);
+    }
+
+    #[test]
+    fn every_label_is_the_global_label_of_the_nearest_subcluster() {
+        let (x, _) = blobs(40, 1.5, 11);
+        let birch = Birch { threshold: 0.8, ..Birch::new(4) };
+        let result = birch.fit(&x, &mut rng(12));
+        // Rebuild the run's tree (building draws no randomness) and replay
+        // its global step on the same seed.
+        let subclusters = birch.build_tree(&x, result.threshold_used);
+        assert_eq!(subclusters.len(), result.n_subclusters);
+        assert!(subclusters.len() > 8, "only {} subclusters", subclusters.len());
+        let centroids: Vec<Vec<f64>> =
+            subclusters.iter().map(ClusteringFeature::centroid).collect();
+        let weights: Vec<f64> = subclusters.iter().map(|c| c.n).collect();
+        let global = KMeans { n_init: 8, ..KMeans::new(4) }.fit_weighted(
+            &Matrix::from_row_vecs(&centroids),
+            &weights,
+            &mut rng(12),
+        );
+        for (i, row) in x.row_iter().enumerate() {
+            // Reference: a naive scan over every subcluster, first minimum wins.
+            let mut best = 0;
+            for (s, c) in centroids.iter().enumerate() {
+                if sq_euclidean(row, c) < sq_euclidean(row, &centroids[best]) {
+                    best = s;
+                }
+            }
+            assert_eq!(result.labels[i], global.labels[best], "row {i}");
+        }
     }
 
     #[test]

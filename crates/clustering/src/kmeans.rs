@@ -1,8 +1,9 @@
-//! Lloyd's K-means with random or K-means++ seeding and restarts.
+//! Lloyd's K-means with random or K-means++ seeding, restarts and optional
+//! per-row sample weights.
 //!
 //! Used as (a) a standard-clustering baseline (§4.1.2), (b) the cluster
 //! initializer ablation of Figure 4, and (c) the final global-clustering
-//! step of Birch.
+//! step of Birch ([`KMeans::fit_weighted`] over the CF subclusters).
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -47,16 +48,31 @@ impl KMeans {
         Self { n_init: 20, ..Self::new(k) }
     }
 
-    /// Runs K-means on the rows of `x`.
+    /// Runs K-means on the rows of `x` (every row with weight 1).
     ///
     /// # Panics
     /// Panics if `k == 0` or `k > n`.
     pub fn fit(&self, x: &Matrix, rng: &mut StdRng) -> KMeansResult {
+        self.fit_weighted(x, &vec![1.0; x.rows()], rng)
+    }
+
+    /// Runs K-means on the rows of `x` with per-row sample weights: a
+    /// centroid is the `w`-weighted mean of its members and restarts are
+    /// ranked by the weighted inertia `Σ wᵢ·‖xᵢ − c_{lᵢ}‖²`. Seeding
+    /// ignores the weights. Unit weights reproduce [`KMeans::fit`] bit for
+    /// bit (`1.0·v` and sums of `1.0` are exact). Birch's global step runs
+    /// here with the CF subcluster centroids as rows and their point counts
+    /// as weights.
+    ///
+    /// # Panics
+    /// Panics if `k == 0`, `k > n`, or `weights.len() != n`.
+    pub fn fit_weighted(&self, x: &Matrix, weights: &[f64], rng: &mut StdRng) -> KMeansResult {
         assert!(self.k > 0, "KMeans: k must be positive");
         assert!(self.k <= x.rows(), "KMeans: k = {} > n = {}", self.k, x.rows());
+        assert_eq!(weights.len(), x.rows(), "KMeans: one weight per row");
         let mut best: Option<KMeansResult> = None;
         for _ in 0..self.n_init.max(1) {
-            let result = self.fit_once(x, rng);
+            let result = self.fit_once(x, weights, rng);
             if best.as_ref().is_none_or(|b| result.inertia < b.inertia) {
                 best = Some(result);
             }
@@ -64,7 +80,7 @@ impl KMeans {
         best.expect("at least one restart ran")
     }
 
-    fn fit_once(&self, x: &Matrix, rng: &mut StdRng) -> KMeansResult {
+    fn fit_once(&self, x: &Matrix, weights: &[f64], rng: &mut StdRng) -> KMeansResult {
         let _fit_timer = obs::span!("kmeans.fit");
         let mut centroids = match self.init {
             KMeansInit::Random => {
@@ -73,7 +89,6 @@ impl KMeans {
             }
             KMeansInit::PlusPlus => kmeans_pp_seeds(x, self.k, rng),
         };
-        let mut labels = vec![0usize; x.rows()];
         let mut n_iter = 0;
         // Phase spans nest under kmeans.fit in the profile tree (and feed
         // the like-named histograms); they wrap the parallel kernels from
@@ -82,14 +97,13 @@ impl KMeans {
         let iterations = obs::registry().counter("kmeans.iterations");
         for iter in 0..self.max_iter {
             n_iter = iter + 1;
-            {
+            let labels = {
                 let _assign = obs::span!("kmeans.assign");
-                let d = sq_euclidean_cdist(x, &centroids);
-                labels = d.argmax_rows_negated();
-            }
+                nearest(x, &centroids).0
+            };
             let shift = {
                 let _update = obs::span!("kmeans.update");
-                let next = centroids_from_labels(x, &labels, self.k, &centroids);
+                let next = weighted_centroids_from_labels(x, weights, &labels, self.k, &centroids);
                 let shift = next.max_abs_diff(&centroids);
                 centroids = next;
                 shift
@@ -99,9 +113,8 @@ impl KMeans {
                 break;
             }
         }
-        let d = sq_euclidean_cdist(x, &centroids);
-        labels = d.argmax_rows_negated();
-        let inertia: f64 = labels.iter().enumerate().map(|(i, &l)| d[(i, l)]).sum();
+        let (labels, d2) = nearest(x, &centroids);
+        let inertia: f64 = d2.iter().zip(weights).map(|(d, w)| w * d).sum();
         KMeansResult { labels, centroids, inertia, n_iter }
     }
 }
@@ -170,6 +183,19 @@ const CENTROID_CHUNK: usize = 1024;
 /// the [`runtime::global`] pool; results are bit-identical for every thread
 /// count (including `TABLEDC_THREADS=1`).
 pub fn centroids_from_labels(x: &Matrix, labels: &[usize], k: usize, previous: &Matrix) -> Matrix {
+    weighted_centroids_from_labels(x, &vec![1.0; labels.len()], labels, k, previous)
+}
+
+/// [`centroids_from_labels`] with per-row weights: each centroid is
+/// `Σ wᵢ·xᵢ / Σ wᵢ` over its members, and a cluster whose weight sum is 0
+/// keeps its previous centroid.
+fn weighted_centroids_from_labels(
+    x: &Matrix,
+    weights: &[f64],
+    labels: &[usize],
+    k: usize,
+    previous: &Matrix,
+) -> Matrix {
     let d = x.cols();
     let acc = runtime::par_reduce(
         runtime::global(),
@@ -177,30 +203,30 @@ pub fn centroids_from_labels(x: &Matrix, labels: &[usize], k: usize, previous: &
         CENTROID_CHUNK,
         |range| {
             let mut sums = Matrix::zeros(k, d);
-            let mut counts = vec![0usize; k];
+            let mut wsum = vec![0.0f64; k];
             for i in range {
-                let l = labels[i];
-                counts[l] += 1;
+                let (l, w) = (labels[i], weights[i]);
+                wsum[l] += w;
                 for (s, &v) in sums.row_mut(l).iter_mut().zip(x.row(i)) {
-                    *s += v;
+                    *s += w * v;
                 }
             }
-            (sums, counts)
+            (sums, wsum)
         },
-        |(mut sa, mut ca), (sb, cb)| {
+        |(mut sa, mut wa), (sb, wb)| {
             for (a, b) in sa.as_mut_slice().iter_mut().zip(sb.as_slice()) {
                 *a += b;
             }
-            for (a, b) in ca.iter_mut().zip(cb) {
+            for (a, b) in wa.iter_mut().zip(wb) {
                 *a += b;
             }
-            (sa, ca)
+            (sa, wa)
         },
     );
-    let (mut sums, counts) = acc.unwrap_or_else(|| (Matrix::zeros(k, d), vec![0usize; k]));
-    for c in 0..k {
-        if counts[c] > 0 {
-            let inv = 1.0 / counts[c] as f64;
+    let (mut sums, wsum) = acc.unwrap_or_else(|| (Matrix::zeros(k, d), vec![0.0; k]));
+    for (c, &w) in wsum.iter().enumerate() {
+        if w > 0.0 {
+            let inv = 1.0 / w;
             for v in sums.row_mut(c) {
                 *v *= inv;
             }
@@ -211,34 +237,39 @@ pub fn centroids_from_labels(x: &Matrix, labels: &[usize], k: usize, previous: &
     sums
 }
 
-/// Helper: argmin per row expressed through `argmax_rows` of the negation.
-trait ArgminRows {
-    fn argmax_rows_negated(&self) -> Vec<usize>;
-}
+/// Rows per block of [`nearest`]: each block holds one `NEAREST_BLOCK × k`
+/// distance matrix, so memory stays O(block·k) however tall `x` is.
+const NEAREST_BLOCK: usize = 256;
 
-impl ArgminRows for Matrix {
-    fn argmax_rows_negated(&self) -> Vec<usize> {
-        let n = self.rows();
-        let mut out = vec![0usize; n];
-        if n == 0 || self.cols() == 0 {
-            return out;
-        }
-        let pool = runtime::global();
-        let block = runtime::block_rows(n, pool.threads(), 256);
-        runtime::par_for_rows(pool, &mut out, 1, block, |first_row, chunk| {
-            for (r, slot) in chunk.iter_mut().enumerate() {
-                let row = self.row(first_row + r);
-                let mut best = 0;
-                for (j, &x) in row.iter().enumerate().skip(1) {
-                    if x < row[best] {
-                        best = j;
-                    }
+/// For every row of `x`, the index of the nearest row of `centers` (the
+/// lowest index on ties) and the squared Euclidean distance to it.
+///
+/// The cdist and argmin run over fixed row blocks, in parallel on the
+/// [`runtime::global`] pool; each block's cdist runs serially on its task's
+/// thread, since nesting a parallel kernel in every block costs more in
+/// scheduling than it gains. A distance depends only on its own row and
+/// center, so neither blocking nor the pool changes an output bit.
+///
+/// # Panics
+/// Panics if `centers` is empty while `x` is not, or the feature dimensions
+/// differ.
+pub fn nearest(x: &Matrix, centers: &Matrix) -> (Vec<usize>, Vec<f64>) {
+    let serial = runtime::ThreadPool::new(1);
+    let mut out = vec![(0usize, 0.0f64); x.rows()];
+    runtime::par_for_rows(runtime::global(), &mut out, 1, NEAREST_BLOCK, |start, slots| {
+        let block = x.select_rows(&(start..start + slots.len()).collect::<Vec<_>>());
+        let d = tensor::par::sq_euclidean_cdist(&serial, &block, centers);
+        for (slot, row) in slots.iter_mut().zip(d.row_iter()) {
+            let mut best = 0;
+            for (j, &v) in row.iter().enumerate().skip(1) {
+                if v < row[best] {
+                    best = j;
                 }
-                *slot = best;
             }
-        });
-        out
-    }
+            *slot = (best, row[best]);
+        }
+    });
+    out.into_iter().unzip()
 }
 
 #[cfg(test)]
@@ -316,6 +347,57 @@ mod tests {
             for j in 0..3 {
                 assert!(d[(i, l)] <= d[(i, j)] + 1e-12);
             }
+        }
+    }
+
+    #[test]
+    fn integer_weights_equal_repeated_rows() {
+        let (x, _) = blobs(8, 11);
+        let weights: Vec<f64> = (0..x.rows()).map(|i| (1 + i % 3) as f64).collect();
+        let mut rows = Vec::new();
+        let mut origin = Vec::new();
+        for (i, &w) in weights.iter().enumerate() {
+            for _ in 0..w as usize {
+                rows.push(x.row(i).to_vec());
+                origin.push(i);
+            }
+        }
+        let km = KMeans { n_init: 5, ..KMeans::new(3) };
+        let weighted = km.fit_weighted(&x, &weights, &mut rng(12));
+        let repeated = km.fit(&Matrix::from_row_vecs(&rows), &mut rng(13));
+        // The two runs seed differently, so cluster ids may be permuted:
+        // the label map must be one consistent bijection.
+        let mut map = vec![usize::MAX; 3];
+        for (r, &i) in origin.iter().enumerate() {
+            let (a, b) = (weighted.labels[i], repeated.labels[r]);
+            if map[a] == usize::MAX {
+                map[a] = b;
+            }
+            assert_eq!(map[a], b, "row {i}: weighted label {a} maps to {} and {b}", map[a]);
+        }
+        let mut image = map.clone();
+        image.sort_unstable();
+        assert_eq!(image, vec![0, 1, 2]);
+        for (c, &rc) in map.iter().enumerate() {
+            for (a, b) in weighted.centroids.row(c).iter().zip(repeated.centroids.row(rc)) {
+                assert!((a - b).abs() < 1e-9, "centroid {c}: {a} vs {b}");
+            }
+        }
+        assert!((weighted.inertia - repeated.inertia).abs() < 1e-9 * repeated.inertia);
+    }
+
+    #[test]
+    fn nearest_matches_full_cdist_argmin_across_blocks() {
+        // 600 rows span three NEAREST_BLOCK blocks, the last one partial.
+        let x = randn(600, 3, &mut rng(14));
+        let centers = randn(7, 3, &mut rng(15));
+        let (labels, d2) = nearest(&x, &centers);
+        let d = sq_euclidean_cdist(&x, &centers);
+        for i in 0..x.rows() {
+            let row = d.row(i);
+            let best = (1..row.len()).fold(0, |b, j| if row[j] < row[b] { j } else { b });
+            assert_eq!(labels[i], best, "row {i}");
+            assert_eq!(d2[i].to_bits(), row[best].to_bits(), "row {i}");
         }
     }
 

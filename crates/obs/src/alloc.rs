@@ -224,10 +224,14 @@ mod tests {
 
     #[test]
     fn tracking_off_is_inert() {
-        set_alloc_tracking(false);
-        let v: Vec<u8> = vec![0; 1024];
-        std::hint::black_box(&v);
-        // Nothing to assert beyond "does not crash/deadlock": the hook
-        // takes the single-load fast path.
+        // Under the test lock: the switch is process-global, and turning it
+        // off mid-way through the attribution test above would starve it.
+        crate::test_support::with_sink_disabled(|| {
+            set_alloc_tracking(false);
+            let v: Vec<u8> = vec![0; 1024];
+            std::hint::black_box(&v);
+            // Nothing to assert beyond "does not crash/deadlock": the hook
+            // takes the single-load fast path.
+        });
     }
 }

@@ -169,16 +169,20 @@ pub(crate) fn exit(id: NodeId, elapsed_ns: u64) {
     }
 }
 
-/// A capture of the innermost active span, cheap to copy across threads.
+/// A capture of the innermost active span (and of the test-sink capture
+/// scope), cheap to copy across threads.
 #[derive(Debug, Clone, Copy)]
-pub struct SpanContext(NodeId);
+pub struct SpanContext {
+    node: NodeId,
+    capture: u64,
+}
 
 /// Captures the innermost active span on the calling thread. Pair with
 /// [`enter_context`] on the receiving thread so spawned work nests under
 /// its logical parent. With no span active, the context is the root (and
 /// re-entering it is a no-op nesting-wise).
 pub fn current_context() -> SpanContext {
-    SpanContext(CURRENT.with(Cell::get))
+    SpanContext { node: CURRENT.with(Cell::get), capture: crate::sink::capture_scope() }
 }
 
 /// RAII guard restoring the previous ambient span on drop.
@@ -186,6 +190,7 @@ pub fn current_context() -> SpanContext {
 pub struct ContextGuard {
     node: NodeId,
     prev: NodeId,
+    prev_capture: u64,
 }
 
 /// Installs `ctx` as the ambient parent for spans created on this thread
@@ -193,9 +198,10 @@ pub struct ContextGuard {
 /// frame itself is never timed or recorded.
 pub fn enter_context(ctx: SpanContext) -> ContextGuard {
     let prev = CURRENT.with(Cell::get);
-    STACK.with(|s| s.borrow_mut().push(Frame { node: ctx.0, child_ns: 0, context: true }));
-    CURRENT.with(|c| c.set(ctx.0));
-    ContextGuard { node: ctx.0, prev }
+    STACK.with(|s| s.borrow_mut().push(Frame { node: ctx.node, child_ns: 0, context: true }));
+    CURRENT.with(|c| c.set(ctx.node));
+    let prev_capture = crate::sink::set_capture_scope(ctx.capture);
+    ContextGuard { node: ctx.node, prev, prev_capture }
 }
 
 impl Drop for ContextGuard {
@@ -207,6 +213,7 @@ impl Drop for ContextGuard {
             }
         });
         CURRENT.with(|c| c.set(self.prev));
+        crate::sink::set_capture_scope(self.prev_capture);
     }
 }
 

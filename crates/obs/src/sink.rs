@@ -15,10 +15,11 @@
 //! even when many threads emit concurrently — `trace_check` enforces
 //! this.
 
+use std::cell::Cell;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use crate::json;
@@ -50,8 +51,26 @@ enum SinkState {
     Disabled,
     Stderr,
     File(BufWriter<File>),
-    /// Test-only in-memory capture (installed via [`test_support`]).
-    Memory(Vec<String>),
+    /// Test-only in-memory capture (installed via [`test_support`]) of the
+    /// events emitted under one capture scope.
+    Memory { scope: u64, lines: Vec<String> },
+}
+
+thread_local! {
+    /// The capture scope the calling thread runs under: 0 outside every
+    /// [`test_support::with_memory_sink`] call. Pool tasks inherit it from
+    /// their spawner through [`crate::profile::SpanContext`].
+    static CAPTURE: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The calling thread's capture scope.
+pub(crate) fn capture_scope() -> u64 {
+    CAPTURE.with(Cell::get)
+}
+
+/// Sets the calling thread's capture scope, returning the previous one.
+pub(crate) fn set_capture_scope(scope: u64) -> u64 {
+    CAPTURE.with(|c| c.replace(scope))
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -93,16 +112,19 @@ pub fn trace_target_description() -> String {
         SinkState::Disabled => "disabled".to_string(),
         SinkState::Stderr => "stderr".to_string(),
         SinkState::File(_) => format!("file ({})", std::env::var(TRACE_ENV).unwrap_or_default()),
-        SinkState::Memory(_) => "memory (test)".to_string(),
+        SinkState::Memory { .. } => "memory (test)".to_string(),
     }
 }
 
 /// Stamps `ts_ms` and writes one event line. The timestamp is taken while
-/// holding the sink lock so lines land in the file in timestamp order.
+/// holding the sink lock so lines land in the file in timestamp order. A
+/// memory sink drops events emitted outside its capture scope.
 fn write_event(tail: &str) {
     let mut state = lock(sink());
-    if matches!(*state, SinkState::Disabled) {
-        return;
+    match &*state {
+        SinkState::Disabled => return,
+        SinkState::Memory { scope, .. } if *scope != capture_scope() => return,
+        _ => {}
     }
     let mut line = String::with_capacity(tail.len() + 64);
     line.push_str("{\"ts_ms\":");
@@ -120,7 +142,7 @@ fn write_event(tail: &str) {
             let _ = writeln!(w, "{line}");
             let _ = w.flush();
         }
-        SinkState::Memory(captured) => captured.push(line),
+        SinkState::Memory { lines, .. } => lines.push(line),
     }
 }
 
@@ -215,11 +237,14 @@ impl Event {
 ///
 /// All helpers serialize on one process-wide lock so tests that install a
 /// memory sink and tests that assert "no events" cannot race each other
-/// within a test binary.
+/// within a test binary. Tests that never touch the sink still run
+/// concurrently, so a memory sink captures only its own scope: the calling
+/// thread plus the pool tasks spawned under it.
 pub mod test_support {
     use super::*;
 
     static TEST_LOCK: Mutex<()> = Mutex::new(());
+    static NEXT_SCOPE: AtomicU64 = AtomicU64::new(1);
 
     fn set_state(state: SinkState) {
         let enabled = !matches!(state, SinkState::Disabled);
@@ -228,14 +253,19 @@ pub mod test_support {
     }
 
     /// Runs `f` with an in-memory sink installed (tracing *enabled*),
-    /// returning `f`'s result and the captured JSON lines. The sink is
+    /// returning `f`'s result and the JSON lines emitted within `f`'s
+    /// scope — on the calling thread or in pool tasks spawned under it;
+    /// events of concurrently running tests are dropped. The sink is
     /// restored to disabled afterwards.
     pub fn with_memory_sink<R>(f: impl FnOnce() -> R) -> (R, Vec<String>) {
         let _guard = lock(&TEST_LOCK);
-        set_state(SinkState::Memory(Vec::new()));
+        let scope = NEXT_SCOPE.fetch_add(1, Ordering::Relaxed);
+        set_state(SinkState::Memory { scope, lines: Vec::new() });
+        let outer = set_capture_scope(scope);
         let result = f();
+        set_capture_scope(outer);
         let lines = match std::mem::replace(&mut *lock(sink()), SinkState::Disabled) {
-            SinkState::Memory(captured) => captured,
+            SinkState::Memory { lines, .. } => lines,
             _ => Vec::new(),
         };
         ENABLED.store(false, Ordering::Release);
@@ -292,9 +322,12 @@ mod tests {
     #[test]
     fn timestamps_are_monotone_across_concurrent_emitters() {
         let ((), lines) = test_support::with_memory_sink(|| {
+            let ctx = crate::profile::current_context();
             let threads: Vec<_> = (0..4)
                 .map(|t| {
                     std::thread::spawn(move || {
+                        // Join the capture scope like a pool task would.
+                        let _ctx = crate::profile::enter_context(ctx);
                         for i in 0..50u64 {
                             event("mono.test").u64("t", t).u64("i", i).emit();
                         }
@@ -335,6 +368,17 @@ mod tests {
         // run_id sits between ts_ms and the event name, on every line.
         assert!(line.starts_with("{\"ts_ms\":"));
         assert!(line.contains(",\"run_id\":\"unit-run-1\",\"event\":"));
+    }
+
+    #[test]
+    fn events_of_other_threads_are_not_captured() {
+        let ((), lines) = test_support::with_memory_sink(|| {
+            event("mine").emit();
+            // A thread outside the scope: stands in for a concurrent test.
+            std::thread::spawn(|| event("foreign").emit()).join().expect("emitter thread");
+        });
+        assert_eq!(lines.len(), 1);
+        assert!(lines[0].contains("\"mine\""));
     }
 
     #[test]

@@ -30,7 +30,7 @@
 mod par;
 mod pool;
 
-pub use par::{block_rows, par_for_blocks, par_for_rows, par_join, par_reduce};
+pub use par::{block_rows, par_for_rows, par_join, par_reduce};
 pub use pool::{PoolStats, Scope, ThreadPool};
 
 use std::sync::OnceLock;

@@ -5,9 +5,9 @@
 //! Every primitive here produces **bit-identical results regardless of the
 //! pool's thread count**, including `threads == 1`:
 //!
-//! - [`par_for_rows`] and [`par_for_blocks`] run pure per-block functions on
-//!   disjoint slices — the computation per element is exactly the serial
-//!   one, only the schedule changes.
+//! - [`par_for_rows`] runs a pure per-block function on disjoint slices —
+//!   the computation per element is exactly the serial one, only the
+//!   schedule changes.
 //! - [`par_join`] runs two independent closures; their results are returned
 //!   in a fixed order.
 //! - [`par_reduce`] evaluates a caller-fixed chunking of `0..n` and combines
@@ -73,39 +73,6 @@ where
             let rows_here = chunk.len() / row_width;
             s.spawn(move || f(start, chunk));
             start += rows_here;
-        }
-    });
-}
-
-/// Read-only variant of [`par_for_rows`]: runs `f(range)` for consecutive
-/// index ranges covering `0..n`, in parallel. `f` typically writes through
-/// captured disjoint output (e.g. interior mutability per index) or pure
-/// side channels; most callers want [`par_for_rows`] or [`par_reduce`]
-/// instead.
-pub fn par_for_blocks<F>(pool: &ThreadPool, n: usize, rows_per_block: usize, f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    if n == 0 {
-        return;
-    }
-    let block = rows_per_block.max(1);
-    if pool.is_serial() || n <= block {
-        let mut start = 0;
-        while start < n {
-            let end = (start + block).min(n);
-            f(start..end);
-            start = end;
-        }
-        return;
-    }
-    let f = &f;
-    pool.scope(|s| {
-        let mut start = 0;
-        while start < n {
-            let end = (start + block).min(n);
-            s.spawn(move || f(start..end));
-            start = end;
         }
     });
 }
@@ -230,21 +197,6 @@ mod tests {
             row[0] = 9.0;
         });
         assert_eq!(one, vec![9.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn par_for_blocks_covers_exactly_once() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        for threads in [1, 3] {
-            let pool = ThreadPool::new(threads);
-            let hits: Vec<AtomicU32> = (0..97).map(|_| AtomicU32::new(0)).collect();
-            par_for_blocks(&pool, 97, 10, |range| {
-                for i in range {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use autograd::Tape;
+use autograd::{Tape, Var};
 use clustering::metrics::num_clusters;
 use nn::loss::{kl_div, kl_div_value, mse};
 use nn::{Adam, Autoencoder, Optimizer, ParamId, Params};
@@ -27,7 +27,7 @@ pub struct TableDcConfig {
     /// Latent dimension (paper: 100; scaled default: 32).
     pub latent_dim: usize,
     /// Encoder layer widths, input first, latent last. `None` selects the
-    /// compact default `[d, 128, 64, latent]`; the paper-scale layout is
+    /// compact default `[d, 256, 128, latent]`; the paper-scale layout is
     /// available via [`TableDcConfig::paper_architecture`].
     pub encoder_dims: Option<Vec<usize>>,
     /// Clustering-loss weight α (Eq. 13; paper: 0.9).
@@ -319,22 +319,8 @@ impl TableDc {
             let z = self.ae.encode(&bound, xv);
             let recon = self.ae.decode(&bound, z);
 
-            // Lines 5–6: Mahalanobis distances between z and c.
-            let c = bound.var(self.centers);
-            let d2 = cfg
-                .distance
-                .sq_cdist(&tape, z, c)
-                .expect("distance computation failed (non-SPD covariance)");
-
-            // Line 7: Cauchy soft assignments (Eq. 7).
-            let q_raw = cfg.kernel.apply(&tape, d2);
-
-            // Line 8a: normalize q (Eq. 8).
-            let sums = tape.add_scalar(tape.row_sums(q_raw), cfg.eps);
-            let q = tape.div_col_broadcast(q_raw, sums);
-
-            // Line 8b: softmax → predicted probabilities m (Eq. 9).
-            let m = tape.softmax_rows(q);
+            // Lines 5–8: soft assignments q and probabilities m (Eq. 3–9).
+            let (q, m) = cluster_head(&cfg, &tape, z, bound.var(self.centers));
 
             // Line 9: target distribution p from q (Eq. 11).
             let q_val = tape.value(q);
@@ -523,16 +509,7 @@ impl TableDc {
         let bound = self.params.bind(&tape);
         let xv = tape.constant(x.clone());
         let z = self.ae.encode(&bound, xv);
-        let c = bound.var(self.centers);
-        let d2 = self
-            .config
-            .distance
-            .sq_cdist(&tape, z, c)
-            .expect("distance computation failed");
-        let q_raw = self.config.kernel.apply(&tape, d2);
-        let sums = tape.add_scalar(tape.row_sums(q_raw), self.config.eps);
-        let q = tape.div_col_broadcast(q_raw, sums);
-        let m = tape.softmax_rows(q);
+        let (q, m) = cluster_head(&self.config, &tape, z, bound.var(self.centers));
         (tape.value(q), tape.value(m))
     }
 
@@ -556,6 +533,22 @@ impl TableDc {
     pub fn config(&self) -> &TableDcConfig {
         &self.config
     }
+}
+
+/// The clustering head, Eq. 3–9, shared by training and inference: squared
+/// distances between the latent rows `z` and the centers `c` (Eq. 3–6),
+/// the similarity kernel (Eq. 7), row normalization (Eq. 8) and the
+/// softmax (Eq. 9). Returns the soft assignments `q` and the predicted
+/// probabilities `m`.
+fn cluster_head(cfg: &TableDcConfig, tape: &Tape, z: Var, c: Var) -> (Var, Var) {
+    let d2 = cfg
+        .distance
+        .sq_cdist(tape, z, c)
+        .expect("distance computation failed (non-SPD covariance)");
+    let q_raw = cfg.kernel.apply(tape, d2);
+    let sums = tape.add_scalar(tape.row_sums(q_raw), cfg.eps);
+    let q = tape.div_col_broadcast(q_raw, sums);
+    (q, tape.softmax_rows(q))
 }
 
 /// Monotone counter making dump filenames unique within a process even

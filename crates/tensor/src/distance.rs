@@ -22,14 +22,6 @@ pub fn sq_euclidean_cdist(x: &Matrix, y: &Matrix) -> Matrix {
     crate::par::sq_euclidean_cdist(runtime::global(), x, y)
 }
 
-/// Pairwise Euclidean distances (the square root of
-/// [`sq_euclidean_cdist`]).
-pub fn euclidean_cdist(x: &Matrix, y: &Matrix) -> Matrix {
-    let mut d = sq_euclidean_cdist(x, y);
-    d.map_inplace(f64::sqrt);
-    d
-}
-
 /// Pairwise **cosine distances** `1 − cos(a, b)` between rows of `x` and
 /// rows of `y`, in parallel row blocks. Zero vectors get distance 1 to
 /// everything (cosine undefined → treated as orthogonal).
