@@ -16,6 +16,26 @@
 //!   which keeps gradients auditable and the engine allocation-light.
 //! * Gradients are validated against central finite differences both in
 //!   unit tests and property tests (see [`check::finite_difference_grad`]).
+//! * The reverse sweep borrows every node value in place and adds fan-in
+//!   gradients into the existing buffer (`existing + delta`, the same
+//!   bits as a fresh sum).
+//!
+//! ## Ops
+//!
+//! * Elementwise: `add`, `sub`, `mul`, `div`, `scale`, `add_scalar`,
+//!   `neg`, `relu`, `sigmoid`, `tanh`, `exp`, `ln`, `sqrt`, `pow_scalar`,
+//!   `square`.
+//! * Matrix: `matmul`, `transpose`, `add_row_broadcast`,
+//!   `div_col_broadcast`, `apply_left` (a constant [`LinearOperator`] such
+//!   as a sparse graph adjacency), `sq_dist_cdist` (pairwise squared
+//!   Euclidean distances).
+//! * Reductions: `sum`, `mean`, `row_sums`, and the row-wise
+//!   `softmax_rows` (its backward runs row-parallel).
+//! * Fused clustering head, one node each, bit-identical to the composed
+//!   chains they replace and row-parallel on the global pool
+//!   ([`tensor::head`]): `soft_assign` (kernel of Eq. 7 plus the row
+//!   normalization of Eq. 8), `cross_entropy` and `kl_div` against a
+//!   constant target (Eq. 10).
 
 pub mod check;
 pub mod ops;

@@ -7,6 +7,7 @@
 
 use std::rc::Rc;
 
+use tensor::head::{Head, SoftKernel};
 use tensor::Matrix;
 
 /// A constant linear operator that can appear on the left of a matrix
@@ -80,19 +81,26 @@ pub(crate) enum Op {
     SqDistCdist(usize, usize),
     /// `lin · b` where `lin` is a constant linear operator (e.g. sparse Â).
     ApplyLeft(Rc<dyn LinearOperator>, usize),
+    /// Fused soft assignment of squared distances `d2` (kernel, row sums,
+    /// `+ε`, row division). `raw` and `denom` are the forward's kernel
+    /// values and row normalizers, kept for the backward.
+    SoftAssign { d2: usize, kernel: SoftKernel, raw: Matrix, denom: Vec<f64> },
+    /// Fused `−(1/n)·Σ p·ln(m + ε)` (plus a constant) for a constant
+    /// target `p`, with `inv_n = 1/n`.
+    CrossEntropy { m: usize, p: Matrix, eps: f64, inv_n: f64 },
 }
 
 impl Op {
     /// Propagates the upstream gradient `g` of a node with `value` to the
     /// parent gradient accumulators.
     ///
-    /// `values` gives read access to all node values; `acc(id, delta)`
-    /// accumulates `delta` into the gradient of parent `id`.
+    /// `values` borrows all node values; `acc(id, delta)` accumulates
+    /// `delta` into the gradient of parent `id`.
     pub(crate) fn backward(
         &self,
         value: &Matrix,
         g: &Matrix,
-        values: &[Matrix],
+        values: &[&Matrix],
         acc: &mut dyn FnMut(usize, Matrix),
     ) {
         match self {
@@ -106,17 +114,17 @@ impl Op {
                 acc(*b, -g);
             }
             Op::Mul(a, b) => {
-                acc(*a, g * &values[*b]);
-                acc(*b, g * &values[*a]);
+                acc(*a, g * values[*b]);
+                acc(*b, g * values[*a]);
             }
             Op::Div(a, b) => {
-                let vb = &values[*b];
+                let vb = values[*b];
                 acc(*a, g / vb);
-                let ratio = &(g * &values[*a]) / &(vb * vb);
+                let ratio = &(g * values[*a]) / &(vb * vb);
                 acc(*b, -&ratio);
             }
             Op::MatMul(a, b) => {
-                acc(*a, g.matmul_nt(&values[*b]));
+                acc(*a, g.matmul_nt(values[*b]));
                 acc(*b, values[*a].matmul_tn(g));
             }
             Op::AddRowBroadcast(a, b) => {
@@ -137,7 +145,7 @@ impl Op {
                 acc(*a, g.zip_map(value, |gi, y| gi * (1.0 - y * y)));
             }
             Op::Exp(a) => acc(*a, g * value),
-            Op::Ln(a) => acc(*a, g / &values[*a]),
+            Op::Ln(a) => acc(*a, g / values[*a]),
             Op::Sqrt(a) => {
                 acc(*a, g.zip_map(value, |gi, y| gi / (2.0 * y)));
             }
@@ -146,23 +154,7 @@ impl Op {
                 acc(*a, g.zip_map(va, |gi, x| gi * p * x.powf(p - 1.0)));
             }
             Op::Transpose(a) => acc(*a, g.transpose()),
-            Op::SoftmaxRows(a) => {
-                // dx = y ∘ (g − Σ_j g∘y), per row.
-                let y = value;
-                let gy = g * y;
-                let row_dots = gy.row_sums();
-                let mut dx = gy;
-                for i in 0..dx.rows() {
-                    let yrow = y.row(i);
-                    let dot = row_dots[i];
-                    for (v, &yv) in dx.row_mut(i).iter_mut().zip(yrow) {
-                        // v currently holds g∘y; rewrite to y∘(g − dot)
-                        // using g∘y − y·dot = y∘g − y·dot.
-                        *v -= yv * dot;
-                    }
-                }
-                acc(*a, dx);
-            }
+            Op::SoftmaxRows(a) => acc(*a, Head::global().softmax_rows_backward(value, g)),
             Op::Sum(a) => {
                 let (r, c) = values[*a].shape();
                 acc(*a, Matrix::full(r, c, g[(0, 0)]));
@@ -228,6 +220,13 @@ impl Op {
             }
             Op::ApplyLeft(lin, b) => {
                 acc(*b, lin.apply_transpose(g));
+            }
+            Op::SoftAssign { d2, kernel, raw, denom } => {
+                acc(*d2, Head::global().soft_assign_backward(values[*d2], *kernel, raw, denom, g));
+            }
+            Op::CrossEntropy { m, p, eps, inv_n } => {
+                let scale = -(g[(0, 0)] * inv_n);
+                acc(*m, Head::global().cross_backward(p, values[*m], *eps, scale));
             }
         }
     }

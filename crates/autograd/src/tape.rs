@@ -4,6 +4,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use tensor::distance::sq_euclidean_cdist;
+use tensor::head::{Head, SoftKernel};
 use tensor::Matrix;
 
 use crate::ops::{LinearOperator, Op};
@@ -285,6 +286,44 @@ impl Tape {
         self.push(v, Op::ApplyLeft(lin, b.0))
     }
 
+    // ---- fused clustering head ----------------------------------------------
+
+    /// Soft assignments of squared distances `d2` (n×k), one node: the
+    /// pointwise `kernel` (paper Eq. 7), then each row divided by its sum
+    /// plus `eps` (Eq. 8). Bit-identical to the composed chain
+    /// `div_col_broadcast(u, add_scalar(row_sums(u), eps))` over the kernel
+    /// ops `u`, in value and gradient; runs row-parallel on the global pool
+    /// ([`Head::global`]).
+    pub fn soft_assign(&self, d2: Var, kernel: SoftKernel, eps: f64) -> Var {
+        let out = { Head::global().soft_assign(&self.nodes.borrow()[d2.0].value, kernel, eps) };
+        self.push(out.q, Op::SoftAssign { d2: d2.0, kernel, raw: out.raw, denom: out.denom })
+    }
+
+    /// Cross-entropy `−1/n · Σ p·ln(m + eps)` of `m` (n×k) against the
+    /// constant target `p`, n = `p.rows()`: one node, bit-identical to
+    /// `scale(neg(sum(mul(p, ln(add_scalar(m, eps))))), 1/n)`.
+    pub fn cross_entropy(&self, p: &Matrix, m: Var, eps: f64) -> Var {
+        self.cross_entropy_node(p, m, eps, false)
+    }
+
+    /// `KL(p ‖ m) = 1/n · Σ p·ln(p/(m + eps))`: [`Tape::cross_entropy`]
+    /// plus the constant `1/n · Σ p·ln p` over positive `p`, in one node.
+    pub fn kl_div(&self, p: &Matrix, m: Var, eps: f64) -> Var {
+        self.cross_entropy_node(p, m, eps, true)
+    }
+
+    fn cross_entropy_node(&self, p: &Matrix, m: Var, eps: f64, with_entropy: bool) -> Var {
+        let head = Head::global();
+        let n = p.rows().max(1) as f64;
+        let inv_n = 1.0 / n;
+        let cross = { head.cross_sum(p, &self.nodes.borrow()[m.0].value, eps) };
+        let mut v = -cross * inv_n;
+        if with_entropy {
+            v += head.neg_entropy_sum(p) / n;
+        }
+        self.push(Matrix::full(1, 1, v), Op::CrossEntropy { m: m.0, p: p.clone(), eps, inv_n })
+    }
+
     // ---- backward ---------------------------------------------------------
 
     /// Runs the reverse sweep from a scalar (1×1) `loss` node and returns
@@ -298,29 +337,19 @@ impl Tape {
         assert_eq!(nodes[loss.0].value.shape(), (1, 1), "backward: loss must be a 1×1 scalar");
         let mut grads: Vec<Option<Matrix>> = vec![None; nodes.len()];
         grads[loss.0] = Some(Matrix::ones(1, 1));
-
-        // Collect values once for the Op::backward interface.
-        // (Borrowing each lazily would fight the RefCell; a straight slice
-        // of values is simpler and the clone below is shallow — we only
-        // build a Vec of references via split access.)
-        let values: Vec<Matrix> = nodes.iter().map(|n| n.value.clone()).collect();
+        let values: Vec<&Matrix> = nodes.iter().map(|n| &n.value).collect();
 
         for id in (0..nodes.len()).rev() {
             let Some(g) = grads[id].take() else { continue };
             let node = &nodes[id];
-            node.op.backward(&node.value, &g, &values, &mut |pid, delta| {
-                match &mut grads[pid] {
-                    Some(existing) => {
-                        debug_assert_eq!(existing.shape(), delta.shape());
-                        *existing = &*existing + &delta;
-                    }
-                    slot @ None => *slot = Some(delta),
-                }
+            node.op.backward(&node.value, &g, &values, &mut |pid, delta| match &mut grads[pid] {
+                Some(existing) => *existing += &delta,
+                slot @ None => *slot = Some(delta),
             });
             grads[id] = Some(g);
         }
 
-        Gradients { grads, shapes: values.iter().map(Matrix::shape).collect() }
+        Gradients { grads, shapes: values.iter().map(|v| v.shape()).collect() }
     }
 }
 
@@ -416,6 +445,60 @@ mod tests {
         assert!((v[(0, 0)] - 0.25).abs() < 1e-12);
         assert!((v[(0, 1)] - 0.75).abs() < 1e-12);
         assert!((v.row_sums()[1] - 1.0).abs() < 1e-12);
+    }
+
+    /// Eq. 7–8 as the elementwise chain the fused node replaces.
+    fn composed_soft_assign(t: &Tape, d2: Var, kernel: SoftKernel, eps: f64) -> Var {
+        let u = match kernel {
+            SoftKernel::Power { scale, exponent } => {
+                t.pow_scalar(t.add_scalar(t.scale(d2, scale), 1.0), exponent)
+            }
+            SoftKernel::Exp { scale } => t.exp(t.scale(d2, scale)),
+        };
+        let sums = t.add_scalar(t.row_sums(u), eps);
+        t.div_col_broadcast(u, sums)
+    }
+
+    const SOFT_KERNELS: [SoftKernel; 3] = [
+        SoftKernel::Power { scale: 1.0, exponent: -1.0 },
+        SoftKernel::Power { scale: 0.4, exponent: -1.25 },
+        SoftKernel::Exp { scale: -0.5 },
+    ];
+
+    #[test]
+    fn soft_assign_matches_composed_chain_bitwise() {
+        let mut d2 = tensor::random::randn(70, 9, &mut tensor::random::rng(3));
+        d2.map_inplace(|v| v * v);
+        let w = tensor::random::randn(70, 9, &mut tensor::random::rng(4));
+        for kernel in SOFT_KERNELS {
+            let run = |fused: bool| {
+                let t = Tape::new();
+                let x = t.leaf(d2.clone());
+                let q = if fused { t.soft_assign(x, kernel, 1e-10) } else { composed_soft_assign(&t, x, kernel, 1e-10) };
+                let loss = t.sum(t.mul(t.softmax_rows(q), t.constant(w.clone())));
+                let g = t.backward(loss).grad(x);
+                (t.value(q), g)
+            };
+            let ((q_fused, g_fused), (q_composed, g_composed)) = (run(true), run(false));
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&q_fused), bits(&q_composed), "{kernel:?}");
+            assert_eq!(bits(&g_fused), bits(&g_composed), "{kernel:?}");
+        }
+    }
+
+    #[test]
+    fn soft_assign_gradients_check_out() {
+        let mut d2 = tensor::random::randn(4, 5, &mut tensor::random::rng(5));
+        d2.map_inplace(|v| v * v + 0.1);
+        let w = tensor::random::randn(4, 5, &mut tensor::random::rng(6));
+        for kernel in SOFT_KERNELS {
+            crate::check::assert_grad_close(
+                &d2,
+                |t, v| t.sum(t.mul(t.soft_assign(v, kernel, 1e-10), t.constant(w.clone()))),
+                1e-6,
+                1e-5,
+            );
+        }
     }
 
     #[test]

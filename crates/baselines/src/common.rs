@@ -12,6 +12,7 @@ use autograd::{Tape, Var};
 use nn::Params;
 use rand::rngs::StdRng;
 use tabledc::diagnostics::{self, ConvergenceVerdict, DiagnosticsTracker, VerdictRules};
+use tensor::head::SoftKernel;
 use tensor::Matrix;
 
 /// Hyper-parameters shared by the deep baselines.
@@ -150,12 +151,11 @@ impl EpochObserver {
 
 /// Student's-t soft assignments between latent points and centers with the
 /// standard DEC normalization: `q_ij ∝ (1 + ‖z_i − c_j‖²/ν)^−(ν+1)/2`,
-/// rows summing to 1 — the kernel used by SDCN/DFCN/DCRN (§2.1).
+/// rows summing to 1 — the kernel used by SDCN/DFCN/DCRN (§2.1). The
+/// kernel and the normalization are one fused node ([`Tape::soft_assign`]).
 pub fn student_t_assignments(t: &Tape, z: Var, c: Var, nu: f64) -> Var {
     let d2 = t.sq_dist_cdist(z, c);
-    let q_raw = t.pow_scalar(t.add_scalar(t.scale(d2, 1.0 / nu), 1.0), -(nu + 1.0) / 2.0);
-    let sums = t.add_scalar(t.row_sums(q_raw), 1e-12);
-    t.div_col_broadcast(q_raw, sums)
+    t.soft_assign(d2, SoftKernel::Power { scale: 1.0 / nu, exponent: -(nu + 1.0) / 2.0 }, 1e-12)
 }
 
 /// K-means cluster-center initialization on a latent matrix — the

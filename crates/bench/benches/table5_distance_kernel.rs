@@ -35,7 +35,7 @@ fn bench_table5(c: &mut Criterion) {
                 let zv = t.leaf(z.clone());
                 let cv = t.leaf(centers.clone());
                 let d2 = dist.sq_cdist(&t, zv, cv).unwrap();
-                let q = kernel.apply(&t, d2);
+                let q = kernel.apply(&t, d2, 1e-10);
                 let loss = t.mean(q);
                 t.backward(loss)
             })

@@ -7,7 +7,6 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use tensor::distance::sq_euclidean_cdist;
 use tensor::random::sample_without_replacement;
 use tensor::Matrix;
 
@@ -134,16 +133,18 @@ pub struct KMeansResult {
 
 /// K-means++ (D² weighting) seed selection, exposed for reuse by the
 /// Figure 4 initializer ablation.
+///
+/// The squared row norms are computed once; each new seed then costs one
+/// pass over the rows with the arithmetic of
+/// [`tensor::distance::sq_euclidean_cdist`], so the seeds are the ones an
+/// `n×1` cdist per seed would pick, bit for bit.
 pub fn kmeans_pp_seeds(x: &Matrix, k: usize, rng: &mut StdRng) -> Matrix {
     let n = x.rows();
     assert!(k >= 1 && k <= n, "kmeans++: bad k = {k} for n = {n}");
+    let norms: Vec<f64> = x.row_iter().map(|r| r.iter().map(|v| v * v).sum()).collect();
     let mut chosen = Vec::with_capacity(k);
     chosen.push(rng.gen_range(0..n));
-    let mut min_d2: Vec<f64> = {
-        let c0 = x.select_rows(&chosen);
-        let d = sq_euclidean_cdist(x, &c0);
-        (0..n).map(|i| d[(i, 0)]).collect()
-    };
+    let mut min_d2: Vec<f64> = (0..n).map(|i| sq_dist_between_rows(x, &norms, i, chosen[0])).collect();
     while chosen.len() < k {
         let total: f64 = min_d2.iter().sum();
         let next = if total <= 0.0 {
@@ -162,13 +163,22 @@ pub fn kmeans_pp_seeds(x: &Matrix, k: usize, rng: &mut StdRng) -> Matrix {
             pick
         };
         chosen.push(next);
-        let c = x.select_rows(&[next]);
-        let d = sq_euclidean_cdist(x, &c);
-        for i in 0..n {
-            min_d2[i] = min_d2[i].min(d[(i, 0)]);
+        for (i, m) in min_d2.iter_mut().enumerate() {
+            *m = m.min(sq_dist_between_rows(x, &norms, i, next));
         }
     }
     x.select_rows(&chosen)
+}
+
+/// `‖xᵢ − x_c‖²` from the squared row norms, with the arithmetic of
+/// [`tensor::distance::sq_euclidean_cdist`]: `(‖xᵢ‖² + ‖x_c‖² − 2·dot)`
+/// clamped at 0, the dot product summed over ascending features from 0.0.
+fn sq_dist_between_rows(x: &Matrix, norms: &[f64], i: usize, c: usize) -> f64 {
+    let mut dot = 0.0;
+    for (a, b) in x.row(i).iter().zip(x.row(c)) {
+        dot += a * b;
+    }
+    (norms[i] + norms[c] - 2.0 * dot).max(0.0)
 }
 
 /// Row chunk size for the centroid-accumulation reduction. Fixed (never
@@ -276,6 +286,7 @@ pub fn nearest(x: &Matrix, centers: &Matrix) -> (Vec<usize>, Vec<f64>) {
 mod tests {
     use super::*;
     use crate::metrics::{accuracy, adjusted_rand_index};
+    use tensor::distance::sq_euclidean_cdist;
     use tensor::random::{randn, rng};
 
     /// Three well-separated Gaussian blobs.
@@ -317,6 +328,83 @@ mod tests {
         let x = Matrix::from_rows(&[&[0.0, 0.0], &[5.0, 5.0], &[9.0, 1.0]]);
         let result = KMeans::new(3).fit(&x, &mut rng(5));
         assert!(result.inertia < 1e-18);
+    }
+
+    /// The seeding as it was written before the one-pass form: an `n×1`
+    /// cdist on a copied seed row per seed.
+    fn kmeans_pp_seeds_per_seed_cdist(x: &Matrix, k: usize, rng: &mut StdRng) -> Matrix {
+        let n = x.rows();
+        let mut chosen = Vec::with_capacity(k);
+        chosen.push(rng.gen_range(0..n));
+        let mut min_d2: Vec<f64> = {
+            let d = sq_euclidean_cdist(x, &x.select_rows(&chosen));
+            (0..n).map(|i| d[(i, 0)]).collect()
+        };
+        while chosen.len() < k {
+            let total: f64 = min_d2.iter().sum();
+            let next = if total <= 0.0 {
+                (0..n).find(|i| !chosen.contains(i)).unwrap_or(0)
+            } else {
+                let mut target = rng.gen::<f64>() * total;
+                let mut pick = n - 1;
+                for (i, &d2) in min_d2.iter().enumerate() {
+                    target -= d2;
+                    if target <= 0.0 {
+                        pick = i;
+                        break;
+                    }
+                }
+                pick
+            };
+            chosen.push(next);
+            let d = sq_euclidean_cdist(x, &x.select_rows(&[next]));
+            for i in 0..n {
+                min_d2[i] = min_d2[i].min(d[(i, 0)]);
+            }
+        }
+        x.select_rows(&chosen)
+    }
+
+    #[test]
+    fn row_pair_distances_match_cdist_bitwise() {
+        // 300 features: the matmul under cdist sums in several slabs.
+        for (n, d) in [(40, 48), (13, 300), (9, 1)] {
+            let x = randn(n, d, &mut rng(d as u64));
+            let norms: Vec<f64> = x.row_iter().map(|r| r.iter().map(|v| v * v).sum()).collect();
+            let want = sq_euclidean_cdist(&x, &x);
+            for i in 0..n {
+                for c in 0..n {
+                    let got = sq_dist_between_rows(&x, &norms, i, c);
+                    assert_eq!(got.to_bits(), want[(i, c)].to_bits(), "{n}x{d}: ({i}, {c})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kmeans_pp_seeds_match_the_per_seed_cdist_form_bitwise() {
+        let duplicates = Matrix::from_fn(40, 3, |_, j| j as f64 * 0.7 - 1.1);
+        let cases = [
+            (randn(300, 48, &mut rng(11)), 37),
+            (randn(257, 32, &mut rng(12)), 100),
+            (randn(60, 300, &mut rng(13)), 60), // k = n
+            (randn(9, 1, &mut rng(14)), 4),
+            (duplicates, 5), // every distance is 0: the `total <= 0` branch
+        ];
+        for (x, k) in &cases {
+            for seed in 0..3 {
+                let (mut r_new, mut r_old) = (rng(seed), rng(seed));
+                let got = kmeans_pp_seeds(x, *k, &mut r_new);
+                let want = kmeans_pp_seeds_per_seed_cdist(x, *k, &mut r_old);
+                let what = format!("{}x{}, k = {k}, seed {seed}", x.rows(), x.cols());
+                assert_eq!(got.shape(), want.shape(), "{what}");
+                for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{what}");
+                }
+                // Same RNG draws: both streams continue identically.
+                assert_eq!(r_new.gen::<u64>(), r_old.gen::<u64>(), "{what}");
+            }
+        }
     }
 
     #[test]

@@ -16,20 +16,13 @@ pub fn mse(t: &Tape, target: Var, pred: Var) -> Var {
 /// `p` (paper Eq. 10), normalized per row ("batchmean", the convention of
 /// the reference DEC/SDCN implementations — an unnormalized sum would make
 /// the clustering gradient grow with n·k and swamp the mean-reduced
-/// reconstruction loss in Eq. 13). `p` does not require gradients, so it
-/// enters the tape as a constant; the `p·log p` term is still included so
-/// the node's *value* is a true mean KL divergence (useful for the
-/// Figure 5 loss curves), while the gradient only flows through
-/// `−Σ p·log m`.
+/// reconstruction loss in Eq. 13). `p` does not require gradients; the
+/// `p·log p` term is still included so the node's *value* is a true mean
+/// KL divergence (useful for the Figure 5 loss curves), while the gradient
+/// only flows through `−Σ p·log m`. One fused tape node
+/// ([`Tape::kl_div`]).
 pub fn kl_div(t: &Tape, p: &Matrix, m: Var) -> Var {
-    let n = p.rows().max(1) as f64;
-    let pv = t.constant(p.clone());
-    let log_m = t.ln(t.add_scalar(m, LOG_EPS));
-    let cross = t.scale(t.neg(t.sum(t.mul(pv, log_m))), 1.0 / n);
-    // Constant entropy term 1/n · Σ p·log p, added as a constant node.
-    let ent: f64 =
-        p.as_slice().iter().map(|&x| if x > 0.0 { x * x.ln() } else { 0.0 }).sum::<f64>() / n;
-    t.add_scalar(cross, ent)
+    t.kl_div(p, m, LOG_EPS)
 }
 
 /// Plain (non-tape) mean-per-row KL divergence between two row-stochastic
@@ -47,12 +40,10 @@ pub fn kl_div_value(p: &Matrix, q: &Matrix) -> f64 {
 }
 
 /// Cross-entropy of row-stochastic predictions `m` against constant hard or
-/// soft targets `p`: `−1/n Σ p·log m`. Used by SHGP's pseudo-label loss.
+/// soft targets `p`: `−1/n Σ p·log m`, one fused tape node
+/// ([`Tape::cross_entropy`]). Used by SHGP's pseudo-label loss.
 pub fn cross_entropy(t: &Tape, p: &Matrix, m: Var) -> Var {
-    let n = p.rows().max(1) as f64;
-    let pv = t.constant(p.clone());
-    let log_m = t.ln(t.add_scalar(m, LOG_EPS));
-    t.scale(t.neg(t.sum(t.mul(pv, log_m))), 1.0 / n)
+    t.cross_entropy(p, m, LOG_EPS)
 }
 
 /// NT-Xent-style contrastive loss on two aligned views (rows of `za`, `zb`
@@ -68,16 +59,61 @@ pub fn nt_xent(t: &Tape, za: Var, zb: Var, tau: f64) -> Var {
     let logits = t.scale(t.matmul(za, t.transpose(zb)), 1.0 / tau);
     let probs = t.softmax_rows(logits);
     // Positives are the diagonal; maximize their log-probability.
-    let n = t.shape(za).0;
-    let eye = Matrix::identity(n);
-    let eye_v = t.constant(eye);
-    let log_p = t.ln(t.add_scalar(probs, LOG_EPS));
-    t.scale(t.neg(t.sum(t.mul(eye_v, log_p))), 1.0 / n as f64)
+    cross_entropy(t, &Matrix::identity(t.shape(za).0), probs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tensor::random::{randn, rng};
+
+    /// `−1/n · Σ p·log(m + ε)` as the chain of elementwise tape ops the
+    /// fused node replaces.
+    fn composed_cross_entropy(t: &Tape, p: &Matrix, m: Var) -> Var {
+        let n = p.rows().max(1) as f64;
+        let pv = t.constant(p.clone());
+        let log_m = t.ln(t.add_scalar(m, LOG_EPS));
+        t.scale(t.neg(t.sum(t.mul(pv, log_m))), 1.0 / n)
+    }
+
+    fn composed_kl_div(t: &Tape, p: &Matrix, m: Var) -> Var {
+        let n = p.rows().max(1) as f64;
+        let ent: f64 =
+            p.as_slice().iter().map(|&x| if x > 0.0 { x * x.ln() } else { 0.0 }).sum::<f64>() / n;
+        t.add_scalar(composed_cross_entropy(t, p, m), ent)
+    }
+
+    /// Value and gradient w.r.t. `m` of `α·loss(p, m)`.
+    fn value_and_grad(loss: fn(&Tape, &Matrix, Var) -> Var, p: &Matrix, m: &Matrix) -> (u64, Vec<u64>) {
+        let t = Tape::new();
+        let mv = t.leaf(m.clone());
+        let l = t.scale(loss(&t, p, mv), 0.9);
+        let g = t.backward(l).grad(mv);
+        (t.value(l)[(0, 0)].to_bits(), g.as_slice().iter().map(|v| v.to_bits()).collect())
+    }
+
+    #[test]
+    fn fused_kl_and_cross_entropy_match_composed_chain_bitwise() {
+        for (n, k) in [(1, 1), (7, 3), (130, 40), (300, 1)] {
+            let m = randn(n, k, &mut rng(n as u64)).softmax_rows();
+            let mut p = randn(n, k, &mut rng(k as u64 + 100)).softmax_rows();
+            p[(0, 0)] = 0.0; // a zero target entry drops out of the entropy
+            assert_eq!(value_and_grad(kl_div, &p, &m), value_and_grad(composed_kl_div, &p, &m), "kl {n}x{k}");
+            assert_eq!(
+                value_and_grad(cross_entropy, &p, &m),
+                value_and_grad(composed_cross_entropy, &p, &m),
+                "cross entropy {n}x{k}"
+            );
+        }
+    }
+
+    #[test]
+    fn fused_kl_gradient_matches_finite_differences() {
+        let p = randn(4, 3, &mut rng(1)).softmax_rows();
+        let m = randn(4, 3, &mut rng(2)).softmax_rows();
+        autograd::check::assert_grad_close(&m, |t, v| kl_div(t, &p, v), 1e-6, 1e-5);
+        autograd::check::assert_grad_close(&m, |t, v| cross_entropy(t, &p, v), 1e-6, 1e-5);
+    }
 
     #[test]
     fn mse_of_identical_is_zero() {

@@ -2,9 +2,10 @@
 //! (paper Eq. 7 and the Table 5 ablation).
 
 use autograd::{Tape, Var};
+use tensor::head::SoftKernel;
 
-/// Kernel turning an `n×k` squared-distance matrix into unnormalized soft
-/// assignments `q` (larger = more similar).
+/// Kernel turning squared distances into similarities (larger = more
+/// similar); [`Kernel::apply`] normalizes them into soft assignments `q`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Kernel {
     /// Heavy-tailed Cauchy kernel `q = 1 / (1 + D²/γ²)` — TableDC's choice
@@ -31,22 +32,27 @@ impl Kernel {
     /// TableDC's default kernel: Cauchy with γ = 1.
     pub const PAPER: Kernel = Kernel::Cauchy { gamma: 1.0 };
 
-    /// Applies the kernel to squared distances on the tape.
-    pub fn apply(self, t: &Tape, sq_dist: Var) -> Var {
+    /// Soft assignments on the tape (Eq. 7–8): the kernel applied to the
+    /// `n×k` squared distances, each row divided by its sum plus `eps`.
+    /// One fused node ([`Tape::soft_assign`]).
+    pub fn apply(self, t: &Tape, sq_dist: Var, eps: f64) -> Var {
+        t.soft_assign(sq_dist, self.soft_kernel(), eps)
+    }
+
+    /// The kernel's pointwise form, as the fused head op takes it.
+    pub fn soft_kernel(self) -> SoftKernel {
         match self {
             Kernel::Cauchy { gamma } => {
                 assert!(gamma > 0.0, "Cauchy kernel: gamma must be positive");
-                let scaled = t.scale(sq_dist, 1.0 / (gamma * gamma));
-                t.pow_scalar(t.add_scalar(scaled, 1.0), -1.0)
+                SoftKernel::Power { scale: 1.0 / (gamma * gamma), exponent: -1.0 }
             }
             Kernel::StudentT { nu } => {
                 assert!(nu > 0.0, "Student-t kernel: nu must be positive");
-                let scaled = t.scale(sq_dist, 1.0 / nu);
-                t.pow_scalar(t.add_scalar(scaled, 1.0), -(nu + 1.0) / 2.0)
+                SoftKernel::Power { scale: 1.0 / nu, exponent: -(nu + 1.0) / 2.0 }
             }
             Kernel::Normal { sigma } => {
                 assert!(sigma > 0.0, "Normal kernel: sigma must be positive");
-                t.exp(t.scale(sq_dist, -1.0 / (2.0 * sigma * sigma)))
+                SoftKernel::Exp { scale: -1.0 / (2.0 * sigma * sigma) }
             }
         }
     }
@@ -68,10 +74,10 @@ mod tests {
     use tensor::random::{randn, rng};
     use tensor::Matrix;
 
+    /// The unnormalized kernel values (Eq. 7). `black_box` keeps LLVM from
+    /// folding `powf(x, −1.0)` into `1.0 / x` for these constant kernels.
     fn apply_to(k: Kernel, d2: &Matrix) -> Matrix {
-        let t = Tape::new();
-        let v = t.constant(d2.clone());
-        t.value(k.apply(&t, v))
+        d2.map(|v| std::hint::black_box(k.soft_kernel()).eval(v))
     }
 
     #[test]
@@ -126,12 +132,36 @@ mod tests {
     fn kernel_gradients_check_out() {
         let mut d2 = randn(3, 4, &mut rng(1));
         d2.map_inplace(|v| v * v + 0.1); // positive distances
+        // Normalized rows sum to ~1, so weight the entries: a plain mean
+        // of `q` would have a near-zero gradient.
+        let w = randn(3, 4, &mut rng(2));
         for k in [
             Kernel::Cauchy { gamma: 1.3 },
             Kernel::StudentT { nu: 1.0 },
             Kernel::Normal { sigma: 0.8 },
         ] {
-            assert_grad_close(&d2, |t, v| t.mean(k.apply(t, v)), 1e-5, 1e-4);
+            assert_grad_close(
+                &d2,
+                |t, v| t.sum(t.mul(k.apply(t, v, 1e-10), t.constant(w.clone()))),
+                1e-5,
+                1e-4,
+            );
+        }
+    }
+
+    #[test]
+    fn apply_normalizes_the_similarities() {
+        let d2 = Matrix::from_rows(&[&[0.0, 1.0, 4.0], &[9.0, 0.5, 2.0]]);
+        for k in [Kernel::PAPER, Kernel::StudentT { nu: 2.0 }, Kernel::Normal { sigma: 1.0 }] {
+            let t = Tape::new();
+            let q = t.value(k.apply(&t, t.constant(d2.clone()), 1e-10));
+            let u = apply_to(k, &d2);
+            for i in 0..2 {
+                let s: f64 = u.row(i).iter().sum();
+                for j in 0..3 {
+                    assert_eq!(q[(i, j)].to_bits(), (u[(i, j)] / (s + 1e-10)).to_bits(), "{k:?}");
+                }
+            }
         }
     }
 }

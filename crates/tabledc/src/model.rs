@@ -10,6 +10,7 @@ use nn::loss::{kl_div, kl_div_value, mse};
 use nn::{Adam, Autoencoder, Optimizer, ParamId, Params};
 use obs::health::{HealthMonitor, HealthReport, Policy, Verdict};
 use rand::rngs::StdRng;
+use tensor::head::rows_per_block;
 use tensor::Matrix;
 
 use crate::diagnostics::{self, ConvergenceVerdict, DiagnosticsTracker, VerdictRules};
@@ -545,9 +546,7 @@ fn cluster_head(cfg: &TableDcConfig, tape: &Tape, z: Var, c: Var) -> (Var, Var) 
         .distance
         .sq_cdist(tape, z, c)
         .expect("distance computation failed (non-SPD covariance)");
-    let q_raw = cfg.kernel.apply(tape, d2);
-    let sums = tape.add_scalar(tape.row_sums(q_raw), cfg.eps);
-    let q = tape.div_col_broadcast(q_raw, sums);
+    let q = cfg.kernel.apply(tape, d2, cfg.eps);
     (q, tape.softmax_rows(q))
 }
 
@@ -664,19 +663,22 @@ pub fn target_distribution(q: &Matrix) -> Matrix {
     let (n, k) = q.shape();
     let f = q.col_sums();
     let mut p = Matrix::zeros(n, k);
-    for i in 0..n {
-        let mut row_sum = 0.0;
-        for j in 0..k {
-            let v = if f[j] > 0.0 { q[(i, j)] * q[(i, j)] / f[j] } else { 0.0 };
-            p[(i, j)] = v;
-            row_sum += v;
-        }
-        if row_sum > 0.0 {
-            for j in 0..k {
-                p[(i, j)] /= row_sum;
+    // Rows are independent given `f`: fixed row blocks on the pool.
+    runtime::par_for_rows(runtime::global(), p.as_mut_slice(), k, rows_per_block(k), |first, block| {
+        for (r, p_row) in block.chunks_exact_mut(k).enumerate() {
+            let mut row_sum = 0.0;
+            for ((pv, &qv), &fj) in p_row.iter_mut().zip(q.row(first + r)).zip(&f) {
+                let v = if fj > 0.0 { qv * qv / fj } else { 0.0 };
+                *pv = v;
+                row_sum += v;
+            }
+            if row_sum > 0.0 {
+                for pv in p_row.iter_mut() {
+                    *pv /= row_sum;
+                }
             }
         }
-    }
+    });
     p
 }
 

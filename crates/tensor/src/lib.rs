@@ -12,9 +12,11 @@
 //! ([`Matrix::matmul_tn`], [`Matrix::matmul_nt`]), runs an AVX2-compiled
 //! copy of its body when the CPU has AVX2, and keeps the naive loop's exact
 //! per-element arithmetic, so every result is bit-identical across thread
-//! counts and CPUs.
+//! counts and CPUs. The soft-assignment clustering head and its loss run as
+//! fused row-block kernels ([`head`]) under the same bit-identity rule.
 
 pub mod distance;
+pub mod head;
 pub mod linalg;
 pub mod matrix;
 pub mod par;

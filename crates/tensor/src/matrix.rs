@@ -9,7 +9,7 @@
 //! easy for LLVM to vectorize.
 
 use std::fmt;
-use std::ops::{Add, Div, Index, IndexMut, Mul, Neg, Sub};
+use std::ops::{Add, AddAssign, Div, Index, IndexMut, Mul, Neg, Sub};
 
 /// A dense row-major matrix of `f64`.
 ///
@@ -537,6 +537,16 @@ impl_elementwise!(Add, add, +);
 impl_elementwise!(Sub, sub, -);
 impl_elementwise!(Mul, mul, *);
 impl_elementwise!(Div, div, /);
+
+impl AddAssign<&Matrix> for Matrix {
+    /// In-place elementwise `self = self + rhs` (same bits as `&self + rhs`).
+    fn add_assign(&mut self, rhs: &Matrix) {
+        self.assert_same_shape(rhs, "add_assign");
+        for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
+            *a += b;
+        }
+    }
+}
 
 impl Neg for &Matrix {
     type Output = Matrix;

@@ -1,10 +1,13 @@
 //! Parallel-runtime smoke check: times `sq_euclidean_cdist` on a
-//! 2000×128 matrix, plus the matmul kernel at the fit-tall forward shape
+//! 2000×128 matrix, the matmul kernel at the fit-tall forward shape
 //! (4248×160 · 160×256) and its transposed-left backward shape
-//! (160×4248 · 4248×256, via `matmul_tn`), each with a serial pool and
-//! with the full machine. It verifies every pair of outputs is
-//! bit-identical and exits non-zero if any parallel run is more than 1.5×
-//! slower than serial (a regression guard, not a benchmark).
+//! (160×4248 · 4248×256, via `matmul_tn`), and the fused clustering head
+//! at the fit-wide shape (2050 latent rows, 684 centers): its forward
+//! (soft assignment, softmax, KL loss) and its backward (KL, softmax and
+//! soft-assignment gradients), each with a serial pool and with the full
+//! machine. It verifies every pair of outputs is bit-identical and exits
+//! non-zero if any parallel run is more than 1.5× slower than serial (a
+//! regression guard, not a benchmark).
 //!
 //! ```sh
 //! cargo run --release -p bench --example par_smoke
@@ -13,29 +16,32 @@
 use std::time::{Duration, Instant};
 
 use runtime::ThreadPool;
+use tensor::head::{Head, SoftKernel};
 use tensor::random::{randn, rng};
-use tensor::{par, Matrix};
+use tensor::par;
 
-/// Best-of-`reps` wall time for one kernel call on the given pool.
-fn time_kernel(
-    pool: &ThreadPool,
-    reps: usize,
-    kernel: impl Fn(&ThreadPool) -> Matrix,
-) -> (Duration, Matrix) {
-    let mut best = Duration::MAX;
-    let mut out = Matrix::zeros(0, 0);
-    for _ in 0..reps {
+/// Best-of-`reps` wall time for one kernel call on the given pool, and the
+/// last call's output.
+fn time_kernel<T>(pool: &ThreadPool, reps: usize, kernel: impl Fn(&ThreadPool) -> T) -> (Duration, T) {
+    let started = Instant::now();
+    let mut out = kernel(pool);
+    let mut best = started.elapsed();
+    for _ in 1..reps {
         let started = Instant::now();
-        let d = kernel(pool);
+        out = kernel(pool);
         best = best.min(started.elapsed());
-        out = d;
     }
     (best, out)
 }
 
 /// Times `kernel` on both pools, asserts bit-identical outputs, and
 /// returns whether the parallel run stayed within 1.5× of serial.
-fn check(name: &str, serial: &ThreadPool, parallel: &ThreadPool, kernel: impl Fn(&ThreadPool) -> Matrix) -> bool {
+fn check<T: PartialEq>(
+    name: &str,
+    serial: &ThreadPool,
+    parallel: &ThreadPool,
+    kernel: impl Fn(&ThreadPool) -> T,
+) -> bool {
     // Warm-up outside the timed region.
     let _ = time_kernel(serial, 1, &kernel);
     let _ = time_kernel(parallel, 1, &kernel);
@@ -75,6 +81,15 @@ fn main() {
     let act = randn(4248, 160, &mut r);
     let w = randn(160, 256, &mut r);
     let grad = randn(4248, 256, &mut r);
+    // Fit-wide clustering head: squared Mahalanobis distances (Σ = 0.01·I)
+    // from 2050 latent rows to 684 centers, the Cauchy kernel, and a
+    // target distribution from a sharper softmax of the same distances.
+    let latent = randn(2050, 48, &mut r);
+    let centers = randn(684, 48, &mut r);
+    let d2 = &par::sq_euclidean_cdist(&ThreadPool::new(1), &latent, &centers) * 100.0;
+    let cauchy = SoftKernel::Power { scale: 1.0, exponent: -1.0 };
+    let (eps, log_eps, inv_n) = (1e-10, 1e-12, 1.0 / 2050.0);
+    let target = (&d2 * -0.01).softmax_rows();
 
     let serial = ThreadPool::new(1);
     let parallel = runtime::global();
@@ -91,6 +106,24 @@ fn main() {
     ok &= check("matmul 4248x160 · 160x256", &serial, parallel, |pool| par::matmul(pool, &act, &w));
     ok &= check("matmul_tn 160x4248 · 4248x256", &serial, parallel, |pool| {
         par::matmul_tn(pool, &act, &grad)
+    });
+    let forward = |pool: &ThreadPool| {
+        let head = Head::on(pool);
+        let sa = head.soft_assign(&d2, cauchy, eps);
+        let m = par::softmax_rows(pool, &sa.q);
+        let loss = -head.cross_sum(&target, &m, log_eps) * inv_n + head.neg_entropy_sum(&target) * inv_n;
+        (sa, m, loss.to_bits())
+    };
+    ok &= check("fused head forward 2050x684", &serial, parallel, |pool| {
+        let (sa, m, loss) = forward(pool);
+        (sa.q, sa.raw, sa.denom, m, loss)
+    });
+    let (sa, m, _) = forward(&serial);
+    ok &= check("fused head backward 2050x684", &serial, parallel, |pool| {
+        let head = Head::on(pool);
+        let dm = head.cross_backward(&target, &m, log_eps, -(0.9 * inv_n));
+        let dq = head.softmax_rows_backward(&m, &dm);
+        head.soft_assign_backward(&d2, cauchy, &sa.raw, &sa.denom, &dq)
     });
 
     let stats = parallel.stats();

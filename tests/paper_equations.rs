@@ -64,10 +64,8 @@ fn eq6_mahalanobis_distance() {
 /// Eq. 7: q_ij = 1 / (1 + D²/γ²).
 #[test]
 fn eq7_cauchy_kernel_values() {
-    let t = Tape::new();
-    let d2 = t.constant(Matrix::from_rows(&[&[0.0, 1.0, 4.0]]));
     let gamma = 2.0;
-    let q = t.value(Kernel::Cauchy { gamma }.apply(&t, d2));
+    let q = Matrix::from_rows(&[&[0.0, 1.0, 4.0]]).map(|d2| Kernel::Cauchy { gamma }.soft_kernel().eval(d2));
     assert!((q[(0, 0)] - 1.0).abs() < 1e-12);
     assert!((q[(0, 1)] - 1.0 / (1.0 + 1.0 / 4.0)).abs() < 1e-12);
     assert!((q[(0, 2)] - 1.0 / (1.0 + 4.0 / 4.0)).abs() < 1e-12);
@@ -84,9 +82,7 @@ fn eq8_eq9_assignment_normalization_and_softmax() {
     let d2 = Distance::Mahalanobis(Covariance::ScaledIdentity(0.01))
         .sq_cdist(&t, z, c)
         .expect("distance");
-    let q_raw = Kernel::Cauchy { gamma: 1.0 }.apply(&t, d2);
-    let sums = t.add_scalar(t.row_sums(q_raw), 1e-10);
-    let q = t.div_col_broadcast(q_raw, sums);
+    let q = Kernel::Cauchy { gamma: 1.0 }.apply(&t, d2, 1e-10);
     let m = t.softmax_rows(q);
     let (qv, mv) = (t.value(q), t.value(m));
     for i in 0..8 {
@@ -145,13 +141,11 @@ fn eq13_total_loss_combination() {
 /// large ν the Student-t kernel approaches the Gaussian (thin tails).
 #[test]
 fn student_t_limits() {
-    let t = Tape::new();
-    let d2 = t.constant(Matrix::from_rows(&[&[9.0]]));
-    let cauchy = t.value(Kernel::Cauchy { gamma: 1.0 }.apply(&t, d2))[(0, 0)];
-    let t1 = t.value(Kernel::StudentT { nu: 1.0 }.apply(&t, d2))[(0, 0)];
+    let cauchy = Kernel::Cauchy { gamma: 1.0 }.soft_kernel().eval(9.0);
+    let t1 = Kernel::StudentT { nu: 1.0 }.soft_kernel().eval(9.0);
     assert!((cauchy - t1).abs() < 1e-12);
-    let t50 = t.value(Kernel::StudentT { nu: 50.0 }.apply(&t, d2))[(0, 0)];
-    let normal = t.value(Kernel::Normal { sigma: 1.0 }.apply(&t, d2))[(0, 0)];
+    let t50 = Kernel::StudentT { nu: 50.0 }.soft_kernel().eval(9.0);
+    let normal = Kernel::Normal { sigma: 1.0 }.soft_kernel().eval(9.0);
     // ν=50 is already several times below the heavy-tailed Cauchy and
     // above the Gaussian it converges to.
     assert!(t50 < cauchy / 5.0);
