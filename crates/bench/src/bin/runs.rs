@@ -22,6 +22,7 @@
 
 use bench::ledger::{diff_manifests, runs_dir, RunManifest};
 use bench::perfdiff::Tolerance;
+use obs::json::Json;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -94,32 +95,19 @@ fn list(json: bool) {
 }
 
 /// Machine-readable `runs list`: one JSON array, ordered like the plain
-/// listing, built with the same writer the trace sink uses so no JSON
-/// dependency is introduced.
+/// listing, one run per line.
 fn render_list_json(manifests: &[(RunManifest, String)]) -> String {
-    use obs::json::escape_into;
-    let mut out = String::from("[\n");
-    for (i, (m, path)) in manifests.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str("  {\"run_id\": ");
-        escape_into(&mut out, &m.run_id);
-        out.push_str(", \"command\": ");
-        escape_into(&mut out, &m.command);
-        out.push_str(&format!(", \"created_unix_ms\": {}, \"health\": ", m.created_unix_ms));
-        escape_into(&mut out, &m.health.verdict);
-        out.push_str(", \"convergence\": ");
-        match &m.convergence {
-            Some(c) => escape_into(&mut out, &c.status),
-            None => out.push_str("null"),
-        }
-        out.push_str(", \"path\": ");
-        escape_into(&mut out, path);
-        out.push('}');
-    }
-    out.push_str("\n]\n");
-    out
+    let runs = manifests.iter().map(|(m, path)| {
+        Json::obj([
+            ("run_id", m.run_id.as_str().into()),
+            ("command", m.command.as_str().into()),
+            ("created_unix_ms", m.created_unix_ms.into()),
+            ("health", m.health.verdict.as_str().into()),
+            ("convergence", m.convergence.as_ref().map(|c| c.status.as_str()).into()),
+            ("path", path.as_str().into()),
+        ])
+    });
+    Json::Arr(runs.collect()).render(1) + "\n"
 }
 
 fn show(run: &str) {

@@ -405,7 +405,7 @@ fn metrics_section(out: &mut String, m: &RunManifest, baseline: Option<&RunManif
 
 fn series_section(out: &mut String, m: &RunManifest) {
     out.push_str("<section id=\"series\">\n<h2>Training series</h2>\n");
-    let nonempty: Vec<(&'static str, &Vec<f64>)> = m
+    let nonempty: Vec<(&'static str, &[f64])> = m
         .history
         .series()
         .into_iter()
@@ -532,7 +532,8 @@ fn diff_section(out: &mut String, base: &RunManifest, cand: &RunManifest) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ledger::{ConvergenceSummary, HealthSummary, LedgerHistory};
+    use crate::ledger::{ConvergenceSummary, HealthSummary};
+    use tabledc::History;
 
     fn manifest() -> RunManifest {
         RunManifest {
@@ -551,10 +552,10 @@ mod tests {
                 rule: "label churn <= 0.010".to_string(),
             }),
             metrics: vec![("tabledc/ari".to_string(), 0.9)],
-            history: LedgerHistory {
+            history: History {
                 re_loss: vec![1.0, 0.5, 0.25],
                 delta_label_frac: vec![1.0, 0.1, 0.0],
-                ..LedgerHistory::default()
+                ..History::default()
             },
         }
     }

@@ -11,7 +11,8 @@
 
 use std::path::PathBuf;
 
-use obs::json::{escape_into, number_into, parse, Json};
+use obs::json::{parse, Json};
+use tabledc::History;
 
 use crate::perfdiff::{compare_rows, Better, DiffReport, Tolerance};
 
@@ -103,74 +104,6 @@ impl ConvergenceSummary {
     }
 }
 
-/// Per-epoch metric series persisted in the manifest.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LedgerHistory {
-    /// Reconstruction loss per epoch.
-    pub re_loss: Vec<f64>,
-    /// Clustering loss `KL(p‖m)` per epoch.
-    pub ce_loss: Vec<f64>,
-    /// Reported divergence `KL(p‖q)` per epoch.
-    pub kl_pq: Vec<f64>,
-    /// Global gradient norm per epoch.
-    pub grad_norm: Vec<f64>,
-    /// Update-to-parameter-norm ratio per epoch.
-    pub update_ratio: Vec<f64>,
-    /// Wall milliseconds per epoch.
-    pub epoch_ms: Vec<f64>,
-    /// Normalized cluster-share entropy per epoch.
-    pub share_entropy: Vec<f64>,
-    /// Smallest cluster share per epoch.
-    pub min_share: Vec<f64>,
-    /// Largest cluster share per epoch (collapse detector).
-    pub max_share: Vec<f64>,
-    /// Fraction of rows whose hard label changed vs the previous epoch.
-    pub delta_label_frac: Vec<f64>,
-    /// Mean `top1 − top2` assignment margin per epoch.
-    pub mean_margin: Vec<f64>,
-    /// Mean L2 centroid step vs the previous epoch.
-    pub centroid_drift: Vec<f64>,
-}
-
-impl LedgerHistory {
-    /// Builds the series from a TableDC training history.
-    pub fn from_history(h: &tabledc::History) -> Self {
-        Self {
-            re_loss: h.re_loss.clone(),
-            ce_loss: h.ce_loss.clone(),
-            kl_pq: h.kl_pq.clone(),
-            grad_norm: h.grad_norm.clone(),
-            update_ratio: h.update_ratio.clone(),
-            epoch_ms: h.epoch_ms.clone(),
-            share_entropy: h.share_entropy.clone(),
-            min_share: h.min_share.clone(),
-            max_share: h.max_share.clone(),
-            delta_label_frac: h.delta_label_frac.clone(),
-            mean_margin: h.mean_margin.clone(),
-            centroid_drift: h.centroid_drift.clone(),
-        }
-    }
-
-    /// Every persisted series, in manifest order. Public so the HTML
-    /// report renders one sparkline per entry without naming them twice.
-    pub fn series(&self) -> [(&'static str, &Vec<f64>); 12] {
-        [
-            ("re_loss", &self.re_loss),
-            ("ce_loss", &self.ce_loss),
-            ("kl_pq", &self.kl_pq),
-            ("grad_norm", &self.grad_norm),
-            ("update_ratio", &self.update_ratio),
-            ("epoch_ms", &self.epoch_ms),
-            ("share_entropy", &self.share_entropy),
-            ("min_share", &self.min_share),
-            ("max_share", &self.max_share),
-            ("delta_label_frac", &self.delta_label_frac),
-            ("mean_margin", &self.mean_margin),
-            ("centroid_drift", &self.centroid_drift),
-        ]
-    }
-}
-
 /// One persisted run: everything needed to identify, reproduce, and
 /// compare it.
 #[derive(Debug, Clone, PartialEq)]
@@ -199,8 +132,8 @@ pub struct RunManifest {
     /// Final quality metrics, keyed `dataset/method/metric`-style by the
     /// producer (compared higher-is-better by [`diff_manifests`]).
     pub metrics: Vec<(String, f64)>,
-    /// Per-epoch metric history.
-    pub history: LedgerHistory,
+    /// Per-epoch metric history, written in [`History::series`] order.
+    pub history: History,
 }
 
 impl RunManifest {
@@ -229,82 +162,52 @@ impl RunManifest {
             health: HealthSummary::default(),
             convergence: None,
             metrics: Vec::new(),
-            history: LedgerHistory::default(),
+            history: History::default(),
         }
     }
 
-    /// Serializes the manifest as a JSON object.
+    /// Serializes the manifest as JSON text: two levels broken one member
+    /// per line, newline-terminated.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n  \"run_id\": ");
-        escape_into(&mut out, &self.run_id);
-        out.push_str(",\n  \"command\": ");
-        escape_into(&mut out, &self.command);
-        out.push_str(&format!(",\n  \"created_unix_ms\": {},\n  \"git\": ", self.created_unix_ms));
-        escape_into(&mut out, &self.git);
-        out.push_str(&format!(",\n  \"seed\": {},\n  \"scale\": ", self.seed));
-        escape_into(&mut out, &self.scale);
-        out.push_str(",\n  \"epoch_factor\": ");
-        number_into(&mut out, self.epoch_factor);
-        out.push_str(",\n  \"env\": {");
-        for (i, (k, v)) in self.env.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            escape_into(&mut out, k);
-            out.push_str(": ");
-            escape_into(&mut out, v);
-        }
-        out.push_str("},\n  \"health\": {\"policy\": ");
-        escape_into(&mut out, &self.health.policy);
-        out.push_str(", \"verdict\": ");
-        escape_into(&mut out, &self.health.verdict);
-        out.push_str(&format!(", \"violations\": {}, \"dump_path\": ", self.health.violations));
-        match &self.health.dump_path {
-            Some(p) => escape_into(&mut out, p),
-            None => out.push_str("null"),
-        }
-        out.push('}');
+        let mut members = vec![
+            ("run_id", self.run_id.as_str().into()),
+            ("command", self.command.as_str().into()),
+            ("created_unix_ms", self.created_unix_ms.into()),
+            ("git", self.git.as_str().into()),
+            ("seed", self.seed.into()),
+            ("scale", self.scale.as_str().into()),
+            ("epoch_factor", self.epoch_factor.into()),
+            (
+                "env",
+                Json::Obj(self.env.iter().map(|(k, v)| (k.clone(), v.as_str().into())).collect()),
+            ),
+            (
+                "health",
+                Json::obj([
+                    ("policy", self.health.policy.as_str().into()),
+                    ("verdict", self.health.verdict.as_str().into()),
+                    ("violations", self.health.violations.into()),
+                    ("dump_path", self.health.dump_path.as_deref().into()),
+                ]),
+            ),
+        ];
         if let Some(c) = &self.convergence {
-            out.push_str(",\n  \"convergence\": {\"status\": ");
-            escape_into(&mut out, &c.status);
-            out.push_str(", \"epoch\": ");
-            match c.epoch {
-                Some(e) => out.push_str(&e.to_string()),
-                None => out.push_str("null"),
-            }
-            out.push_str(", \"rule\": ");
-            escape_into(&mut out, &c.rule);
-            out.push('}');
+            members.push((
+                "convergence",
+                Json::obj([
+                    ("status", c.status.as_str().into()),
+                    ("epoch", c.epoch.into()),
+                    ("rule", c.rule.as_str().into()),
+                ]),
+            ));
         }
-        out.push_str(",\n  \"metrics\": {");
-        for (i, (k, v)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str("\n    ");
-            escape_into(&mut out, k);
-            out.push_str(": ");
-            number_into(&mut out, *v);
-        }
-        out.push_str("\n  },\n  \"history\": {");
-        for (i, (name, values)) in self.history.series().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str("\n    ");
-            escape_into(&mut out, name);
-            out.push_str(": [");
-            for (j, v) in values.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                number_into(&mut out, *v);
-            }
-            out.push(']');
-        }
-        out.push_str("\n  }\n}\n");
-        out
+        members.push((
+            "metrics",
+            Json::Obj(self.metrics.iter().map(|(k, v)| (k.clone(), (*v).into())).collect()),
+        ));
+        let history = self.history.series().map(|(name, values)| (name.to_string(), values.into()));
+        members.push(("history", Json::Obj(history.into())));
+        Json::obj(members).render(2) + "\n"
     }
 
     /// Parses a manifest from JSON text.
@@ -355,14 +258,12 @@ impl RunManifest {
             }
             _ => return Err("manifest missing \"metrics\" object".to_string()),
         }
-        let series = |name: &str| -> Vec<f64> {
-            match v.get("history").and_then(|h| h.get(name)) {
-                Some(Json::Arr(items)) => {
-                    items.iter().filter_map(Json::as_f64).collect()
-                }
-                _ => Vec::new(),
+        let mut history = History::default();
+        for (name, values) in history.series_mut() {
+            if let Some(Json::Arr(items)) = v.get("history").and_then(|h| h.get(name)) {
+                *values = items.iter().filter_map(Json::as_f64).collect();
             }
-        };
+        }
         Ok(Self {
             run_id: str_field("run_id")?,
             command: str_field("command")?,
@@ -375,20 +276,7 @@ impl RunManifest {
             health,
             convergence,
             metrics,
-            history: LedgerHistory {
-                re_loss: series("re_loss"),
-                ce_loss: series("ce_loss"),
-                kl_pq: series("kl_pq"),
-                grad_norm: series("grad_norm"),
-                update_ratio: series("update_ratio"),
-                epoch_ms: series("epoch_ms"),
-                share_entropy: series("share_entropy"),
-                min_share: series("min_share"),
-                max_share: series("max_share"),
-                delta_label_frac: series("delta_label_frac"),
-                mean_margin: series("mean_margin"),
-                centroid_drift: series("centroid_drift"),
-            },
+            history,
         })
     }
 
@@ -490,7 +378,7 @@ mod tests {
                 rule: "label churn <= 0.010 over the last 10 epochs".to_string(),
             }),
             metrics: vec![("tabledc/acc".to_string(), acc), ("tabledc/ari".to_string(), ari)],
-            history: LedgerHistory {
+            history: History {
                 re_loss: vec![1.0, 0.5],
                 ce_loss: vec![0.2, 0.1],
                 kl_pq: vec![0.3, 0.2],
@@ -604,6 +492,27 @@ mod tests {
         assert_eq!(s.status, "collapsed");
         assert_eq!(s.epoch, Some(3));
         assert_eq!(s.rule, "max share >= 0.90");
+    }
+
+    #[test]
+    fn u64_fields_keep_every_digit() {
+        let mut m = manifest(0.9, 0.8, "healthy");
+        m.seed = u64::MAX - 1;
+        m.created_unix_ms = (1 << 53) + 1;
+        let text = m.to_json();
+        assert!(text.contains("\"seed\": 18446744073709551614,"), "{text}");
+        assert!(text.contains("\"created_unix_ms\": 9007199254740993,"), "{text}");
+    }
+
+    #[test]
+    fn committed_fixtures_parse_and_survive_a_rewrite() {
+        for name in ["fixture-baseline.json", "fixture-regressed.json"] {
+            let path = format!("{}/../../results/runs/{name}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).expect("fixture readable");
+            let m = RunManifest::from_json(&text).expect("fixture parses");
+            assert_eq!(parse(&m.to_json()), parse(&text), "{name}: rewrite changes the JSON value");
+            assert_eq!(RunManifest::from_json(&m.to_json()), Ok(m));
+        }
     }
 
     #[test]

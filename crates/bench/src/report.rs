@@ -2,7 +2,7 @@
 //! machine-readable `BENCH_repro.json` report for the harness.
 
 use clustering::metrics::{accuracy, adjusted_rand_index};
-use obs::json::{escape_into, number_into};
+use obs::json::Json;
 
 /// ARI + ACC of one labelling against ground truth (§4.2).
 #[derive(Debug, Clone, Copy)]
@@ -142,20 +142,6 @@ pub struct ReproReport {
     pub profile: Vec<PhaseProfile>,
 }
 
-fn json_opt_f64(out: &mut String, v: Option<f64>) {
-    match v {
-        Some(v) => number_into(out, v),
-        None => out.push_str("null"),
-    }
-}
-
-fn json_opt_str(out: &mut String, v: &Option<String>) {
-    match v {
-        Some(s) => escape_into(out, s),
-        None => out.push_str("null"),
-    }
-}
-
 impl ReproReport {
     /// True when any experiment or any method run panicked.
     pub fn any_failed(&self) -> bool {
@@ -163,67 +149,47 @@ impl ReproReport {
             || self.methods.iter().any(|m| m.status != "ok")
     }
 
-    /// Serializes the report as a single JSON object.
+    /// Serializes the report as one JSON object, one experiment, method or
+    /// profile record per line.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"scale\":");
-        escape_into(&mut out, &self.scale);
-        out.push_str(&format!(",\"seed\":{},\"epoch_factor\":", self.seed));
-        number_into(&mut out, self.epoch_factor);
-        out.push_str(",\"experiments\":[");
-        for (i, e) in self.experiments.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            escape_into(&mut out, &e.name);
-            out.push_str(",\"secs\":");
-            number_into(&mut out, e.secs);
-            out.push_str(",\"status\":");
-            escape_into(&mut out, &e.status);
-            out.push_str(",\"error\":");
-            json_opt_str(&mut out, &e.error);
-            out.push('}');
-        }
-        out.push_str("],\"methods\":[");
-        for (i, m) in self.methods.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"experiment\":");
-            escape_into(&mut out, &m.experiment);
-            out.push_str(",\"dataset\":");
-            escape_into(&mut out, &m.dataset);
-            out.push_str(",\"method\":");
-            escape_into(&mut out, &m.method);
-            out.push_str(",\"status\":");
-            escape_into(&mut out, &m.status);
-            out.push_str(",\"ari\":");
-            json_opt_f64(&mut out, m.ari);
-            out.push_str(",\"acc\":");
-            json_opt_f64(&mut out, m.acc);
-            out.push_str(",\"secs\":");
-            json_opt_f64(&mut out, m.secs);
-            out.push_str(",\"error\":");
-            json_opt_str(&mut out, &m.error);
-            out.push('}');
-        }
-        out.push_str("],\"profile\":[");
-        for (i, p) in self.profile.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            escape_into(&mut out, &p.name);
-            out.push_str(&format!(",\"calls\":{},\"total_ms\":", p.calls));
-            number_into(&mut out, p.total_ms);
-            out.push_str(",\"self_ms\":");
-            number_into(&mut out, p.self_ms);
-            out.push_str(&format!(",\"alloc_bytes\":{}", p.alloc_bytes));
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        let experiments = self.experiments.iter().map(|e| {
+            Json::obj([
+                ("name", e.name.as_str().into()),
+                ("secs", e.secs.into()),
+                ("status", e.status.as_str().into()),
+                ("error", e.error.as_deref().into()),
+            ])
+        });
+        let methods = self.methods.iter().map(|m| {
+            Json::obj([
+                ("experiment", m.experiment.as_str().into()),
+                ("dataset", m.dataset.as_str().into()),
+                ("method", m.method.as_str().into()),
+                ("status", m.status.as_str().into()),
+                ("ari", m.ari.into()),
+                ("acc", m.acc.into()),
+                ("secs", m.secs.into()),
+                ("error", m.error.as_deref().into()),
+            ])
+        });
+        let profile = self.profile.iter().map(|p| {
+            Json::obj([
+                ("name", p.name.as_str().into()),
+                ("calls", p.calls.into()),
+                ("total_ms", p.total_ms.into()),
+                ("self_ms", p.self_ms.into()),
+                ("alloc_bytes", p.alloc_bytes.into()),
+            ])
+        });
+        Json::obj([
+            ("scale", self.scale.as_str().into()),
+            ("seed", self.seed.into()),
+            ("epoch_factor", self.epoch_factor.into()),
+            ("experiments", Json::Arr(experiments.collect())),
+            ("methods", Json::Arr(methods.collect())),
+            ("profile", Json::Arr(profile.collect())),
+        ])
+        .render(2)
     }
 
     /// Writes `to_json` (plus a trailing newline) to `path`.

@@ -12,9 +12,9 @@ use crate::params::{BoundParams, Params};
 
 /// Encoder/decoder pair with a symmetric layer layout.
 ///
-/// TableDC uses four AE layers (§4.3) with a latent size of 100; the default
-/// constructor [`Autoencoder::tabledc_default`] mirrors the widely used
-/// DEC/SDCN layout `d → 500 → 500 → 2000 → latent` and its mirror image.
+/// TableDC uses four AE layers (§4.3) with a latent size of 100, the widely
+/// used DEC/SDCN layout `d → 500 → 500 → 2000 → latent` and its mirror
+/// image (see `TableDcConfig::paper_architecture` in the `tabledc` crate).
 #[derive(Debug, Clone)]
 pub struct Autoencoder {
     encoder: Mlp,
@@ -35,18 +35,6 @@ impl Autoencoder {
         let encoder = Mlp::new_named(params, "enc", dims, Activation::Relu, Activation::Linear, rng);
         let decoder = Mlp::new_named(params, "dec", &rev, Activation::Relu, Activation::Linear, rng);
         Self { encoder, decoder }
-    }
-
-    /// The DEC/SDCN-style layout used by TableDC (§4.3):
-    /// `input → 500 → 500 → 2000 → latent`.
-    pub fn tabledc_default(params: &mut Params, input_dim: usize, latent_dim: usize, rng: &mut StdRng) -> Self {
-        Self::new(params, &[input_dim, 500, 500, 2000, latent_dim], rng)
-    }
-
-    /// A mid-sized layout for scaled-down experiments:
-    /// `input → 256 → 128 → latent`.
-    pub fn compact(params: &mut Params, input_dim: usize, latent_dim: usize, rng: &mut StdRng) -> Self {
-        Self::new(params, &[input_dim, 256, 128, latent_dim], rng)
     }
 
     /// Encoder forward pass on a tape.
@@ -94,49 +82,29 @@ impl Autoencoder {
         tape.value(out)
     }
 
+    /// Minibatch size of [`Autoencoder::pretrain`]: each epoch makes
+    /// `⌈n/64⌉` updates, so epochs behave like the paper's PyTorch epochs on
+    /// modest n.
+    const PRETRAIN_BATCH: usize = 64;
+
+    /// Fraction of input entries [`Autoencoder::pretrain`] zeroes per batch.
+    const PRETRAIN_CORRUPTION: f64 = 0.2;
+
     /// Reconstruction pretraining (Algorithm 1 line 1): denoising
-    /// minibatch Adam on `MSE(x, decode(encode(x̃)))` for `epochs` epochs
-    /// with batch size 64 (each epoch makes `⌈n/64⌉` updates, so epochs
-    /// behave like the paper's PyTorch epochs on modest n). Returns the
-    /// per-epoch loss trace (mean batch loss).
+    /// minibatch Adam on `MSE(x, decode(encode(x̃)))` for `epochs` epochs.
+    /// Each batch's *input* `x̃` has a fixed fraction of entries zeroed
+    /// while the reconstruction target stays clean — the
+    /// stacked-denoising-autoencoder recipe DEC and SDCN pretrain with,
+    /// which stops the encoder from memorizing per-sample noise (essential
+    /// at small n). Rows are shuffled and corrupted by a fixed-seed RNG, so
+    /// pretraining is deterministic. Returns the per-epoch loss trace (mean
+    /// batch loss).
     pub fn pretrain(&self, params: &mut Params, x: &Matrix, epochs: usize, lr: f64) -> Vec<f64> {
-        self.pretrain_with_batch(params, x, epochs, lr, 64, &mut tensor::random::rng(0))
-    }
-
-    /// [`Autoencoder::pretrain`] with an explicit batch size and RNG for
-    /// the shuffling. `batch_size >= n` degenerates to full-batch training.
-    pub fn pretrain_with_batch(
-        &self,
-        params: &mut Params,
-        x: &Matrix,
-        epochs: usize,
-        lr: f64,
-        batch_size: usize,
-        rng: &mut rand::rngs::StdRng,
-    ) -> Vec<f64> {
-        self.pretrain_denoising(params, x, epochs, lr, batch_size, 0.2, rng)
-    }
-
-    /// Denoising pretraining: each batch's *input* is corrupted by zeroing
-    /// a `corruption` fraction of entries while the reconstruction target
-    /// stays clean — the stacked-denoising-autoencoder recipe DEC and SDCN
-    /// pretrain with, which stops the encoder from memorizing per-sample
-    /// noise (essential at small n). `corruption = 0` recovers a plain AE.
-    pub fn pretrain_denoising(
-        &self,
-        params: &mut Params,
-        x: &Matrix,
-        epochs: usize,
-        lr: f64,
-        batch_size: usize,
-        corruption: f64,
-        rng: &mut rand::rngs::StdRng,
-    ) -> Vec<f64> {
         use rand::Rng;
-        assert!((0.0..1.0).contains(&corruption), "corruption must be in [0,1)");
         let _pretrain_timer = obs::span!("ae.pretrain");
+        let rng = &mut tensor::random::rng(0);
         let n = x.rows();
-        let batch_size = batch_size.clamp(1, n.max(1));
+        let batch_size = Self::PRETRAIN_BATCH.min(n.max(1));
         let mut adam = Adam::new(lr);
         let mut trace = Vec::with_capacity(epochs);
         let pretrain_hist = obs::registry().histogram("ae.pretrain_epoch_ms");
@@ -148,11 +116,9 @@ impl Autoencoder {
             for chunk in order.chunks(batch_size) {
                 let clean = x.select_rows(chunk);
                 let mut corrupted = clean.clone();
-                if corruption > 0.0 {
-                    for v in corrupted.as_mut_slice() {
-                        if rng.gen::<f64>() < corruption {
-                            *v = 0.0;
-                        }
+                for v in corrupted.as_mut_slice() {
+                    if rng.gen::<f64>() < Self::PRETRAIN_CORRUPTION {
+                        *v = 0.0;
                     }
                 }
                 let tape = Tape::new();
@@ -220,8 +186,10 @@ mod tests {
     fn default_layout_matches_paper() {
         let mut params = Params::new();
         let mut r = rng(3);
-        let ae = Autoencoder::tabledc_default(&mut params, 300, 100, &mut r);
+        let ae = Autoencoder::new(&mut params, &[300, 500, 500, 2000, 100], &mut r);
         // 4 encoder + 4 decoder layers (paper §4.3: "four AE layers").
+        assert_eq!(ae.encoder_layers().len(), 4);
+        assert_eq!(ae.decoder_layers().len(), 4);
         assert_eq!(ae.latent_dim(), 100);
         assert_eq!(ae.input_dim(), 300);
     }

@@ -52,9 +52,7 @@ impl Linear {
         activation: Activation,
         rng: &mut StdRng,
     ) -> Self {
-        let w = params.register(xavier_uniform(fan_in, fan_out, rng));
-        let b = params.register(Matrix::zeros(1, fan_out));
-        Self { w, b, activation, fan_in, fan_out }
+        Self::build(params, None, fan_in, fan_out, activation, rng)
     }
 
     /// [`Linear::new`] with a telemetry name: the parameters register as
@@ -68,8 +66,26 @@ impl Linear {
         activation: Activation,
         rng: &mut StdRng,
     ) -> Self {
-        let w = params.register_named(format!("{name}.w"), xavier_uniform(fan_in, fan_out, rng));
-        let b = params.register_named(format!("{name}.b"), Matrix::zeros(1, fan_out));
+        Self::build(params, Some(name), fan_in, fan_out, activation, rng)
+    }
+
+    fn build(
+        params: &mut Params,
+        name: Option<&str>,
+        fan_in: usize,
+        fan_out: usize,
+        activation: Activation,
+        rng: &mut StdRng,
+    ) -> Self {
+        let w = xavier_uniform(fan_in, fan_out, rng);
+        let b = Matrix::zeros(1, fan_out);
+        let (w, b) = match name {
+            Some(name) => (
+                params.register_named(format!("{name}.w"), w),
+                params.register_named(format!("{name}.b"), b),
+            ),
+            None => (params.register(w), params.register(b)),
+        };
         Self { w, b, activation, fan_in, fan_out }
     }
 
@@ -116,16 +132,7 @@ impl Mlp {
         last: Activation,
         rng: &mut StdRng,
     ) -> Self {
-        assert!(dims.len() >= 2, "Mlp::new: need at least input and output dims");
-        let layers = dims
-            .windows(2)
-            .enumerate()
-            .map(|(i, w)| {
-                let act = if i + 2 == dims.len() { last } else { hidden };
-                Linear::new(params, w[0], w[1], act, rng)
-            })
-            .collect();
-        Self { layers }
+        Self::build(params, None, dims, hidden, last, rng)
     }
 
     /// [`Mlp::new`] with a telemetry name prefix: layer `i` registers its
@@ -138,13 +145,25 @@ impl Mlp {
         last: Activation,
         rng: &mut StdRng,
     ) -> Self {
-        assert!(dims.len() >= 2, "Mlp::new_named: need at least input and output dims");
+        Self::build(params, Some(prefix), dims, hidden, last, rng)
+    }
+
+    fn build(
+        params: &mut Params,
+        prefix: Option<&str>,
+        dims: &[usize],
+        hidden: Activation,
+        last: Activation,
+        rng: &mut StdRng,
+    ) -> Self {
+        assert!(dims.len() >= 2, "Mlp::new: need at least input and output dims");
         let layers = dims
             .windows(2)
             .enumerate()
             .map(|(i, w)| {
                 let act = if i + 2 == dims.len() { last } else { hidden };
-                Linear::new_named(params, &format!("{prefix}.l{i}"), w[0], w[1], act, rng)
+                let name = prefix.map(|p| format!("{p}.l{i}"));
+                Linear::build(params, name.as_deref(), w[0], w[1], act, rng)
             })
             .collect();
         Self { layers }

@@ -1,6 +1,12 @@
-//! Minimal JSON support: string escaping for the event sink's writer and a
-//! small recursive-descent parser used to *validate* emitted JSON-lines
-//! (tests, the `trace_check` tool, and `results/verify.sh`).
+//! Minimal JSON support: the [`Json`] value, its writer ([`Json::render`])
+//! and a small recursive-descent parser ([`parse`]).
+//!
+//! Every file the repository persists — run manifests, `BENCH_repro.json`,
+//! strict-abort health dumps, `runs list --json` — is built as a [`Json`]
+//! value and written by [`Json::render`]; the parser reads them back and
+//! validates emitted JSON-lines (tests, the `trace_check` tool, and
+//! `results/verify.sh`). The event sink's hot-path line writer skips the
+//! tree and appends with [`escape_into`] / [`number_into`] directly.
 
 use std::fmt::Write as _;
 
@@ -32,15 +38,20 @@ pub fn number_into(out: &mut String, v: f64) {
     }
 }
 
-/// A parsed JSON value. Objects preserve key order.
+/// A JSON value, as [`parse`] returns it and [`Json::render`] writes it.
+/// Objects preserve key order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number.
+    /// Any JSON number; non-finite values are written as `null`.
     Num(f64),
+    /// An unsigned integer, written with all its digits (an `f64` holds
+    /// integers exactly only up to 2^53). Write-only: [`parse`] reads every
+    /// number as [`Json::Num`].
+    U64(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -62,6 +73,7 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(v) => Some(*v),
+            Json::U64(n) => Some(*n as f64),
             _ => None,
         }
     }
@@ -72,6 +84,119 @@ impl Json {
             Json::Str(s) => Some(s),
             _ => None,
         }
+    }
+}
+
+impl Json {
+    /// An object from `(key, value)` members, in order.
+    pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// The value as JSON text, with `", "` between members and `": "` after
+    /// keys. Objects, and arrays holding objects or arrays, break one member
+    /// per line (two-space indent) for the outermost `levels` levels;
+    /// deeper values and arrays of scalars stay on one line, so
+    /// `render(0)` is a single line.
+    pub fn render(&self, levels: usize) -> String {
+        let mut out = String::new();
+        self.write(&mut out, levels, 0);
+        out
+    }
+
+    fn write(&self, out: &mut String, levels: usize, depth: usize) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(v) => number_into(out, *v),
+            Json::U64(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Json::Str(s) => escape_into(out, s),
+            Json::Arr(items) => {
+                let nested = items.iter().any(|v| matches!(v, Json::Arr(_) | Json::Obj(_)));
+                let members = items.iter().map(|v| (None, v));
+                write_members(out, ('[', ']'), members, nested && depth < levels, levels, depth);
+            }
+            Json::Obj(members) => {
+                let broken = !members.is_empty() && depth < levels;
+                let members = members.iter().map(|(k, v)| (Some(k.as_str()), v));
+                write_members(out, ('{', '}'), members, broken, levels, depth);
+            }
+        }
+    }
+}
+
+/// Writes a bracketed member list: keyed for objects, bare for arrays.
+fn write_members<'a>(
+    out: &mut String,
+    (open, close): (char, char),
+    members: impl Iterator<Item = (Option<&'a str>, &'a Json)>,
+    broken: bool,
+    levels: usize,
+    depth: usize,
+) {
+    let newline = |out: &mut String, depth: usize| {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+    };
+    out.push(open);
+    for (i, (key, value)) in members.enumerate() {
+        if i > 0 {
+            out.push(',');
+            if !broken {
+                out.push(' ');
+            }
+        }
+        if broken {
+            newline(out, depth + 1);
+        }
+        if let Some(key) = key {
+            escape_into(out, key);
+            out.push_str(": ");
+        }
+        value.write(out, levels, depth + 1);
+    }
+    if broken {
+        newline(out, depth);
+    }
+    out.push(close);
+}
+
+impl From<f64> for Json {
+    fn from(v: f64) -> Self {
+        Json::Num(v)
+    }
+}
+
+impl From<u64> for Json {
+    fn from(n: u64) -> Self {
+        Json::U64(n)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Self {
+        Json::U64(n as u64)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Self {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<&[f64]> for Json {
+    fn from(values: &[f64]) -> Self {
+        Json::Arr(values.iter().map(|&v| Json::Num(v)).collect())
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    /// `None` becomes `null`.
+    fn from(v: Option<T>) -> Self {
+        v.map_or(Json::Null, Into::into)
     }
 }
 
@@ -297,6 +422,63 @@ mod tests {
         s.push(',');
         number_into(&mut s, 1.25);
         assert_eq!(s, "null,null,1.25");
+    }
+
+    #[test]
+    fn written_values_parse_back_equal() {
+        let v = Json::obj([
+            ("z", Json::obj([("b", Json::Arr(vec![])), ("a", Json::obj([]))])),
+            ("nasty \"key\"\n", "a\"b\\c\nd\te\u{1}f — ünïcode".into()),
+            ("nums", Json::from(&[0.0, -1.5, 2e-300, 6.02e23, 1e21][..])),
+            (
+                "mixed",
+                Json::Arr(vec![
+                    Json::Null,
+                    Json::Bool(true),
+                    Json::Bool(false),
+                    Json::obj([("deep", Json::Arr(vec![Json::Arr(vec![1.0.into()])]))]),
+                ]),
+            ),
+            ("a", "last key stays last".into()),
+        ]);
+        for levels in [0, 1, 2, 5] {
+            let text = v.render(levels);
+            assert_eq!(parse(&text), Ok(v.clone()), "levels {levels}:\n{text}");
+        }
+        assert!(!v.render(0).contains('\n'));
+    }
+
+    #[test]
+    fn render_breaks_the_outer_levels_only() {
+        let v = Json::obj([
+            ("env", Json::obj([])),
+            ("health", Json::obj([("verdict", "healthy".into()), ("violations", 0u64.into())])),
+            ("rows", Json::Arr(vec![Json::obj([("id", 1u64.into())]), Json::obj([])])),
+            ("series", Json::from(&[1.0, 0.5][..])),
+        ]);
+        assert_eq!(
+            v.render(1),
+            "{\n  \"env\": {},\n  \"health\": {\"verdict\": \"healthy\", \"violations\": 0},\n  \
+             \"rows\": [{\"id\": 1}, {}],\n  \"series\": [1, 0.5]\n}"
+        );
+        assert_eq!(
+            v.render(2),
+            "{\n  \"env\": {},\n  \"health\": {\n    \"verdict\": \"healthy\",\n    \
+             \"violations\": 0\n  },\n  \"rows\": [\n    {\"id\": 1},\n    {}\n  ],\n  \
+             \"series\": [1, 0.5]\n}"
+        );
+    }
+
+    #[test]
+    fn writer_maps_non_finite_to_null_and_keeps_u64_digits() {
+        let v = Json::Arr(vec![f64::NAN.into(), f64::INFINITY.into(), f64::NEG_INFINITY.into()]);
+        assert_eq!(v.render(0), "[null, null, null]");
+        let seed = u64::MAX - 1;
+        let text = Json::obj([("seed", seed.into())]).render(0);
+        assert_eq!(text, format!("{{\"seed\": {seed}}}"));
+        assert_eq!(text, "{\"seed\": 18446744073709551614}");
+        assert_eq!(Json::from(None::<f64>), Json::Null);
+        assert_eq!(Json::from(Some("x")), Json::Str("x".into()));
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! );
 //! let config = TableDcConfig {
 //!     latent_dim: 4,
-//!     encoder_dims: Some(vec![8, 16, 4]),
+//!     hidden_dims: vec![16],
 //!     pretrain_epochs: 5,
 //!     epochs: 10,
 //!     ..TableDcConfig::new(3)

@@ -1,7 +1,6 @@
 //! The TableDC model: autoencoder + Mahalanobis/Cauchy self-supervised
 //! clustering head, trained per Algorithm 1.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use autograd::{Tape, Var};
@@ -9,6 +8,7 @@ use clustering::metrics::num_clusters;
 use nn::loss::{kl_div, kl_div_value, mse};
 use nn::{Adam, Autoencoder, Optimizer, ParamId, Params};
 use obs::health::{HealthMonitor, HealthReport, Policy, Verdict};
+use obs::json::Json;
 use rand::rngs::StdRng;
 use tensor::head::rows_per_block;
 use tensor::Matrix;
@@ -27,10 +27,11 @@ pub struct TableDcConfig {
     pub k: usize,
     /// Latent dimension (paper: 100; scaled default: 32).
     pub latent_dim: usize,
-    /// Encoder layer widths, input first, latent last. `None` selects the
-    /// compact default `[d, 256, 128, latent]`; the paper-scale layout is
-    /// available via [`TableDcConfig::paper_architecture`].
-    pub encoder_dims: Option<Vec<usize>>,
+    /// Hidden encoder layer widths between the input (the data's column
+    /// count) and the latent layer; the decoder mirrors them. The scaled
+    /// default is `[256, 128]`; the paper-scale layout is available via
+    /// [`TableDcConfig::paper_architecture`].
+    pub hidden_dims: Vec<usize>,
     /// Clustering-loss weight α (Eq. 13; paper: 0.9).
     pub alpha: f64,
     /// Distance measure in the self-supervised module (paper: Mahalanobis
@@ -84,7 +85,7 @@ impl TableDcConfig {
         Self {
             k,
             latent_dim: 32,
-            encoder_dims: None,
+            hidden_dims: vec![256, 128],
             alpha: 0.9,
             distance: Distance::PAPER,
             kernel: Kernel::PAPER,
@@ -99,44 +100,71 @@ impl TableDcConfig {
 
     /// The paper-scale architecture: latent 100, encoder
     /// `d → 500 → 500 → 2000 → 100` (§4.3).
-    pub fn paper_architecture(mut self, input_dim: usize) -> Self {
+    pub fn paper_architecture(mut self) -> Self {
         self.latent_dim = 100;
-        self.encoder_dims = Some(vec![input_dim, 500, 500, 2000, 100]);
+        self.hidden_dims = vec![500, 500, 2000];
         self
     }
 }
 
-/// Per-epoch training history — the raw series behind Figure 5.
-#[derive(Debug, Clone, Default)]
-pub struct History {
+/// Declares [`History`] from one ordered list of per-epoch series, so the
+/// struct and its name/value view ([`History::series`]) cannot drift apart.
+macro_rules! history {
+    ($($(#[$doc:meta])+ $name:ident,)+) => {
+        /// Per-epoch training history — the raw series behind Figure 5.
+        ///
+        /// The field order is the run manifest's: the run ledger's writer and
+        /// reader, the HTML report's sparklines and the strict-abort dump's
+        /// tail all walk [`History::series`].
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct History {
+            $($(#[$doc])+ pub $name: Vec<f64>,)+
+        }
+
+        impl History {
+            /// Every series with its name, in manifest order.
+            pub fn series(&self) -> [(&'static str, &[f64]); 12] {
+                [$((stringify!($name), self.$name.as_slice())),+]
+            }
+
+            /// [`History::series`] with mutable access, for readers that
+            /// fill a history by name.
+            pub fn series_mut(&mut self) -> [(&'static str, &mut Vec<f64>); 12] {
+                [$((stringify!($name), &mut self.$name)),+]
+            }
+        }
+    };
+}
+
+history! {
     /// Reconstruction loss `re_loss` per epoch (Eq. 12).
-    pub re_loss: Vec<f64>,
+    re_loss,
     /// Clustering loss `KL(p‖m)` per epoch (Eq. 10).
-    pub ce_loss: Vec<f64>,
+    ce_loss,
     /// Reported divergence `KL(p‖q)` per epoch (the quantity plotted in
     /// Figure 5's right panel).
-    pub kl_pq: Vec<f64>,
+    kl_pq,
+    /// Global gradient L2 norm per epoch (across all parameters).
+    grad_norm,
+    /// Update-to-parameter-norm ratio `‖Δθ‖/‖θ‖` per epoch.
+    update_ratio,
     /// Wall-clock milliseconds per joint-training epoch. Always recorded
     /// (a monotonic-clock read per epoch), independent of whether the
     /// `TABLEDC_TRACE` event sink is active.
-    pub epoch_ms: Vec<f64>,
-    /// Global gradient L2 norm per epoch (across all parameters).
-    pub grad_norm: Vec<f64>,
-    /// Update-to-parameter-norm ratio `‖Δθ‖/‖θ‖` per epoch.
-    pub update_ratio: Vec<f64>,
+    epoch_ms,
     /// Normalized entropy of the hard-label cluster shares per epoch
     /// (see [`crate::diagnostics::EpochDiagnostics::share_entropy`]).
-    pub share_entropy: Vec<f64>,
+    share_entropy,
     /// Smallest cluster share per epoch.
-    pub min_share: Vec<f64>,
+    min_share,
     /// Largest cluster share per epoch (collapse detector).
-    pub max_share: Vec<f64>,
+    max_share,
     /// Fraction of rows whose hard label changed vs the previous epoch.
-    pub delta_label_frac: Vec<f64>,
+    delta_label_frac,
     /// Mean `top1 − top2` assignment margin per epoch.
-    pub mean_margin: Vec<f64>,
+    mean_margin,
     /// Mean L2 centroid step vs the previous epoch.
-    pub centroid_drift: Vec<f64>,
+    centroid_drift,
 }
 
 impl History {
@@ -207,10 +235,8 @@ impl TableDc {
 
         // Line 1: pretrain the autoencoder.
         let mut params = Params::new();
-        let ae = match &config.encoder_dims {
-            Some(dims) => Autoencoder::new(&mut params, dims, rng),
-            None => Autoencoder::compact(&mut params, x.cols(), config.latent_dim, rng),
-        };
+        let dims = [&[x.cols()][..], &config.hidden_dims, &[config.latent_dim]].concat();
+        let ae = Autoencoder::new(&mut params, &dims, rng);
         ae.pretrain(&mut params, x, config.pretrain_epochs, config.lr);
 
         // Line 2: initialize cluster centers with Birch (or an ablation
@@ -556,7 +582,7 @@ static DUMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// Writes a strict-abort diagnostic dump: offending tensor, policy, seed,
 /// config summary, recorded violations, per-parameter L2 norms, and the
-/// last 8 epochs of metric history. Returns the path, or `None` if neither
+/// last 8 epochs of every [`History`] series. Returns the path, or `None` if neither
 /// the configured dump dir nor the system temp dir is writable.
 fn write_health_dump(
     config: &TableDcConfig,
@@ -566,76 +592,41 @@ fn write_health_dump(
     tensor: &str,
     epoch: usize,
 ) -> Option<String> {
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\n  \"tensor\": ");
-    obs::json::escape_into(&mut out, tensor);
-    let _ = write!(out, ",\n  \"epoch\": {epoch},\n  \"policy\": ");
-    obs::json::escape_into(&mut out, monitor.policy().as_str());
-    out.push_str(",\n  \"seed\": ");
-    match config.health.run_seed {
-        Some(s) => {
-            let _ = write!(out, "{s}");
-        }
-        None => out.push_str("null"),
-    }
-    let _ = write!(
-        out,
-        ",\n  \"config\": {{\"k\": {}, \"latent_dim\": {}, \"alpha\": ",
-        config.k, config.latent_dim
-    );
-    obs::json::number_into(&mut out, config.alpha);
-    out.push_str(", \"lr\": ");
-    obs::json::number_into(&mut out, config.lr);
-    let _ = write!(
-        out,
-        ", \"pretrain_epochs\": {}, \"epochs\": {}}},\n  \"violations\": [",
-        config.pretrain_epochs, config.epochs
-    );
-    for (i, v) in monitor.violations().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str("\n    {\"tensor\": ");
-        obs::json::escape_into(&mut out, &v.tensor);
-        out.push_str(", \"kind\": ");
-        obs::json::escape_into(&mut out, v.kind);
-        let _ = write!(out, ", \"index\": {}, \"epoch\": {}}}", v.index, v.epoch);
-    }
-    out.push_str("\n  ],\n  \"param_norms\": {");
-    for (i, id) in params.ids().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str("\n    ");
-        obs::json::escape_into(&mut out, params.name(id));
-        out.push_str(": ");
-        obs::json::number_into(&mut out, params.get(id).frobenius_sq().sqrt());
-    }
-    out.push_str("\n  },\n  \"recent\": {");
-    let series: [(&str, &[f64]); 5] = [
-        ("re_loss", &history.re_loss),
-        ("ce_loss", &history.ce_loss),
-        ("kl_pq", &history.kl_pq),
-        ("grad_norm", &history.grad_norm),
-        ("update_ratio", &history.update_ratio),
-    ];
-    for (i, (name, values)) in series.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str("\n    ");
-        obs::json::escape_into(&mut out, name);
-        out.push_str(": [");
-        let tail = &values[values.len().saturating_sub(8)..];
-        for (j, v) in tail.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            obs::json::number_into(&mut out, *v);
-        }
-        out.push(']');
-    }
-    out.push_str("\n  }\n}\n");
+    let violations = monitor.violations().iter().map(|v| {
+        Json::obj([
+            ("tensor", v.tensor.as_str().into()),
+            ("kind", v.kind.into()),
+            ("index", v.index.into()),
+            ("epoch", v.epoch.into()),
+        ])
+    });
+    let param_norms = params
+        .ids()
+        .map(|id| (params.name(id).to_string(), params.get(id).frobenius_sq().sqrt().into()));
+    let recent = history
+        .series()
+        .map(|(name, values)| (name.to_string(), values[values.len().saturating_sub(8)..].into()));
+    let dump = Json::obj([
+        ("tensor", tensor.into()),
+        ("epoch", epoch.into()),
+        ("policy", monitor.policy().as_str().into()),
+        ("seed", config.health.run_seed.into()),
+        (
+            "config",
+            Json::obj([
+                ("k", config.k.into()),
+                ("latent_dim", config.latent_dim.into()),
+                ("alpha", config.alpha.into()),
+                ("lr", config.lr.into()),
+                ("pretrain_epochs", config.pretrain_epochs.into()),
+                ("epochs", config.epochs.into()),
+            ]),
+        ),
+        ("violations", Json::Arr(violations.collect())),
+        ("param_norms", Json::Obj(param_norms.collect())),
+        ("recent", Json::Obj(recent.into())),
+    ]);
+    let out = dump.render(2) + "\n";
 
     let ms = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -692,7 +683,7 @@ mod tests {
     fn small_config(k: usize) -> TableDcConfig {
         TableDcConfig {
             latent_dim: 8,
-            encoder_dims: Some(vec![16, 24, 8]),
+            hidden_dims: vec![24],
             pretrain_epochs: 15,
             epochs: 30,
             ..TableDcConfig::new(k)

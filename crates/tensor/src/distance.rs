@@ -22,13 +22,6 @@ pub fn sq_euclidean_cdist(x: &Matrix, y: &Matrix) -> Matrix {
     crate::par::sq_euclidean_cdist(runtime::global(), x, y)
 }
 
-/// Pairwise **cosine distances** `1 − cos(a, b)` between rows of `x` and
-/// rows of `y`, in parallel row blocks. Zero vectors get distance 1 to
-/// everything (cosine undefined → treated as orthogonal).
-pub fn cosine_cdist(x: &Matrix, y: &Matrix) -> Matrix {
-    crate::par::cosine_cdist(runtime::global(), x, y)
-}
-
 /// Pairwise **squared Mahalanobis** distances with covariance Σ, computed
 /// via Cholesky whitening exactly as in the paper (Eq. 4–6):
 /// factor `Σ = L·Lᵀ`, whiten both point sets with `L⁻¹` (one triangular
@@ -53,20 +46,6 @@ pub fn sq_mahalanobis_cdist(x: &Matrix, y: &Matrix, sigma: &Matrix) -> Result<Ma
     let xw = solve_lower(&l, &x.transpose())?.transpose();
     let yw = solve_lower(&l, &y.transpose())?.transpose();
     Ok(sq_euclidean_cdist(&xw, &yw))
-}
-
-/// Squared Mahalanobis distances for the **scaled-identity** covariance
-/// `Σ = δ·I` (the TableDC default, paper Eq. 3), which reduces to
-/// `‖z−c‖²/δ` — no factorization needed.
-///
-/// # Panics
-/// Panics if `delta <= 0`.
-pub fn sq_mahalanobis_scaled_identity(x: &Matrix, y: &Matrix, delta: f64) -> Matrix {
-    assert!(delta > 0.0, "sq_mahalanobis_scaled_identity: delta must be positive, got {delta}");
-    let mut d = sq_euclidean_cdist(x, y);
-    let inv = 1.0 / delta;
-    d.map_inplace(|v| v * inv);
-    d
 }
 
 /// Squared Euclidean distance between two vectors.
@@ -121,34 +100,12 @@ mod tests {
     }
 
     #[test]
-    fn cosine_cdist_known_values() {
-        let x = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 0.0]]);
-        let y = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[-1.0, 0.0]]);
-        let d = cosine_cdist(&x, &y);
-        assert!((d[(0, 0)] - 0.0).abs() < 1e-12); // parallel
-        assert!((d[(0, 1)] - 1.0).abs() < 1e-12); // orthogonal
-        assert!((d[(0, 2)] - 2.0).abs() < 1e-12); // anti-parallel
-        assert!((d[(1, 0)] - 1.0).abs() < 1e-12); // zero vector → distance 1
-    }
-
-    #[test]
     fn mahalanobis_identity_equals_euclidean() {
         let x = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, -1.0]]);
         let y = Matrix::from_rows(&[&[0.0, 0.0]]);
         let m = sq_mahalanobis_cdist(&x, &y, &Matrix::identity(2)).unwrap();
         let e = sq_euclidean_cdist(&x, &y);
         assert!(m.max_abs_diff(&e) < 1e-10);
-    }
-
-    #[test]
-    fn mahalanobis_scaled_identity_fast_path_matches_general() {
-        let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[0.1, -0.2, 0.3]]);
-        let y = Matrix::from_rows(&[&[0.0, 0.0, 0.0], &[1.0, 1.0, 1.0]]);
-        let delta = 0.01;
-        let general =
-            sq_mahalanobis_cdist(&x, &y, &Matrix::scaled_identity(3, delta)).unwrap();
-        let fast = sq_mahalanobis_scaled_identity(&x, &y, delta);
-        assert!(general.max_abs_diff(&fast) < 1e-6);
     }
 
     #[test]

@@ -346,20 +346,6 @@ pub fn sq_euclidean_cdist(pool: &ThreadPool, x: &Matrix, y: &Matrix) -> Matrix {
     g
 }
 
-/// Pairwise cosine distances on an explicit pool (see
-/// [`crate::distance::cosine_cdist`]).
-pub fn cosine_cdist(pool: &ThreadPool, x: &Matrix, y: &Matrix) -> Matrix {
-    assert_eq!(x.cols(), y.cols(), "cosine_cdist: feature dims differ");
-    let (xn, yn) = par_join(pool, || normalize_rows(pool, x), || normalize_rows(pool, y));
-    let mut sim = matmul_nt(pool, &xn, &yn);
-    map_rows(pool, &mut sim, |row| {
-        for s in row {
-            *s = (1.0 - s.clamp(-1.0, 1.0)).max(0.0);
-        }
-    });
-    sim
-}
-
 /// Row-wise softmax on an explicit pool (see [`Matrix::softmax_rows`]).
 pub fn softmax_rows(pool: &ThreadPool, x: &Matrix) -> Matrix {
     let mut out = x.clone();
@@ -540,7 +526,6 @@ mod tests {
         let reference = sq_euclidean_cdist(&ThreadPool::new(1), &x, &y);
         for pool in pools() {
             assert!(sq_euclidean_cdist(&pool, &x, &y) == reference);
-            assert!(cosine_cdist(&pool, &x, &y) == cosine_cdist(&ThreadPool::new(1), &x, &y));
         }
     }
 

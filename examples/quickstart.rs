@@ -12,7 +12,7 @@
 //! allocation columns; `TABLEDC_FOLDED=<path>` writes the tree in
 //! folded-stack format for flamegraph tooling.
 
-use bench::ledger::{ConvergenceSummary, HealthSummary, LedgerHistory, RunManifest};
+use bench::ledger::{ConvergenceSummary, HealthSummary, RunManifest};
 use clustering::metrics::{accuracy, adjusted_rand_index, normalized_mutual_info};
 use clustering::KMeans;
 use datagen::{generate_mixture, MixtureConfig};
@@ -84,7 +84,7 @@ fn main() {
         ("kmeans/acc".to_string(), accuracy(&km.labels, &data.labels)),
         ("kmeans/nmi".to_string(), normalized_mutual_info(&km.labels, &data.labels)),
     ];
-    manifest.history = LedgerHistory::from_history(&fit.history);
+    manifest.history = fit.history;
     match manifest.write() {
         Ok(path) => println!("run manifest: {path}"),
         Err(e) => eprintln!("failed to write run manifest: {e}"),

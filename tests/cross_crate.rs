@@ -53,7 +53,7 @@ fn birch_centers_improve_tabledc_over_random_on_overlap() {
     let run = |init: Init| {
         let config = TableDcConfig {
             latent_dim: 8,
-            encoder_dims: Some(vec![12, 24, 8]),
+            hidden_dims: vec![24],
             pretrain_epochs: 10,
             epochs: 20,
             init,
@@ -105,7 +105,7 @@ fn tabledc_handles_entity_resolution_shape() {
     let g = datagen::scalability_workload(30, 12, &mut rng(10));
     let config = TableDcConfig {
         latent_dim: 8,
-        encoder_dims: Some(vec![12, 24, 8]),
+        hidden_dims: vec![24],
         pretrain_epochs: 15,
         epochs: 15,
         ..TableDcConfig::new(30)

@@ -56,7 +56,7 @@ fn csv_to_tabledc_round_trip() {
     let x = embed_rows(&table, EncodeOptions::default());
     let config = TableDcConfig {
         latent_dim: 8,
-        encoder_dims: Some(vec![x.cols(), 32, 8]),
+        hidden_dims: vec![32],
         pretrain_epochs: 40,
         epochs: 20,
         ..TableDcConfig::new(10)

@@ -24,10 +24,10 @@ fn dense_overlap_workload(seed: u64) -> datagen::Generated {
     )
 }
 
-fn smoke(k: usize, dim: usize) -> TableDcConfig {
+fn smoke(k: usize) -> TableDcConfig {
     TableDcConfig {
         latent_dim: 8,
-        encoder_dims: Some(vec![dim, 32, 8]),
+        hidden_dims: vec![32],
         pretrain_epochs: 15,
         epochs: 30,
         ..TableDcConfig::new(k)
@@ -42,7 +42,7 @@ fn tabledc_beats_kmeans_on_dense_overlap() {
     for seed in [1u64, 2, 3] {
         let g = dense_overlap_workload(seed);
         let km = KMeans::paper_protocol(5).fit(&g.x, &mut rng(seed + 10));
-        let (_, fit) = TableDc::fit(smoke(5, 16), &g.x, &mut rng(seed + 20));
+        let (_, fit) = TableDc::fit(smoke(5), &g.x, &mut rng(seed + 20));
         let km_ari = adjusted_rand_index(&km.labels, &g.labels);
         let dc_ari = adjusted_rand_index(&fit.labels, &g.labels);
         if dc_ari >= km_ari - 0.02 {
@@ -59,7 +59,7 @@ fn tabledc_beats_kmeans_on_dense_overlap() {
 fn cauchy_kernel_not_worse_than_normal_on_overlap() {
     let g = dense_overlap_workload(7);
     let run = |kernel: Kernel| {
-        let config = TableDcConfig { kernel, ..smoke(5, 16) };
+        let config = TableDcConfig { kernel, ..smoke(5) };
         let (_, fit) = TableDc::fit(config, &g.x, &mut rng(8));
         adjusted_rand_index(&fit.labels, &g.labels)
     };
@@ -74,7 +74,7 @@ fn cauchy_kernel_not_worse_than_normal_on_overlap() {
 fn mahalanobis_not_worse_than_euclidean_on_overlap() {
     let g = dense_overlap_workload(9);
     let run = |distance: Distance| {
-        let config = TableDcConfig { distance, ..smoke(5, 16) };
+        let config = TableDcConfig { distance, ..smoke(5) };
         let (_, fit) = TableDc::fit(config, &g.x, &mut rng(10));
         adjusted_rand_index(&fit.labels, &g.labels)
     };

@@ -3,7 +3,7 @@
 //! manifest → report pipeline end to end.
 
 use bench::htmlreport::{render, summarize_trace};
-use bench::ledger::{ConvergenceSummary, HealthSummary, LedgerHistory, RunManifest};
+use bench::ledger::{ConvergenceSummary, HealthSummary, RunManifest};
 use datagen::{generate_mixture, MixtureConfig};
 use tabledc::{TableDc, TableDcConfig};
 use tensor::random::rng;
@@ -99,7 +99,7 @@ fn traced_fit_renders_into_a_report_end_to_end() {
     manifest.health = HealthSummary::from_report(&fit.health);
     manifest.convergence = Some(ConvergenceSummary::from_verdict(&fit.convergence));
     manifest.metrics = vec![("tabledc/clusters_used".to_string(), fit.clusters_used as f64)];
-    manifest.history = LedgerHistory::from_history(&fit.history);
+    manifest.history = fit.history.clone();
 
     // The diagnostics history is epoch-aligned with the loss history.
     assert_eq!(manifest.history.delta_label_frac.len(), manifest.history.re_loss.len());

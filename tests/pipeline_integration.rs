@@ -11,10 +11,10 @@ use datagen::{embed_corpus, EmbeddingModel};
 use tabledc::{TableDc, TableDcConfig};
 use tensor::random::rng;
 
-fn smoke_config(k: usize, dim: usize) -> TableDcConfig {
+fn smoke_config(k: usize) -> TableDcConfig {
     TableDcConfig {
         latent_dim: 16,
-        encoder_dims: Some(vec![dim, 64, 16]),
+        hidden_dims: vec![64],
         pretrain_epochs: 30,
         epochs: 20,
         ..TableDcConfig::new(k)
@@ -28,7 +28,7 @@ fn schema_inference_pipeline() {
         &mut rng(1),
     );
     let x = embed_corpus(&corpus, EmbeddingModel::Sbert, 2);
-    let (_, fit) = TableDc::fit(smoke_config(5, x.cols()), &x, &mut rng(3));
+    let (_, fit) = TableDc::fit(smoke_config(5), &x, &mut rng(3));
     let truth = corpus.labels();
     assert_eq!(fit.labels.len(), 60);
     let ari = adjusted_rand_index(&fit.labels, &truth);
@@ -42,7 +42,7 @@ fn entity_resolution_pipeline() {
         &mut rng(4),
     );
     let x = embed_corpus(&corpus, EmbeddingModel::Sbert, 5);
-    let (_, fit) = TableDc::fit(smoke_config(25, x.cols()), &x, &mut rng(6));
+    let (_, fit) = TableDc::fit(smoke_config(25), &x, &mut rng(6));
     let truth = corpus.labels();
     let acc = accuracy(&fit.labels, &truth);
     assert!(acc > 0.3, "entity resolution ACC = {acc}");
@@ -55,7 +55,7 @@ fn domain_discovery_pipeline() {
         &mut rng(7),
     );
     let x = embed_corpus(&corpus, EmbeddingModel::T5, 8);
-    let (_, fit) = TableDc::fit(smoke_config(6, x.cols()), &x, &mut rng(9));
+    let (_, fit) = TableDc::fit(smoke_config(6), &x, &mut rng(9));
     let truth = corpus.labels();
     let ari = adjusted_rand_index(&fit.labels, &truth);
     assert!(ari > 0.15, "domain discovery ARI = {ari}");
@@ -69,7 +69,7 @@ fn pipeline_is_deterministic_end_to_end() {
             &mut rng(10),
         );
         let x = embed_corpus(&corpus, EmbeddingModel::Sbert, 11);
-        let (_, fit) = TableDc::fit(smoke_config(3, x.cols()), &x, &mut rng(12));
+        let (_, fit) = TableDc::fit(smoke_config(3), &x, &mut rng(12));
         fit.labels
     };
     assert_eq!(run(), run());
@@ -88,7 +88,7 @@ fn out_of_sample_prediction_is_consistent() {
     let test_idx: Vec<usize> = (40..80).collect();
     let x_train = x.select_rows(&train_idx);
     let x_test = x.select_rows(&test_idx);
-    let (model, _) = TableDc::fit(smoke_config(4, x.cols()), &x_train, &mut rng(15));
+    let (model, _) = TableDc::fit(smoke_config(4), &x_train, &mut rng(15));
     let pred = model.predict(&x_test);
     let truth: Vec<usize> = test_idx.iter().map(|&i| corpus.labels()[i]).collect();
     let ari = adjusted_rand_index(&pred, &truth);

@@ -17,7 +17,7 @@ fn tiny_fit(seed: u64) {
     let dim = 12;
     let config = TableDcConfig {
         latent_dim: 8,
-        encoder_dims: Some(vec![dim, 16, 8]),
+        hidden_dims: vec![16],
         pretrain_epochs: 2,
         epochs: 2,
         ..TableDcConfig::new(3)
