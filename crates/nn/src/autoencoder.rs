@@ -5,7 +5,7 @@ use autograd::{Tape, Var};
 use rand::rngs::StdRng;
 use tensor::Matrix;
 
-use crate::layers::{Activation, Mlp};
+use crate::layers::{Activation, FrozenMlp, Mlp};
 use crate::loss::mse;
 use crate::optim::{Adam, Optimizer};
 use crate::params::{BoundParams, Params};
@@ -68,6 +68,11 @@ impl Autoencoder {
         self.encoder.in_dim()
     }
 
+    /// The encoder frozen for inference with the current `params`.
+    pub fn frozen_encoder(&self, params: &Params) -> FrozenMlp {
+        FrozenMlp::new(&self.encoder, params)
+    }
+
     /// Gradient-free encoding of a data matrix.
     pub fn embed(&self, params: &Params, x: &Matrix) -> Matrix {
         self.encoder.infer(params, x)
@@ -75,11 +80,7 @@ impl Autoencoder {
 
     /// Gradient-free round trip (encode then decode).
     pub fn reconstruct(&self, params: &Params, x: &Matrix) -> Matrix {
-        let tape = Tape::new();
-        let bound = params.bind(&tape);
-        let xv = tape.constant(x.clone());
-        let out = self.decode(&bound, self.encode(&bound, xv));
-        tape.value(out)
+        self.decoder.infer(params, &self.embed(params, x))
     }
 
     /// Minibatch size of [`Autoencoder::pretrain`]: each epoch makes
@@ -161,6 +162,20 @@ mod tests {
         let x = randn(5, 10, &mut r);
         assert_eq!(ae.embed(&params, &x).shape(), (5, 3));
         assert_eq!(ae.reconstruct(&params, &x).shape(), (5, 10));
+    }
+
+    #[test]
+    fn tape_free_embed_and_reconstruct_match_the_tape_bitwise() {
+        let mut params = Params::new();
+        let mut r = rng(4);
+        let ae = Autoencoder::new(&mut params, &[10, 16, 8, 3], &mut r);
+        let x = randn(37, 10, &mut r);
+        let tape = Tape::new();
+        let bound = params.bind(&tape);
+        let z = ae.encode(&bound, tape.constant(x.clone()));
+        let recon = ae.decode(&bound, z);
+        assert!(ae.embed(&params, &x) == tape.value(z));
+        assert!(ae.reconstruct(&params, &x) == tape.value(recon));
     }
 
     #[test]

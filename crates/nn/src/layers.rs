@@ -2,6 +2,8 @@
 
 use autograd::{Tape, Var};
 use rand::rngs::StdRng;
+use runtime::{par_for_rows, ThreadPool};
+use tensor::par::{matmul_packed, plan_block_rows, with_scratch, PackedRhs};
 use tensor::random::xavier_uniform;
 use tensor::Matrix;
 
@@ -28,6 +30,17 @@ impl Activation {
             Activation::Relu => t.relu(x),
             Activation::Sigmoid => t.sigmoid(x),
             Activation::Tanh => t.tanh(x),
+        }
+    }
+
+    /// The activation of one value, with the tape ops' arithmetic.
+    #[inline]
+    fn eval(self, x: f64) -> f64 {
+        match self {
+            Activation::Linear => x,
+            Activation::Relu => x.max(0.0),
+            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
+            Activation::Tanh => x.tanh(),
         }
     }
 }
@@ -189,12 +202,98 @@ impl Mlp {
         self.layers.last().map_or(0, Linear::fan_out)
     }
 
-    /// Forward pass outside any tape (pure inference, no gradients).
+    /// Forward pass outside any tape (pure inference, no gradients), on
+    /// the [`FrozenMlp`] path: bit-identical to [`Mlp::forward`]'s value.
     pub fn infer(&self, params: &Params, x: &Matrix) -> Matrix {
-        let tape = Tape::new();
-        let bound = params.bind(&tape);
-        let v = self.forward(&bound, tape.constant(x.clone()));
-        tape.value(v)
+        FrozenMlp::new(self, params).infer(runtime::global(), x)
+    }
+}
+
+/// An [`Mlp`] frozen for inference: every layer's weights packed once as
+/// the matmul kernel's right operand ([`PackedRhs`]), with its bias and
+/// activation. It runs without a tape, copies no parameter, and computes
+/// each output element with [`Mlp::forward`]'s operations in their order:
+/// the ascending-`p` product sum, then `+ b`, then the activation.
+#[derive(Clone, Debug)]
+pub struct FrozenMlp {
+    layers: Vec<FrozenLayer>,
+}
+
+#[derive(Clone, Debug)]
+struct FrozenLayer {
+    w: PackedRhs,
+    b: Vec<f64>,
+    activation: Activation,
+}
+
+impl FrozenMlp {
+    /// Freezes `mlp` with the current values of its parameters.
+    pub fn new(mlp: &Mlp, params: &Params) -> Self {
+        let layers = mlp
+            .layers()
+            .iter()
+            .map(|layer| {
+                let (w, b) = layer.param_ids();
+                FrozenLayer { w: PackedRhs::new(params.get(w)), b: params.get(b).row(0).to_vec(), activation: layer.activation }
+            })
+            .collect::<Vec<_>>();
+        assert!(!layers.is_empty(), "FrozenMlp::new: the MLP has no layers");
+        Self { layers }
+    }
+
+    /// Input dimension.
+    pub fn in_dim(&self) -> usize {
+        self.layers.first().map_or(0, |l| l.w.rows())
+    }
+
+    /// Output dimension.
+    pub fn out_dim(&self) -> usize {
+        self.layers.last().map_or(0, |l| l.w.cols())
+    }
+
+    /// Scratch values [`FrozenMlp::forward_rows`] needs for `rows` rows:
+    /// two buffers as wide as the widest hidden layer.
+    pub fn scratch_len(&self, rows: usize) -> usize {
+        let hidden = &self.layers[..self.layers.len().saturating_sub(1)];
+        2 * rows * hidden.iter().map(|l| l.w.cols()).max().unwrap_or(0)
+    }
+
+    /// The forward pass of the row-major rows `x` into `out`, on the
+    /// calling thread, with hidden activations in `scratch` (at least
+    /// [`FrozenMlp::scratch_len`] values).
+    pub fn forward_rows(&self, x: &[f64], out: &mut [f64], scratch: &mut [f64]) {
+        let rows = out.len() / self.out_dim().max(1);
+        let (mut src, mut dst) = scratch.split_at_mut(scratch.len() / 2);
+        let last = self.layers.len() - 1;
+        for (i, layer) in self.layers.iter().enumerate() {
+            let input = if i == 0 { x } else { &src[..rows * layer.w.rows()] };
+            let output = if i == last { &mut *out } else { &mut dst[..rows * layer.w.cols()] };
+            matmul_packed(input, &layer.w, output);
+            for row in output.chunks_exact_mut(layer.b.len().max(1)) {
+                for (v, &b) in row.iter_mut().zip(&layer.b) {
+                    *v = layer.activation.eval(*v + b);
+                }
+            }
+            std::mem::swap(&mut src, &mut dst);
+        }
+    }
+
+    /// The forward pass of every row of `x`, in row blocks on `pool`
+    /// ([`plan_block_rows`]); bit-identical for every pool. Timed as the
+    /// `nn.infer` span, which holds its packed products (they open no
+    /// `tensor.matmul` span).
+    pub fn infer(&self, pool: &ThreadPool, x: &Matrix) -> Matrix {
+        let _infer_timer = obs::span!("nn.infer");
+        let (d, width) = (self.in_dim(), self.out_dim());
+        assert_eq!(x.cols(), d, "FrozenMlp::infer: {} input columns for a {d}-wide layer", x.cols());
+        let mut out = Matrix::zeros(x.rows(), width);
+        let block = plan_block_rows(x.rows(), pool.threads());
+        par_for_rows(pool, out.as_mut_slice(), width, block, |first, chunk| {
+            let rows = chunk.len() / width;
+            let x_rows = &x.as_slice()[first * d..(first + rows) * d];
+            with_scratch(self.scratch_len(rows), |scratch| self.forward_rows(x_rows, chunk, scratch));
+        });
+        out
     }
 }
 
@@ -229,6 +328,26 @@ mod tests {
         let y = mlp.infer(&params, &Matrix::ones(3, 8));
         assert_eq!(y.shape(), (3, 4));
         assert!(y.all_finite());
+    }
+
+    #[test]
+    fn frozen_mlp_matches_tape_forward_bitwise_on_every_pool() {
+        let mut r = rng(4);
+        let x = tensor::random::randn(67, 9, &mut r);
+        for act in [Activation::Linear, Activation::Relu, Activation::Sigmoid, Activation::Tanh] {
+            let mut params = Params::new();
+            let mlp = Mlp::new(&mut params, &[9, 20, 13, 5], act, Activation::Tanh, &mut r);
+            let tape = Tape::new();
+            let bound = params.bind(&tape);
+            let want = tape.value(mlp.forward(&bound, tape.constant(x.clone())));
+            let frozen = FrozenMlp::new(&mlp, &params);
+            assert_eq!((frozen.in_dim(), frozen.out_dim()), (9, 5));
+            for threads in [1, 2, 4] {
+                let got = frozen.infer(&ThreadPool::new(threads), &x);
+                assert!(got == want, "{act:?}, {threads} threads");
+            }
+            assert!(mlp.infer(&params, &x) == want, "{act:?}: Mlp::infer");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ pub mod optim;
 pub mod params;
 
 pub use autoencoder::Autoencoder;
-pub use layers::{Activation, Linear, Mlp};
+pub use layers::{Activation, FrozenMlp, Linear, Mlp};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::{BoundParams, ParamId, Params};
 

@@ -15,7 +15,8 @@ pub enum Covariance {
     /// Empirical covariance of the current latent batch with shrinkage
     /// `λ` towards the scaled identity — the full covariance-aware variant,
     /// kept as an ablation (DESIGN.md §5). Recomputed (and detached) each
-    /// epoch.
+    /// training epoch; inference uses the covariance of the final training
+    /// latent, frozen when the fit ends, so every row is scored alone.
     Empirical {
         /// Shrinkage intensity in [0, 1].
         shrinkage: f64,
@@ -48,8 +49,10 @@ impl Distance {
     ///
     /// For the empirical-covariance variant, Σ is estimated from the
     /// *current values* of `z` and enters the graph as a constant whitening
-    /// transform (gradients do not flow through Σ itself, matching how such
-    /// losses are trained in practice).
+    /// transform ([`whitening`]; gradients do not flow through Σ itself,
+    /// matching how such losses are trained in practice). This is the
+    /// training path; inference whitens with the transform frozen from the
+    /// training latent when the fit ends ([`crate::Frozen`]).
     ///
     /// # Errors
     /// [`LinalgError`] if an empirical covariance is not positive definite
@@ -73,15 +76,7 @@ impl Distance {
                     Ok(t.scale(t.sq_dist_cdist(z, c), 1.0 / delta))
                 }
                 Covariance::Empirical { shrinkage } => {
-                    // Estimate Σ from current z, factor Σ = L·Lᵀ (Eq. 4),
-                    // and whiten with W = L⁻ᵀ so that
-                    // ‖(z−c)·W‖² = (z−c)ᵀ·Σ⁻¹·(z−c) (Eq. 5–6).
-                    let sigma = t.with_value(z, |zv| empirical_covariance(zv, shrinkage));
-                    let l = cholesky(&sigma)?;
-                    let d = sigma.rows();
-                    // L⁻¹ via forward solve against I; W = (L⁻¹)ᵀ.
-                    let l_inv = solve_lower(&l, &Matrix::identity(d))?;
-                    let w = t.constant(l_inv.transpose());
+                    let w = t.constant(t.with_value(z, |zv| whitening(zv, shrinkage))?);
                     let zw = t.matmul(z, w);
                     let cw = t.matmul(c, w);
                     Ok(t.sq_dist_cdist(zw, cw))
@@ -100,10 +95,46 @@ impl Distance {
     }
 }
 
+/// The whitening transform of the latent rows `z` (Eq. 4–6): estimate Σ
+/// from `z` with shrinkage, factor Σ = L·Lᵀ, and return W = L⁻ᵀ, so that
+/// ‖(z−c)·W‖² = (z−c)ᵀ·Σ⁻¹·(z−c).
+///
+/// # Errors
+/// [`LinalgError`] if Σ is not positive definite even after shrinkage.
+pub(crate) fn whitening(z: &Matrix, shrinkage: f64) -> Result<Matrix, LinalgError> {
+    let sigma = empirical_covariance(z, shrinkage);
+    let l = cholesky(&sigma)?;
+    // L⁻¹ via forward solve against I; W = (L⁻¹)ᵀ.
+    let l_inv = solve_lower(&l, &Matrix::identity(sigma.rows()))?;
+    Ok(l_inv.transpose())
+}
+
+/// The guard added to squared row norms before the square root when rows
+/// are L2-normalized for the cosine distance.
+const NORM_EPS: f64 = 1e-12;
+
 /// L2-normalizes each row of `v` on the tape: `v / sqrt(rowsum(v²) + ε)`.
 fn normalize_rows_on_tape(t: &Tape, v: Var) -> Var {
-    let norms = t.sqrt(t.add_scalar(t.row_sums(t.square(v)), 1e-12));
+    let norms = t.sqrt(t.add_scalar(t.row_sums(t.square(v)), NORM_EPS));
     t.div_col_broadcast(v, norms)
+}
+
+/// The value of [`Tape::square`] on one entry: `powf(2.0)` evaluated by
+/// the math library. The tape passes the exponent as a runtime value;
+/// `black_box` stops LLVM from folding this constant one into `v * v`,
+/// which rounds differently for some `v`.
+pub(crate) fn square(v: f64) -> f64 {
+    v.powf(std::hint::black_box(2.0))
+}
+
+/// [`normalize_rows_on_tape`]'s value for one row, in place, with the
+/// tape ops' arithmetic.
+pub(crate) fn normalize_row(row: &mut [f64]) {
+    let sq_sum: f64 = row.iter().map(|&v| square(v)).sum();
+    let norm = (sq_sum + NORM_EPS).sqrt();
+    for v in row.iter_mut() {
+        *v /= norm;
+    }
 }
 
 #[cfg(test)]

@@ -1,0 +1,218 @@
+//! The frozen inference plan: a fitted TableDC's Eq. 3–9 forward pass with
+//! its operands packed once, run without an autograd tape.
+//!
+//! [`Frozen`] is built from the trained weights when [`crate::TableDc::fit`]
+//! ends. It holds the training column statistics, the encoder as a
+//! [`FrozenMlp`], the centers packed as the right operand of `z·cᵀ` with
+//! their squared norms, and the distance and kernel parameters. A request
+//! is split into row blocks ([`plan_block_rows`]: one per pool thread, at
+//! most 64 rows) in one pool fork. Each block runs the whole chain on its
+//! thread's scratch buffer: standardize, the encoder's packed matmuls with
+//! their bias-and-activation passes, the distances, the kernel with its row
+//! normalization in place in `q`, and the softmax into `m`.
+//!
+//! Every output element goes through the operations of the training
+//! tape's forward pass ([`crate::Distance::sq_cdist`],
+//! [`crate::Kernel::apply`], the row softmax), in the same order, through
+//! the same row functions ([`sq_dist_row`], [`kernel_row`],
+//! [`softmax_row`]). `q`, `m` and the labels are therefore bit-identical to
+//! the tape's, for every request size and thread count. Each row is scored
+//! from its own input alone: under [`Covariance::Empirical`] the whitening
+//! is estimated once from the training latent, not from the request.
+
+use nn::FrozenMlp;
+use runtime::{par_for_rows, ThreadPool};
+use tensor::head::{kernel_row, SoftKernel};
+use tensor::par::{matmul_packed, plan_block_rows, softmax_row, sq_dist_row, sq_norm, with_scratch, PackedRhs};
+use tensor::Matrix;
+
+use crate::distance::{normalize_row, square, whitening, Covariance, Distance};
+use crate::model::TableDcConfig;
+
+/// A fitted TableDC model frozen for inference. See the module docs.
+#[derive(Clone, Debug)]
+pub struct Frozen {
+    /// Column means of the training matrix.
+    x_mean: Vec<f64>,
+    /// Inverse column standard deviations of the training matrix.
+    x_inv_std: Vec<f64>,
+    encoder: FrozenMlp,
+    metric: Metric,
+    /// The right operand of `z·cᵀ`: the centers as the metric sees them
+    /// (whitened under [`Metric::Whitened`], L2-normalized under
+    /// [`Metric::Cosine`]), packed transposed.
+    centers_t: PackedRhs,
+    /// `‖c‖²` of each of those center rows.
+    c_sq: Vec<f64>,
+    kernel: SoftKernel,
+    eps: f64,
+}
+
+/// How a block's latent rows become squared distances to the centers.
+#[derive(Clone, Debug)]
+enum Metric {
+    /// `‖z − c‖²`, times `scale` when set: the scaled-identity Mahalanobis
+    /// distance's `1/δ`.
+    SqEuclidean { scale: Option<f64> },
+    /// `‖z·W − c·W‖²` with `W = L⁻ᵀ` from the training latent's covariance.
+    Whitened { w: PackedRhs },
+    /// `(1 − ẑ·ĉᵀ)²` over L2-normalized rows.
+    Cosine,
+}
+
+impl Frozen {
+    /// Freezes a trained network: its `encoder`, its `centers` and the
+    /// head of `config`. `x_std` is the standardized training matrix,
+    /// which only [`Covariance::Empirical`] reads; `x_mean`/`x_inv_std`
+    /// are the training statistics every request is standardized with.
+    ///
+    /// # Panics
+    /// Panics if the empirical covariance of the training latent is not
+    /// positive definite even after shrinkage.
+    pub(crate) fn new(
+        config: &TableDcConfig,
+        encoder: FrozenMlp,
+        centers: &Matrix,
+        x_std: &Matrix,
+        x_mean: Vec<f64>,
+        x_inv_std: Vec<f64>,
+    ) -> Self {
+        let (metric, c) = match config.distance {
+            Distance::Euclidean => (Metric::SqEuclidean { scale: None }, centers.clone()),
+            Distance::Mahalanobis(Covariance::ScaledIdentity(delta)) => {
+                assert!(delta > 0.0, "Mahalanobis: delta must be positive, got {delta}");
+                (Metric::SqEuclidean { scale: Some(1.0 / delta) }, centers.clone())
+            }
+            Distance::Mahalanobis(Covariance::Empirical { shrinkage }) => {
+                let z = encoder.infer(runtime::global(), x_std);
+                let w = whitening(&z, shrinkage).expect("distance computation failed (non-SPD covariance)");
+                let cw = centers.matmul(&w);
+                (Metric::Whitened { w: PackedRhs::new(&w) }, cw)
+            }
+            Distance::Cosine => {
+                let mut cn = centers.clone();
+                let latent = cn.cols();
+                cn.as_mut_slice().chunks_exact_mut(latent).for_each(normalize_row);
+                (Metric::Cosine, cn)
+            }
+        };
+        Frozen {
+            x_mean,
+            x_inv_std,
+            encoder,
+            metric,
+            centers_t: PackedRhs::transposed(&c),
+            c_sq: c.row_iter().map(sq_norm).collect(),
+            kernel: config.kernel.soft_kernel(),
+            eps: config.eps,
+        }
+    }
+
+    /// Number of clusters.
+    fn k(&self) -> usize {
+        self.c_sq.len()
+    }
+
+    /// `(q, m)` (Eq. 8–9) for the rows of `x`, on the [`runtime::global`]
+    /// pool.
+    pub fn soft_assignments(&self, x: &Matrix) -> (Matrix, Matrix) {
+        self.soft_assignments_on(runtime::global(), x)
+    }
+
+    /// `(q, m)` for the rows of `x` on an explicit pool: one
+    /// `tabledc.infer` span and one pool fork of at most `pool.threads()`
+    /// blocks for a request of up to `64·threads` rows.
+    ///
+    /// # Panics
+    /// Panics if `x` does not have the training matrix's column count.
+    pub fn soft_assignments_on(&self, pool: &ThreadPool, x: &Matrix) -> (Matrix, Matrix) {
+        let _infer_timer = obs::span!("tabledc.infer");
+        let d = self.x_mean.len();
+        assert_eq!(x.cols(), d, "TableDC inference: {} columns, the model was trained on {d}", x.cols());
+        let (n, k) = (x.rows(), self.k());
+        let mut q = Matrix::zeros(n, k);
+        let mut m = Matrix::zeros(n, k);
+        if n == 0 {
+            return (q, m);
+        }
+        let rows = plan_block_rows(n, pool.threads());
+        // One slot per block: the block's disjoint rows of `q` and `m`.
+        let mut blocks: Vec<(&mut [f64], &mut [f64])> =
+            q.as_mut_slice().chunks_mut(rows * k).zip(m.as_mut_slice().chunks_mut(rows * k)).collect();
+        par_for_rows(pool, &mut blocks, 1, 1, |b, slot| {
+            let (q_block, m_block) = &mut slot[0];
+            let first = b * rows;
+            let here = q_block.len() / k;
+            self.score_block(&x.as_slice()[first * d..(first + here) * d], q_block, m_block);
+        });
+        (q, m)
+    }
+
+    /// The latent embedding of the rows of `x` under the frozen encoder,
+    /// on the [`runtime::global`] pool.
+    ///
+    /// # Panics
+    /// Panics if `x` does not have the training matrix's column count.
+    pub fn embed(&self, x: &Matrix) -> Matrix {
+        self.encoder.infer(runtime::global(), &x.standardize_cols_with(&self.x_mean, &self.x_inv_std))
+    }
+
+    /// Eq. 3–9 for one block of raw rows `x`: `q` and `m` are the block's
+    /// rows of the outputs.
+    fn score_block(&self, x: &[f64], q: &mut [f64], m: &mut [f64]) {
+        let (d, k, latent) = (self.x_mean.len(), self.k(), self.encoder.out_dim());
+        let rows = q.len() / k;
+        let whitened = matches!(self.metric, Metric::Whitened { .. });
+        let z_len = rows * latent * if whitened { 2 } else { 1 };
+        with_scratch(z_len + x.len() + self.encoder.scratch_len(rows), |scratch| {
+            let (z, scratch) = scratch.split_at_mut(z_len);
+            let (z, zw) = z.split_at_mut(rows * latent);
+            let (xs, scratch) = scratch.split_at_mut(x.len());
+            // The training statistics, as `Matrix::standardize_cols_with`
+            // applies them.
+            for (xs_row, x_row) in xs.chunks_exact_mut(d).zip(x.chunks_exact(d)) {
+                for ((v, &raw), (&mean, &inv)) in xs_row.iter_mut().zip(x_row).zip(self.x_mean.iter().zip(&self.x_inv_std)) {
+                    *v = (raw - mean) * inv;
+                }
+            }
+            self.encoder.forward_rows(xs, z, scratch);
+            match &self.metric {
+                Metric::SqEuclidean { scale } => self.sq_distances(z, q, *scale),
+                Metric::Whitened { w } => {
+                    matmul_packed(z, w, zw);
+                    self.sq_distances(zw, q, None);
+                }
+                Metric::Cosine => {
+                    z.chunks_exact_mut(latent).for_each(normalize_row);
+                    matmul_packed(z, &self.centers_t, q);
+                    for v in q.iter_mut() {
+                        *v = square(-*v + 1.0);
+                    }
+                }
+            }
+            for (q_row, m_row) in q.chunks_exact_mut(k).zip(m.chunks_exact_mut(k)) {
+                let den = kernel_row(self.kernel, q_row, self.eps);
+                for v in q_row.iter_mut() {
+                    *v /= den;
+                }
+                m_row.copy_from_slice(q_row);
+                softmax_row(m_row);
+            }
+        });
+    }
+
+    /// Squared Euclidean distances from the latent rows `z` to the packed
+    /// centers into `d2`, each times `scale` when set.
+    fn sq_distances(&self, z: &[f64], d2: &mut [f64], scale: Option<f64>) {
+        matmul_packed(z, &self.centers_t, d2);
+        let width = self.centers_t.rows();
+        for (row, z_row) in d2.chunks_exact_mut(self.k()).zip(z.chunks_exact(width)) {
+            sq_dist_row(row, sq_norm(z_row), &self.c_sq);
+            if let Some(s) = scale {
+                for v in row.iter_mut() {
+                    *v *= s;
+                }
+            }
+        }
+    }
+}

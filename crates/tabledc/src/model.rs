@@ -15,6 +15,7 @@ use tensor::Matrix;
 
 use crate::diagnostics::{self, ConvergenceVerdict, DiagnosticsTracker, VerdictRules};
 use crate::distance::Distance;
+use crate::frozen::Frozen;
 use crate::init::Init;
 use crate::kernel::Kernel;
 
@@ -182,15 +183,20 @@ impl History {
 
 /// A fitted TableDC model.
 pub struct TableDc {
+    net: Net,
+    /// The inference plan, frozen from `net` when the fit ends: every
+    /// [`TableDc::soft_assignments`], [`TableDc::predict`] and
+    /// [`TableDc::embed`] call runs on it.
+    frozen: Frozen,
+}
+
+/// The trainable network: the autoencoder and the cluster centers in one
+/// parameter store, with the configuration they were built from.
+struct Net {
     config: TableDcConfig,
     params: Params,
     ae: Autoencoder,
     centers: ParamId,
-    /// Column means of the training matrix, applied to every inference
-    /// input so new rows are scored on the training scale.
-    x_mean: Vec<f64>,
-    /// Inverse column standard deviations of the training matrix.
-    x_inv_std: Vec<f64>,
 }
 
 /// Result of fitting TableDC to a dataset.
@@ -229,7 +235,8 @@ impl TableDc {
 
         // Standardize features in front of the encoder (part of the deep
         // model's preprocessing; the raw matrix is what SC baselines see).
-        // The statistics are kept so inference applies the same transform.
+        // The statistics are frozen with the model so inference applies
+        // the same transform to new rows.
         let (x_mean, x_inv_std) = x.col_standardization();
         let x = &x.standardize_cols_with(&x_mean, &x_inv_std);
 
@@ -245,9 +252,10 @@ impl TableDc {
         let c0 = config.init.centers(&z0, config.k, rng);
         let centers = params.register_named("centers", c0);
 
-        let mut model = TableDc { config, params, ae, centers, x_mean, x_inv_std };
-        let fit = model.train(x);
-        (model, fit)
+        let mut net = Net { config, params, ae, centers };
+        let fit = net.train(x);
+        let frozen = net.freeze(x, x_mean, x_inv_std);
+        (TableDc { net, frozen }, fit)
     }
 
     /// Runs [`TableDc::fit`] `restarts` times and keeps the run whose hard
@@ -308,6 +316,55 @@ impl TableDc {
             // inspect `fit.health` (verdict, dump path) instead of panicking.
             None => last_aborted.expect("at least one restart ran"),
         }
+    }
+
+    /// `(q, m)` (Eq. 8–9) for (possibly new) data without training.
+    ///
+    /// Runs the [`Frozen`] plan: rows are standardized with the training
+    /// matrix's column statistics and scored independently of the others in
+    /// the call, so a 1-row request gets the same answer as that row inside
+    /// a full-matrix call. One `tabledc.infer` span per call; the rows run
+    /// in blocks on the [`runtime::global`] pool with bit-identical results
+    /// for every thread count.
+    pub fn soft_assignments(&self, x: &Matrix) -> (Matrix, Matrix) {
+        self.frozen.soft_assignments(x)
+    }
+
+    /// Hard cluster assignment for (possibly new) data.
+    pub fn predict(&self, x: &Matrix) -> Vec<usize> {
+        self.soft_assignments(x).0.argmax_rows()
+    }
+
+    /// The latent embedding of `x` (standardized with the training
+    /// statistics) under the trained encoder.
+    pub fn embed(&self, x: &Matrix) -> Matrix {
+        self.frozen.embed(x)
+    }
+
+    /// The frozen inference plan every scoring call runs on.
+    pub fn frozen(&self) -> &Frozen {
+        &self.frozen
+    }
+
+    /// The learned cluster centers (`k × latent_dim`).
+    pub fn centers(&self) -> Matrix {
+        self.net.params.get(self.net.centers).clone()
+    }
+
+    /// The configuration this model was trained with.
+    pub fn config(&self) -> &TableDcConfig {
+        &self.net.config
+    }
+}
+
+impl Net {
+    /// The network frozen for inference: its current weights, with the
+    /// training statistics `x_mean`/`x_inv_std` that raw rows are
+    /// standardized with. `x` is the standardized training matrix (the
+    /// empirical-covariance ablation whitens with its latent's Σ).
+    fn freeze(&self, x: &Matrix, x_mean: Vec<f64>, x_inv_std: Vec<f64>) -> Frozen {
+        let encoder = self.ae.frozen_encoder(&self.params);
+        Frozen::new(&self.config, encoder, self.params.get(self.centers), x, x_mean, x_inv_std)
     }
 
     /// Lines 3–12 of Algorithm 1: the joint optimization loop over the
@@ -439,10 +496,11 @@ impl TableDc {
         }
 
         if cfg.epochs == 0 {
-            // Still produce assignments from the initialized model.
-            let (q, m) = self.soft_assignments_std(x);
-            final_q = q;
-            final_m = m;
+            // Still produce assignments from the initialized model. `x` is
+            // already on the training scale, which identity statistics
+            // keep bit for bit.
+            let d = x.cols();
+            (final_q, final_m) = self.freeze(x, vec![0.0; d], vec![1.0; d]).soft_assignments(x);
         }
 
         let labels = final_q.argmax_rows();
@@ -481,88 +539,9 @@ impl TableDc {
         }
         monitor.mark_aborted(path);
     }
-
-    /// Row-block size for batched inference. Fixed (never derived from the
-    /// thread count) so the block boundaries — and therefore the outputs —
-    /// are identical under `TABLEDC_THREADS=1` and parallel execution.
-    const INFER_BATCH: usize = 512;
-
-    /// Computes `(q, m)` for (possibly new) data without training.
-    ///
-    /// Rows are standardized with the training matrix's column statistics,
-    /// so every row is scored independently of the others in the call: a
-    /// 1-row request gets the same answer as that row inside a full-matrix
-    /// call. Inference runs in parallel row blocks (each with its own local
-    /// [`Tape`]) on the [`runtime::global`] pool with bit-identical results
-    /// for every thread count.
-    pub fn soft_assignments(&self, x: &Matrix) -> (Matrix, Matrix) {
-        self.soft_assignments_std(&self.standardize(x))
-    }
-
-    /// `x` on the training scale (see [`Matrix::standardize_cols_with`]).
-    fn standardize(&self, x: &Matrix) -> Matrix {
-        x.standardize_cols_with(&self.x_mean, &self.x_inv_std)
-    }
-
-    /// Batched `(q, m)` inference on an already-standardized matrix.
-    fn soft_assignments_std(&self, x: &Matrix) -> (Matrix, Matrix) {
-        let _infer_timer = obs::span!("tabledc.infer");
-        let n = x.rows();
-        if n <= Self::INFER_BATCH {
-            return self.soft_assignments_block(x);
-        }
-        let k = self.params.get(self.centers).rows();
-        let mut q = Matrix::zeros(n, k);
-        let mut m = Matrix::zeros(n, k);
-        // One slot per block: the block's disjoint rows of `q` and `m`.
-        let block_len = Self::INFER_BATCH * k;
-        let mut blocks: Vec<(&mut [f64], &mut [f64])> =
-            q.as_mut_slice().chunks_mut(block_len).zip(m.as_mut_slice().chunks_mut(block_len)).collect();
-        runtime::par_for_rows(runtime::global(), &mut blocks, 1, 1, |b, slot| {
-            let start = b * Self::INFER_BATCH;
-            let end = (start + Self::INFER_BATCH).min(n);
-            let rows: Vec<usize> = (start..end).collect();
-            let (qb, mb) = self.soft_assignments_block(&x.select_rows(&rows));
-            let (q_out, m_out) = &mut slot[0];
-            q_out.copy_from_slice(qb.as_slice());
-            m_out.copy_from_slice(mb.as_slice());
-        });
-        (q, m)
-    }
-
-    /// `(q, m)` for one row block on a fresh local tape.
-    fn soft_assignments_block(&self, x: &Matrix) -> (Matrix, Matrix) {
-        let tape = Tape::new();
-        let bound = self.params.bind(&tape);
-        let xv = tape.constant(x.clone());
-        let z = self.ae.encode(&bound, xv);
-        let (q, m) = cluster_head(&self.config, &tape, z, bound.var(self.centers));
-        (tape.value(q), tape.value(m))
-    }
-
-    /// Hard cluster assignment for (possibly new) data.
-    pub fn predict(&self, x: &Matrix) -> Vec<usize> {
-        self.soft_assignments(x).0.argmax_rows()
-    }
-
-    /// The latent embedding of `x` (standardized with the training
-    /// statistics) under the trained encoder.
-    pub fn embed(&self, x: &Matrix) -> Matrix {
-        self.ae.embed(&self.params, &self.standardize(x))
-    }
-
-    /// The learned cluster centers (`k × latent_dim`).
-    pub fn centers(&self) -> Matrix {
-        self.params.get(self.centers).clone()
-    }
-
-    /// The configuration this model was trained with.
-    pub fn config(&self) -> &TableDcConfig {
-        &self.config
-    }
 }
 
-/// The clustering head, Eq. 3–9, shared by training and inference: squared
+/// The clustering head, Eq. 3–9, on the training tape: squared
 /// distances between the latent rows `z` and the centers `c` (Eq. 3–6),
 /// the similarity kernel (Eq. 7), row normalization (Eq. 8) and the
 /// softmax (Eq. 9). Returns the soft assignments `q` and the predicted
@@ -674,11 +653,45 @@ pub fn target_distribution(q: &Matrix) -> Matrix {
 }
 
 #[cfg(test)]
+impl TableDc {
+    /// The tape inference path the frozen plan replaced: one tape over the
+    /// whole already-standardized matrix `x_std`. Kept as the bit-identity
+    /// reference for [`Frozen`].
+    fn tape_soft_assignments(&self, x_std: &Matrix) -> (Matrix, Matrix) {
+        let net = &self.net;
+        let tape = Tape::new();
+        let bound = net.params.bind(&tape);
+        let z = net.ae.encode(&bound, tape.constant(x_std.clone()));
+        let (q, m) = cluster_head(&net.config, &tape, z, bound.var(net.centers));
+        (tape.value(q), tape.value(m))
+    }
+
+    /// This model's weights under another distance and kernel, frozen
+    /// against the raw training matrix `x`.
+    fn with_head(&self, distance: Distance, kernel: Kernel, x: &Matrix) -> TableDc {
+        let Net { config, params, ae, centers } = &self.net;
+        let config = TableDcConfig { distance, kernel, ..config.clone() };
+        let net = Net { config, params: params.clone(), ae: ae.clone(), centers: *centers };
+        let (x_mean, x_inv_std) = x.col_standardization();
+        let frozen = net.freeze(&x.standardize_cols(), x_mean, x_inv_std);
+        TableDc { net, frozen }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use clustering::metrics::{accuracy, adjusted_rand_index};
     use datagen::{generate_mixture, MixtureConfig};
+    use runtime::ThreadPool;
     use tensor::random::rng;
+
+    use crate::distance::Covariance;
+
+    /// Bitwise equality: unlike `==`, tells `-0.0` from `0.0`.
+    fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+        a.shape() == b.shape() && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
 
     fn small_config(k: usize) -> TableDcConfig {
         TableDcConfig {
@@ -1023,25 +1036,86 @@ mod tests {
 
     #[test]
     fn batched_inference_bit_identical_to_unblocked() {
-        // n > INFER_BATCH exercises the parallel row-blocked inference path;
-        // its stitched output must be bit-identical to one monolithic tape
-        // pass over the same standardized matrix.
-        let cfg = MixtureConfig {
-            n: TableDc::INFER_BATCH * 2 + 77,
-            k: 3,
-            dim: 16,
-            separation: 3.0,
-            ..Default::default()
-        };
+        // A request far past one plan block (64 rows) runs as many blocks
+        // on the pool; its stitched output must be bit-identical to one
+        // monolithic tape pass over the same standardized matrix.
+        let cfg = MixtureConfig { n: 1101, k: 3, dim: 16, separation: 3.0, ..Default::default() };
         let g = generate_mixture(&cfg, &mut rng(20));
         let tcfg = TableDcConfig { pretrain_epochs: 2, epochs: 2, ..small_config(3) };
         let (model, _) = TableDc::fit(tcfg, &g.x, &mut rng(21));
-        let xs = g.x.standardize_cols();
-        let (q_blocked, m_blocked) = model.soft_assignments_std(&xs);
-        let (q_ref, m_ref) = model.soft_assignments_block(&xs);
-        assert!(q_blocked == q_ref, "blocked q differs from single-tape q");
-        assert!(m_blocked == m_ref, "blocked m differs from single-tape m");
-        assert_eq!(q_blocked.shape(), (cfg.n, 3));
+        let (q, m) = model.soft_assignments(&g.x);
+        let (q_ref, m_ref) = model.tape_soft_assignments(&g.x.standardize_cols());
+        assert!(same_bits(&q, &q_ref), "blocked q differs from single-tape q");
+        assert!(same_bits(&m, &m_ref), "blocked m differs from single-tape m");
+        assert_eq!(q.shape(), (cfg.n, 3));
+    }
+
+    #[test]
+    fn frozen_plan_matches_the_tape_bitwise_for_every_head_size_and_pool() {
+        let (x, _) = workload(31);
+        let tcfg = TableDcConfig { pretrain_epochs: 3, epochs: 3, ..small_config(4) };
+        let (model, _) = TableDc::fit(tcfg, &x, &mut rng(32));
+        let requests = generate_mixture(&MixtureConfig { n: 1100, k: 4, dim: 16, ..Default::default() }, &mut rng(33)).x;
+        let (x_mean, x_inv_std) = x.col_standardization();
+        let pools: Vec<ThreadPool> = [1, 2, 4].into_iter().map(ThreadPool::new).collect();
+        for distance in [Distance::Euclidean, Distance::Cosine, Distance::Mahalanobis(Covariance::ScaledIdentity(0.01))] {
+            for kernel in [Kernel::Cauchy { gamma: 1.0 }, Kernel::StudentT { nu: 2.0 }, Kernel::Normal { sigma: 1.0 }] {
+                let variant = model.with_head(distance, kernel, &x);
+                for n in [1, 3, 64, 65, 1100] {
+                    let rows: Vec<usize> = (0..n).collect();
+                    let request = requests.select_rows(&rows);
+                    let (q_ref, m_ref) = variant.tape_soft_assignments(&request.standardize_cols_with(&x_mean, &x_inv_std));
+                    for pool in &pools {
+                        let (q, m) = variant.frozen().soft_assignments_on(pool, &request);
+                        let what = format!("{distance:?}, {kernel:?}, {n} rows, {} threads", pool.threads());
+                        assert!(same_bits(&q, &q_ref), "q differs: {what}");
+                        assert!(same_bits(&m, &m_ref), "m differs: {what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_64_row_request_forks_the_pool_at_most_once_per_thread() {
+        let (x, _) = workload(35);
+        let tcfg = TableDcConfig { pretrain_epochs: 2, epochs: 2, ..small_config(4) };
+        let (model, _) = TableDc::fit(tcfg, &x, &mut rng(36));
+        let request = x.select_rows(&(0..64).collect::<Vec<_>>());
+        for threads in [1, 2, 3, 4] {
+            let pool = ThreadPool::new(threads);
+            let before = pool.stats().tasks_executed;
+            let _ = model.frozen().soft_assignments_on(&pool, &request);
+            let tasks = pool.stats().tasks_executed - before;
+            assert!(tasks <= threads as u64, "{tasks} tasks on {threads} threads");
+        }
+    }
+
+    #[test]
+    fn empirical_whitening_is_frozen_so_rows_are_scored_alone() {
+        // Under the empirical-covariance ablation the whitening comes from
+        // the training latent, never from the request: a 1-row request
+        // gets that row of a full-matrix call, bit for bit.
+        let (x, _) = workload(37);
+        let distance = Distance::Mahalanobis(Covariance::Empirical { shrinkage: 0.1 });
+        let tcfg = TableDcConfig { distance, pretrain_epochs: 3, epochs: 5, ..small_config(4) };
+        let (model, _) = TableDc::fit(tcfg, &x, &mut rng(38));
+        let (q_full, m_full) = model.soft_assignments(&x);
+        // Over the whole training matrix the tape estimates the same Σ the
+        // plan froze, so the two still agree bit for bit there.
+        let (q_ref, m_ref) = model.tape_soft_assignments(&x.standardize_cols());
+        assert!(same_bits(&q_full, &q_ref) && same_bits(&m_full, &m_ref));
+        for i in [0, 1, 57, x.rows() - 1] {
+            let (q_row, m_row) = model.soft_assignments(&x.select_rows(&[i]));
+            assert!(q_row.row(0) == q_full.row(i), "row {i}: q depends on the request");
+            assert!(m_row.row(0) == m_full.row(i), "row {i}: m depends on the request");
+        }
+    }
+
+    #[test]
+    fn frozen_model_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Frozen>();
     }
 
     #[test]

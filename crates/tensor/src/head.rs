@@ -84,6 +84,18 @@ impl SoftKernel {
     }
 }
 
+/// Eq. 7 on one row in place: every squared distance becomes its kernel
+/// value `u`. Returns Eq. 8's normalizer `Σⱼ uⱼ + eps`, summed in
+/// ascending order; dividing the row by it gives the row of `q`.
+#[inline]
+pub fn kernel_row(kernel: SoftKernel, row: &mut [f64], eps: f64) -> f64 {
+    let kernel = black_box(kernel);
+    for v in row.iter_mut() {
+        *v = kernel.eval(*v);
+    }
+    row.iter().sum::<f64>() + eps
+}
+
 /// Output of [`Head::soft_assign`].
 #[derive(Debug, Clone)]
 pub struct SoftAssign {
@@ -117,7 +129,6 @@ impl<'p> Head<'p> {
     /// Soft assignments of the squared distances `d2` (Eq. 7–8):
     /// `qᵢⱼ = uᵢⱼ / (Σⱼ uᵢⱼ + eps)` with `uᵢⱼ = kernel(d2ᵢⱼ)`.
     pub fn soft_assign(self, d2: &Matrix, kernel: SoftKernel, eps: f64) -> SoftAssign {
-        let kernel = black_box(kernel);
         let (n, k) = d2.shape();
         let mut q = Matrix::zeros(n, k);
         let mut raw = Matrix::zeros(n, k);
@@ -136,10 +147,8 @@ impl<'p> Head<'p> {
             let ((q_block, raw_block), denom_block) = &mut slot[0];
             let rows_here = q_block.chunks_exact_mut(k).zip(raw_block.chunks_exact_mut(k));
             for (r, ((q_row, raw_row), den)) in rows_here.zip(denom_block.iter_mut()).enumerate() {
-                for (u, &d) in raw_row.iter_mut().zip(d2.row(b * rows + r)) {
-                    *u = kernel.eval(d);
-                }
-                *den = raw_row.iter().sum::<f64>() + eps;
+                raw_row.copy_from_slice(d2.row(b * rows + r));
+                *den = kernel_row(kernel, raw_row, eps);
                 for (qv, &u) in q_row.iter_mut().zip(raw_row.iter()) {
                     *qv = u / *den;
                 }

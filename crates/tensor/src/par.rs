@@ -187,17 +187,88 @@ fn gemm(pool: &ThreadPool, isa: Isa, (n, k, m): (usize, usize, usize), a: Operan
         pack_b(b, pc, kc, m, b_slab);
         let b_slab = &*b_slab;
         par_for_rows(pool, out.as_mut_slice(), m, block, |first_row, chunk| {
-            let rows = RowBlock { a, first_row, pc, kc, b_slab, m };
-            match isa {
-                Isa::Plain => rows.run(chunk),
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: an `Avx2Detected` exists only after
-                // `is_x86_feature_detected!("avx2")` returned true.
-                Isa::Avx2(_) => unsafe { rows.run_avx2(chunk) },
-            }
+            RowBlock { a, first_row, pc, kc, b_slab, m }.run_on(isa, chunk);
         });
     }
     out
+}
+
+/// A right-hand matmul operand packed once, slab after slab, into the
+/// kernel's KC×NR column panels (the layout [`pack_b`] writes). A frozen
+/// layer's weights or a model's centers are packed when the model is
+/// frozen, so a request's products skip the packing pass.
+#[derive(Clone, Debug)]
+pub struct PackedRhs {
+    /// Inner dimension (rows of the operand).
+    k: usize,
+    /// Output columns (columns of the operand).
+    m: usize,
+    /// Slab `pc / KC` starts at `pc · ⌈m/NR⌉·NR`.
+    panels: Vec<f64>,
+}
+
+impl PackedRhs {
+    /// Packs `b` as the right operand of `a · b`.
+    pub fn new(b: &Matrix) -> Self {
+        Self::pack(Operand::plain(b), b.rows(), b.cols())
+    }
+
+    /// Packs `bᵀ` as the right operand of `a · bᵀ`, read in place.
+    pub fn transposed(b: &Matrix) -> Self {
+        Self::pack(Operand::transposed(b), b.cols(), b.rows())
+    }
+
+    fn pack(b: Operand, k: usize, m: usize) -> Self {
+        let width = m.div_ceil(NR) * NR;
+        let mut panels = vec![0.0; k * width];
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            pack_b(b, pc, kc, m, &mut panels[pc * width..][..kc * width]);
+        }
+        Self { k, m, panels }
+    }
+
+    /// Inner dimension: the rows of the packed operand.
+    pub fn rows(&self) -> usize {
+        self.k
+    }
+
+    /// Output columns: the columns of the packed operand.
+    pub fn cols(&self) -> usize {
+        self.m
+    }
+}
+
+/// `out = a · b` for a row-major block `a` of `b.rows()`-wide rows, on the
+/// calling thread. Callers that already run one task per row block (the
+/// frozen inference plan) call it inside the block. Every output element
+/// is [`matmul`]'s to the bit: the same ascending-`p` sum of separately
+/// rounded products, through the same [`RowBlock`] and [`micro`] kernel.
+///
+/// # Panics
+/// Panics unless `out` holds whole `b.cols()`-wide rows and `a` holds as
+/// many `b.rows()`-wide rows.
+pub fn matmul_packed(a: &[f64], b: &PackedRhs, out: &mut [f64]) {
+    let PackedRhs { k, m, ref panels } = *b;
+    if m == 0 {
+        assert!(out.is_empty(), "matmul_packed: output for zero columns must be empty");
+        return;
+    }
+    assert_eq!(out.len() % m, 0, "matmul_packed: output is not whole rows of {m}");
+    let rows = out.len() / m;
+    assert_eq!(a.len(), rows * k, "matmul_packed: left operand is not {rows} rows of {k}");
+    if k == 0 {
+        out.fill(0.0);
+        return;
+    }
+    let isa = Isa::detect();
+    let a = Operand { data: a, rs: k, cs: 1 };
+    let width = m.div_ceil(NR) * NR;
+    for pc in (0..k).step_by(KC) {
+        let kc = KC.min(k - pc);
+        let b_slab = &panels[pc * width..][..kc * width];
+        RowBlock { a, first_row: 0, pc, kc, b_slab, m }.run_on(isa, out);
+    }
 }
 
 /// Packs rows `pc..pc + kc` of `b` into `dst` as consecutive KC×NR column
@@ -233,6 +304,17 @@ struct RowBlock<'a> {
 }
 
 impl RowBlock<'_> {
+    /// Runs the block with the [`Isa`]'s compiled copy of the body.
+    fn run_on(&self, isa: Isa, out: &mut [f64]) {
+        match isa {
+            Isa::Plain => self.run(out),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: an `Avx2Detected` exists only after
+            // `is_x86_feature_detected!("avx2")` returned true.
+            Isa::Avx2(_) => unsafe { self.run_avx2(out) },
+        }
+    }
+
     /// [`RowBlock::run`]'s body compiled with AVX2 enabled.
     ///
     /// # Safety
@@ -323,11 +405,8 @@ pub fn sq_euclidean_cdist(pool: &ThreadPool, x: &Matrix, y: &Matrix) -> Matrix {
         y.cols()
     );
     let _timer = obs::span!("tensor.cdist");
-    let (xn, yn): (Vec<f64>, Vec<f64>) = par_join(
-        pool,
-        || x.row_iter().map(|r| r.iter().map(|v| v * v).sum()).collect(),
-        || y.row_iter().map(|r| r.iter().map(|v| v * v).sum()).collect(),
-    );
+    let (xn, yn): (Vec<f64>, Vec<f64>) =
+        par_join(pool, || x.row_iter().map(sq_norm).collect(), || y.row_iter().map(sq_norm).collect());
     let mut g = matmul_nt(pool, x, y);
     let m = g.cols();
     if m == 0 || g.rows() == 0 {
@@ -337,32 +416,51 @@ pub fn sq_euclidean_cdist(pool: &ThreadPool, x: &Matrix, y: &Matrix) -> Matrix {
     let (xn, yn) = (&xn, &yn);
     par_for_rows(pool, g.as_mut_slice(), m, block, |first_row, chunk| {
         for (r, row) in chunk.chunks_exact_mut(m).enumerate() {
-            let xni = xn[first_row + r];
-            for (v, &ynj) in row.iter_mut().zip(yn.iter()) {
-                *v = (xni + ynj - 2.0 * *v).max(0.0);
-            }
+            sq_dist_row(row, xn[first_row + r], yn);
         }
     });
     g
 }
 
+/// `‖v‖²`, summed in ascending order: the row norm every squared-distance
+/// kernel uses.
+#[inline]
+pub fn sq_norm(v: &[f64]) -> f64 {
+    v.iter().map(|x| x * x).sum()
+}
+
+/// Turns one row of inner products `gⱼ = x·yⱼ` into squared distances
+/// `‖x‖² + ‖yⱼ‖² − 2·gⱼ`, clamped at 0, in place. `xn` is `‖x‖²` and `yn`
+/// holds every `‖yⱼ‖²` (see [`sq_norm`]).
+#[inline]
+pub fn sq_dist_row(row: &mut [f64], xn: f64, yn: &[f64]) {
+    for (v, &ynj) in row.iter_mut().zip(yn) {
+        *v = (xn + ynj - 2.0 * *v).max(0.0);
+    }
+}
+
 /// Row-wise softmax on an explicit pool (see [`Matrix::softmax_rows`]).
 pub fn softmax_rows(pool: &ThreadPool, x: &Matrix) -> Matrix {
     let mut out = x.clone();
-    map_rows(pool, &mut out, |row| {
-        let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let mut sum = 0.0;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        if sum > 0.0 {
-            for v in row.iter_mut() {
-                *v /= sum;
-            }
-        }
-    });
+    map_rows(pool, &mut out, softmax_row);
     out
+}
+
+/// Softmax of one row in place (paper Eq. 9): `exp(v − max)` summed in
+/// ascending order, then each entry divided by the sum.
+#[inline]
+pub fn softmax_row(row: &mut [f64]) {
+    let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let mut sum = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    if sum > 0.0 {
+        for v in row.iter_mut() {
+            *v /= sum;
+        }
+    }
 }
 
 /// Row-wise L2 normalization on an explicit pool (see
@@ -401,6 +499,36 @@ pub fn argmax_rows(pool: &ThreadPool, x: &Matrix) -> Vec<usize> {
             *slot = best;
         }
     });
+    out
+}
+
+/// Most rows in one block of a frozen inference request: bounds each
+/// thread's scratch and keeps a block's activations in cache.
+const MAX_PLAN_ROWS: usize = 64;
+
+/// Rows per block when a frozen model scores `rows` rows on `threads`
+/// threads: one block per thread, rounded up to whole MR-row micro-tiles,
+/// at most [`MAX_PLAN_ROWS`]. A block's rows are scored from their own
+/// inputs alone, so the blocking never changes an output bit.
+pub fn plan_block_rows(rows: usize, threads: usize) -> usize {
+    rows.div_ceil(threads.max(1)).next_multiple_of(MR).min(MAX_PLAN_ROWS)
+}
+
+thread_local! {
+    static SCRATCH: std::cell::Cell<Vec<f64>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
+/// Runs `f` on this thread's reusable scratch buffer, `len` values long
+/// with unspecified contents. The buffer only grows, so a pool worker
+/// allocates it once. It is taken out of its slot for the call: a nested
+/// call gets a fresh buffer rather than a conflicting borrow.
+pub fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+    let mut buf = SCRATCH.take();
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    let out = f(&mut buf[..len]);
+    SCRATCH.set(buf);
     out
 }
 
@@ -502,6 +630,57 @@ mod tests {
                 assert_same_bits(&matmul_nt(&pool, &a, &bt), &want, &what("nt"));
             }
         }
+    }
+
+    #[test]
+    fn packed_rhs_products_match_naive_reference_bitwise() {
+        for (s, &(n, k, m)) in SHAPES.iter().enumerate() {
+            let a = test_matrix(n, k, 110 + s as u64);
+            let b = test_matrix(k, m, 130 + s as u64);
+            let want = naive(&a, &b);
+            let packed = PackedRhs::new(&b);
+            let packed_t = PackedRhs::transposed(&b.transpose());
+            assert_eq!((packed.rows(), packed.cols()), (k, m));
+            // Row blocks of any size, stale output contents included: the
+            // first slab overwrites rather than accumulates.
+            for rows in [1, 3, MR, 5, n] {
+                for (what, b) in [("plain", &packed), ("transposed", &packed_t)] {
+                    let mut got = Matrix::full(n, m, f64::NAN);
+                    let blocks = a.as_slice().chunks(rows * k).zip(got.as_mut_slice().chunks_mut(rows * m));
+                    for (a_block, out) in blocks {
+                        matmul_packed(a_block, b, out);
+                    }
+                    assert_same_bits(&got, &want, &format!("{what} {n}x{k}·{k}x{m}, {rows}-row blocks"));
+                }
+            }
+        }
+        // Empty inner dimension: zeros, whatever the output held.
+        let mut out = vec![f64::NAN; 6];
+        matmul_packed(&[], &PackedRhs::new(&Matrix::zeros(0, 3)), &mut out);
+        assert_eq!(out, vec![0.0; 6]);
+        matmul_packed(&[1.0, 2.0], &PackedRhs::new(&Matrix::zeros(2, 0)), &mut []);
+    }
+
+    #[test]
+    fn plan_blocks_give_each_thread_one_block_of_whole_tiles() {
+        assert_eq!(plan_block_rows(64, 1), 64);
+        assert_eq!(plan_block_rows(64, 2), 32);
+        assert_eq!(plan_block_rows(65, 2), 36);
+        assert_eq!(plan_block_rows(1, 4), MR);
+        assert_eq!(plan_block_rows(1100, 2), MAX_PLAN_ROWS);
+        for threads in 1..=8 {
+            assert!(64usize.div_ceil(plan_block_rows(64, threads)) <= threads);
+        }
+    }
+
+    #[test]
+    fn scratch_is_reused_and_nested_calls_get_their_own() {
+        with_scratch(8, |outer| {
+            outer.fill(1.0);
+            with_scratch(4, |inner| inner.fill(2.0));
+            assert_eq!(outer, &[1.0; 8]);
+        });
+        assert_eq!(with_scratch(3, |buf| buf.len()), 3);
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! (160×4248 · 4248×256, via `matmul_tn`), and the fused clustering head
 //! at the fit-wide shape (2050 latent rows, 684 centers): its forward
 //! (soft assignment, softmax, KL loss) and its backward (KL, softmax and
-//! soft-assignment gradients), each with a serial pool and with the full
-//! machine. It verifies every pair of outputs is bit-identical and exits
-//! non-zero if any parallel run is more than 1.5× slower than serial (a
-//! regression guard, not a benchmark).
+//! soft-assignment gradients), and one 64-row request to a frozen TableDC
+//! model at the assign shape (d = 160, hidden `[256, 128]`, latent 48,
+//! k = 684), each with a serial pool and with the full machine. It
+//! verifies every pair of outputs is bit-identical and exits non-zero if
+//! any parallel run is more than 1.5× slower than serial (a regression
+//! guard, not a benchmark).
 //!
 //! ```sh
 //! cargo run --release -p bench --example par_smoke
@@ -16,6 +18,7 @@
 use std::time::{Duration, Instant};
 
 use runtime::ThreadPool;
+use tabledc::{Init, TableDc, TableDcConfig};
 use tensor::head::{Head, SoftKernel};
 use tensor::random::{randn, rng};
 use tensor::par;
@@ -90,6 +93,18 @@ fn main() {
     let cauchy = SoftKernel::Power { scale: 1.0, exponent: -1.0 };
     let (eps, log_eps, inv_n) = (1e-10, 1e-12, 1.0 / 2050.0);
     let target = (&d2 * -0.01).softmax_rows();
+    // Assign-shaped model: untrained weights and random-row centers are
+    // enough to time the frozen plan and check its bits.
+    let config = TableDcConfig {
+        latent_dim: 48,
+        hidden_dims: vec![256, 128],
+        init: Init::Random,
+        pretrain_epochs: 0,
+        epochs: 0,
+        ..TableDcConfig::new(684)
+    };
+    let (model, _) = TableDc::fit(config, &randn(700, 160, &mut r), &mut rng(7));
+    let request = randn(64, 160, &mut r);
 
     let serial = ThreadPool::new(1);
     let parallel = runtime::global();
@@ -124,6 +139,10 @@ fn main() {
         let dm = head.cross_backward(&target, &m, log_eps, -(0.9 * inv_n));
         let dq = head.softmax_rows_backward(&m, &dm);
         head.soft_assign_backward(&d2, cauchy, &sa.raw, &sa.denom, &dq)
+    });
+
+    ok &= check("frozen request 64x160 -> k=684", &serial, parallel, |pool| {
+        model.frozen().soft_assignments_on(pool, &request)
     });
 
     let stats = parallel.stats();
