@@ -18,17 +18,22 @@
 //!   unit tests and property tests (see [`check::finite_difference_grad`]).
 //! * The reverse sweep borrows every node value in place and adds fan-in
 //!   gradients into the existing buffer (`existing + delta`, the same
-//!   bits as a fresh sum).
+//!   bits as a fresh sum). It forms no gradient for a constant, nor for a
+//!   node computed from constants only, and hands each node's gradient to
+//!   its rule by value, so elementwise rules reuse the buffer. Only leaf
+//!   gradients are kept.
+//! * A tape can borrow its inputs for its lifetime instead of owning them
+//!   ([`Tape::leaf_ref`], [`Tape::constant_ref`]): model parameters and a
+//!   training matrix enter the graph without a copy.
 //!
 //! ## Ops
 //!
 //! * Elementwise: `add`, `sub`, `mul`, `div`, `scale`, `add_scalar`,
 //!   `neg`, `relu`, `sigmoid`, `tanh`, `exp`, `ln`, `sqrt`, `pow_scalar`,
 //!   `square`.
-//! * Matrix: `matmul`, `transpose`, `add_row_broadcast`,
-//!   `div_col_broadcast`, `apply_left` (a constant [`LinearOperator`] such
-//!   as a sparse graph adjacency), `sq_dist_cdist` (pairwise squared
-//!   Euclidean distances).
+//! * Matrix: `matmul`, `transpose`, `div_col_broadcast`, `apply_left` (a
+//!   constant [`LinearOperator`] such as a sparse graph adjacency),
+//!   `sq_dist_cdist` (pairwise squared Euclidean distances).
 //! * Reductions: `sum`, `mean`, `row_sums`, and the row-wise
 //!   `softmax_rows` (its backward runs row-parallel).
 //! * Fused clustering head, one node each, bit-identical to the composed
@@ -36,6 +41,9 @@
 //!   ([`tensor::head`]): `soft_assign` (kernel of Eq. 7 plus the row
 //!   normalization of Eq. 8), `cross_entropy` and `kl_div` against a
 //!   constant target (Eq. 10).
+//! * Fused layer stack, one node each, bit-identical to the composed
+//!   chains they replace ([`tensor::layer`]): `linear` (`act(x·W + b)`,
+//!   Eq. 1–2) and `mse` (Eq. 12).
 
 pub mod check;
 pub mod ops;
@@ -43,3 +51,4 @@ mod tape;
 
 pub use ops::LinearOperator;
 pub use tape::{Gradients, Tape, Var};
+pub use tensor::layer::Activation;

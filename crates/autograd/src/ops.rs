@@ -8,6 +8,7 @@
 use std::rc::Rc;
 
 use tensor::head::{Head, SoftKernel};
+use tensor::layer::{Activation, Dense};
 use tensor::Matrix;
 
 /// A constant linear operator that can appear on the left of a matrix
@@ -40,7 +41,9 @@ pub(crate) enum Op {
     Div(usize, usize),
     /// `a · b`.
     MatMul(usize, usize),
-    /// `a` (n×c) plus row vector `b` (1×c) broadcast to every row.
+    /// `a` (n×c) plus row vector `b` (1×c) broadcast to every row: the
+    /// middle of the composed layer chain `Linear` is tested against.
+    #[cfg(test)]
     AddRowBroadcast(usize, usize),
     /// `a · s` for scalar `s`.
     Scale(usize, f64),
@@ -88,92 +91,172 @@ pub(crate) enum Op {
     /// Fused `−(1/n)·Σ p·ln(m + ε)` (plus a constant) for a constant
     /// target `p`, with `inv_n = 1/n`.
     CrossEntropy { m: usize, p: Matrix, eps: f64, inv_n: f64 },
+    /// Fused dense layer `act(x·w + b)`; the node stores only its output.
+    Linear { x: usize, w: usize, b: usize, act: Activation },
+    /// Fused `mean((target − pred)²)`.
+    Mse { target: usize, pred: usize },
+}
+
+/// The reverse sweep's gradient accumulators, as one node's backward rule
+/// sees them: it adds a delta into a parent's gradient only if that parent
+/// needs one, and computes the delta only then.
+pub(crate) struct Acc<'a> {
+    needs: &'a [bool],
+    grads: &'a mut [Option<Matrix>],
+}
+
+impl<'a> Acc<'a> {
+    pub(crate) fn new(needs: &'a [bool], grads: &'a mut [Option<Matrix>]) -> Self {
+        Acc { needs, grads }
+    }
+
+    /// Whether node `id` needs a gradient.
+    pub(crate) fn needs(&self, id: usize) -> bool {
+        self.needs[id]
+    }
+
+    /// Adds `delta()` into node `id`'s gradient (`existing + delta`, the
+    /// same bits as a fresh sum), calling `delta` only if `id` needs a
+    /// gradient.
+    pub(crate) fn add(&mut self, id: usize, delta: impl FnOnce() -> Matrix) {
+        if self.needs[id] {
+            self.put(id, delta());
+        }
+    }
+
+    fn put(&mut self, id: usize, delta: Matrix) {
+        match &mut self.grads[id] {
+            Some(existing) => *existing += &delta,
+            slot @ None => *slot = Some(delta),
+        }
+    }
 }
 
 impl Op {
-    /// Propagates the upstream gradient `g` of a node with `value` to the
-    /// parent gradient accumulators.
-    ///
-    /// `values` borrows all node values; `acc(id, delta)` accumulates
-    /// `delta` into the gradient of parent `id`.
-    pub(crate) fn backward(
-        &self,
-        value: &Matrix,
-        g: &Matrix,
-        values: &[&Matrix],
-        acc: &mut dyn FnMut(usize, Matrix),
-    ) {
+    /// The parent node ids (at most three).
+    pub(crate) fn parents(&self) -> [Option<usize>; 3] {
+        match self {
+            Op::Leaf => [None; 3],
+            Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::Div(a, b)
+            | Op::MatMul(a, b)
+            | Op::DivColBroadcast(a, b)
+            | Op::SqDistCdist(a, b)
+            | Op::Mse { target: a, pred: b } => [Some(*a), Some(*b), None],
+            Op::Scale(a, _)
+            | Op::AddScalar(a)
+            | Op::Neg(a)
+            | Op::Relu(a)
+            | Op::Sigmoid(a)
+            | Op::Tanh(a)
+            | Op::Exp(a)
+            | Op::Ln(a)
+            | Op::Sqrt(a)
+            | Op::PowScalar(a, _)
+            | Op::Transpose(a)
+            | Op::SoftmaxRows(a)
+            | Op::Sum(a)
+            | Op::Mean(a)
+            | Op::RowSums(a)
+            | Op::ApplyLeft(_, a)
+            | Op::SoftAssign { d2: a, .. }
+            | Op::CrossEntropy { m: a, .. } => [Some(*a), None, None],
+            Op::Linear { x, w, b, .. } => [Some(*x), Some(*w), Some(*b)],
+            #[cfg(test)]
+            Op::AddRowBroadcast(a, b) => [Some(*a), Some(*b), None],
+        }
+    }
+
+    /// Propagates the upstream gradient of a node with `value` to the
+    /// parent gradient accumulators `acc`; `values` borrows all node
+    /// values. The gradient is handed over (`owned`, read as `g`), so a
+    /// rule whose delta is an elementwise function of it alone computes
+    /// the delta in its buffer.
+    pub(crate) fn backward(&self, value: &Matrix, mut owned: Matrix, values: &[&Matrix], acc: &mut Acc<'_>) {
+        let g = &owned;
         match self {
             Op::Leaf => {}
             Op::Add(a, b) => {
-                acc(*a, g.clone());
-                acc(*b, g.clone());
+                acc.add(*a, || g.clone());
+                acc.add(*b, || owned);
             }
             Op::Sub(a, b) => {
-                acc(*a, g.clone());
-                acc(*b, -g);
+                acc.add(*a, || g.clone());
+                acc.add(*b, || {
+                    owned.map_inplace(|v| -v);
+                    owned
+                });
             }
             Op::Mul(a, b) => {
-                acc(*a, g * values[*b]);
-                acc(*b, g * values[*a]);
+                acc.add(*a, || g * values[*b]);
+                acc.add(*b, || g * values[*a]);
             }
             Op::Div(a, b) => {
                 let vb = values[*b];
-                acc(*a, g / vb);
-                let ratio = &(g * values[*a]) / &(vb * vb);
-                acc(*b, -&ratio);
+                acc.add(*a, || g / vb);
+                acc.add(*b, || -&(&(g * values[*a]) / &(vb * vb)));
             }
             Op::MatMul(a, b) => {
-                acc(*a, g.matmul_nt(values[*b]));
-                acc(*b, values[*a].matmul_tn(g));
+                acc.add(*a, || g.matmul_nt(values[*b]));
+                acc.add(*b, || values[*a].matmul_tn(g));
             }
+            #[cfg(test)]
             Op::AddRowBroadcast(a, b) => {
-                acc(*a, g.clone());
-                acc(*b, Matrix::from_vec(1, g.cols(), g.col_sums()));
+                acc.add(*a, || g.clone());
+                acc.add(*b, || Matrix::from_vec(1, g.cols(), g.col_sums()));
             }
-            Op::Scale(a, s) => acc(*a, g * *s),
-            Op::AddScalar(a) => acc(*a, g.clone()),
-            Op::Neg(a) => acc(*a, -g),
+            Op::Scale(a, s) => acc.add(*a, || {
+                owned.map_inplace(|v| v * s);
+                owned
+            }),
+            Op::AddScalar(a) => acc.add(*a, || owned),
+            Op::Neg(a) => acc.add(*a, || {
+                owned.map_inplace(|v| -v);
+                owned
+            }),
             Op::Relu(a) => {
-                acc(*a, g.zip_map(&values[*a], |gi, x| if x > 0.0 { gi } else { 0.0 }));
+                acc.add(*a, || g.zip_map(values[*a], |gi, x| if x > 0.0 { gi } else { 0.0 }));
             }
             Op::Sigmoid(a) => {
                 // value = σ(x); dσ = σ(1−σ)
-                acc(*a, g.zip_map(value, |gi, y| gi * y * (1.0 - y)));
+                acc.add(*a, || g.zip_map(value, |gi, y| gi * y * (1.0 - y)));
             }
             Op::Tanh(a) => {
-                acc(*a, g.zip_map(value, |gi, y| gi * (1.0 - y * y)));
+                acc.add(*a, || g.zip_map(value, |gi, y| gi * (1.0 - y * y)));
             }
-            Op::Exp(a) => acc(*a, g * value),
-            Op::Ln(a) => acc(*a, g / values[*a]),
+            Op::Exp(a) => acc.add(*a, || g * value),
+            Op::Ln(a) => acc.add(*a, || g / values[*a]),
             Op::Sqrt(a) => {
-                acc(*a, g.zip_map(value, |gi, y| gi / (2.0 * y)));
+                acc.add(*a, || g.zip_map(value, |gi, y| gi / (2.0 * y)));
             }
             Op::PowScalar(a, p) => {
-                let va = &values[*a];
-                acc(*a, g.zip_map(va, |gi, x| gi * p * x.powf(p - 1.0)));
+                acc.add(*a, || g.zip_map(values[*a], |gi, x| gi * p * x.powf(p - 1.0)));
             }
-            Op::Transpose(a) => acc(*a, g.transpose()),
-            Op::SoftmaxRows(a) => acc(*a, Head::global().softmax_rows_backward(value, g)),
+            Op::Transpose(a) => acc.add(*a, || g.transpose()),
+            Op::SoftmaxRows(a) => acc.add(*a, || Head::global().softmax_rows_backward(value, g)),
             Op::Sum(a) => {
                 let (r, c) = values[*a].shape();
-                acc(*a, Matrix::full(r, c, g[(0, 0)]));
+                acc.add(*a, || Matrix::full(r, c, g[(0, 0)]));
             }
             Op::Mean(a) => {
                 let (r, c) = values[*a].shape();
                 let n = (r * c) as f64;
-                acc(*a, Matrix::full(r, c, g[(0, 0)] / n));
+                acc.add(*a, || Matrix::full(r, c, g[(0, 0)] / n));
             }
             Op::RowSums(a) => {
-                let (r, c) = values[*a].shape();
-                let mut d = Matrix::zeros(r, c);
-                for i in 0..r {
-                    let gi = g[(i, 0)];
-                    for v in d.row_mut(i) {
-                        *v = gi;
+                acc.add(*a, || {
+                    let (r, c) = values[*a].shape();
+                    let mut d = Matrix::zeros(r, c);
+                    for i in 0..r {
+                        let gi = g[(i, 0)];
+                        for v in d.row_mut(i) {
+                            *v = gi;
+                        }
                     }
-                }
-                acc(*a, d);
+                    d
+                });
             }
             Op::DivColBroadcast(a, b) => {
                 let va = &values[*a];
@@ -190,8 +273,8 @@ impl Op {
                     }
                     db[(i, 0)] = -s / (bi * bi);
                 }
-                acc(*a, da);
-                acc(*b, db);
+                acc.add(*a, || da);
+                acc.add(*b, || db);
             }
             Op::SqDistCdist(x, c) => {
                 // D[i,j] = ‖x_i − c_j‖².
@@ -199,34 +282,66 @@ impl Op {
                 // dC = 2·(diag(colsum(g))·C − gᵀ·X)
                 let vx = &values[*x];
                 let vc = &values[*c];
-                let row_s = g.row_sums();
-                let col_s = g.col_sums();
-                let mut dx = g.matmul(vc);
-                for i in 0..dx.rows() {
-                    let rs = row_s[i];
-                    for (d, &xv) in dx.row_mut(i).iter_mut().zip(vx.row(i)) {
-                        *d = 2.0 * (rs * xv - *d);
+                acc.add(*x, || {
+                    let row_s = g.row_sums();
+                    let mut dx = g.matmul(vc);
+                    for i in 0..dx.rows() {
+                        let rs = row_s[i];
+                        for (d, &xv) in dx.row_mut(i).iter_mut().zip(vx.row(i)) {
+                            *d = 2.0 * (rs * xv - *d);
+                        }
                     }
-                }
-                let mut dc = g.matmul_tn(vx);
-                for j in 0..dc.rows() {
-                    let cs = col_s[j];
-                    for (d, &cv) in dc.row_mut(j).iter_mut().zip(vc.row(j)) {
-                        *d = 2.0 * (cs * cv - *d);
+                    dx
+                });
+                acc.add(*c, || {
+                    let col_s = g.col_sums();
+                    let mut dc = g.matmul_tn(vx);
+                    for j in 0..dc.rows() {
+                        let cs = col_s[j];
+                        for (d, &cv) in dc.row_mut(j).iter_mut().zip(vc.row(j)) {
+                            *d = 2.0 * (cs * cv - *d);
+                        }
                     }
-                }
-                acc(*x, dx);
-                acc(*c, dc);
+                    dc
+                });
             }
             Op::ApplyLeft(lin, b) => {
-                acc(*b, lin.apply_transpose(g));
+                acc.add(*b, || lin.apply_transpose(g));
             }
             Op::SoftAssign { d2, kernel, raw, denom } => {
-                acc(*d2, Head::global().soft_assign_backward(values[*d2], *kernel, raw, denom, g));
+                acc.add(*d2, || Head::global().soft_assign_backward(values[*d2], *kernel, raw, denom, g));
             }
             Op::CrossEntropy { m, p, eps, inv_n } => {
                 let scale = -(g[(0, 0)] * inv_n);
-                acc(*m, Head::global().cross_backward(p, values[*m], *eps, scale));
+                acc.add(*m, || Head::global().cross_backward(p, values[*m], *eps, scale));
+            }
+            Op::Linear { x, w, b, act } => {
+                let need = (acc.needs(*x), acc.needs(*w), acc.needs(*b));
+                let grads = Dense::global().backward(values[*x], values[*w], value, owned, *act, need);
+                // The composed chain's order: the bias (from its broadcast
+                // node), then the product's operands.
+                acc.add(*b, || grads.db.expect("bias gradient requested"));
+                acc.add(*x, || grads.dx.expect("input gradient requested"));
+                acc.add(*w, || grads.dw.expect("weight gradient requested"));
+            }
+            Op::Mse { target, pred } => {
+                // `sub`'s backward: `g` to the target, then `−g` to the
+                // prediction.
+                let (need_t, need_p) = (acc.needs(*target), acc.needs(*pred));
+                if !(need_t || need_p) {
+                    return;
+                }
+                let mut dt = Dense::global().mse_backward(values[*target], values[*pred], g[(0, 0)]);
+                if need_t && need_p {
+                    let dp = -&dt;
+                    acc.add(*target, || dt);
+                    acc.add(*pred, || dp);
+                } else if need_t {
+                    acc.add(*target, || dt);
+                } else {
+                    dt.map_inplace(|v| -v);
+                    acc.add(*pred, || dt);
+                }
             }
         }
     }

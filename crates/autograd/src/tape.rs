@@ -1,33 +1,62 @@
 //! The tape: forward-pass recording and the reverse sweep.
 
 use std::cell::RefCell;
+use std::ops::Deref;
 use std::rc::Rc;
 
 use tensor::distance::sq_euclidean_cdist;
 use tensor::head::{Head, SoftKernel};
+use tensor::layer::{Activation, Dense};
 use tensor::Matrix;
 
-use crate::ops::{LinearOperator, Op};
+use crate::ops::{Acc, LinearOperator, Op};
 
 /// Handle to a node on a [`Tape`]. Cheap to copy; only meaningful together
 /// with the tape that produced it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Var(pub(crate) usize);
 
-struct Node {
-    value: Matrix,
+/// A node's value: computed on the tape, or borrowed for the tape's
+/// lifetime `'p` (model parameters, a training matrix).
+enum Value<'p> {
+    Owned(Matrix),
+    Borrowed(&'p Matrix),
+}
+
+impl Deref for Value<'_> {
+    type Target = Matrix;
+
+    fn deref(&self) -> &Matrix {
+        match self {
+            Value::Owned(m) => m,
+            Value::Borrowed(m) => m,
+        }
+    }
+}
+
+struct Node<'p> {
+    value: Value<'p>,
     op: Op,
+    /// Whether the loss gradient reaches a leaf through this node: true
+    /// for [`Tape::leaf`] nodes and for every node with such a parent.
+    /// The reverse sweep forms no gradient for any other node.
+    needs_grad: bool,
 }
 
 /// A gradient tape. Build one per forward pass, call the op methods to
 /// record the computation, call [`Tape::backward`] on a scalar loss, then
-/// read parameter gradients with [`Tape::grad`].
+/// read parameter gradients with [`Gradients::grad`].
+///
+/// `'p` is the lifetime of the matrices the tape borrows rather than
+/// copies ([`Tape::leaf_ref`], [`Tape::constant_ref`]): a model's
+/// parameters are bound without a copy, and can be updated again once the
+/// tape is no longer used.
 #[derive(Default)]
-pub struct Tape {
-    nodes: RefCell<Vec<Node>>,
+pub struct Tape<'p> {
+    nodes: RefCell<Vec<Node<'p>>>,
 }
 
-impl Tape {
+impl<'p> Tape<'p> {
     /// Creates an empty tape.
     pub fn new() -> Self {
         Self::default()
@@ -49,19 +78,56 @@ impl Tape {
         // report *which* tensor diverged and dump diagnostics — a blind
         // panic here would preempt that and only ever fire in debug builds.
         let mut nodes = self.nodes.borrow_mut();
-        nodes.push(Node { value, op });
+        let needs_grad = op.parents().into_iter().flatten().any(|p| nodes[p].needs_grad);
+        nodes.push(Node { value: Value::Owned(value), op, needs_grad });
         Var(nodes.len() - 1)
     }
 
-    /// Registers an input/parameter node.
-    pub fn leaf(&self, value: Matrix) -> Var {
-        self.push(value, Op::Leaf)
+    fn push_input(&self, value: Value<'p>, needs_grad: bool) -> Var {
+        let mut nodes = self.nodes.borrow_mut();
+        nodes.push(Node { value, op: Op::Leaf, needs_grad });
+        Var(nodes.len() - 1)
     }
 
-    /// Registers a constant. Identical to [`Tape::leaf`] today (its gradient
-    /// is simply never read); kept separate for intent at call sites.
+    /// Registers an input/parameter node: the loss gradient w.r.t. it is
+    /// computed.
+    pub fn leaf(&self, value: Matrix) -> Var {
+        self.push_input(Value::Owned(value), true)
+    }
+
+    /// [`Tape::leaf`] on a borrowed matrix, without copying it.
+    pub fn leaf_ref(&self, value: &'p Matrix) -> Var {
+        self.push_input(Value::Borrowed(value), true)
+    }
+
+    /// Registers a constant: no gradient is computed for it, nor for any
+    /// node whose parents are all constants ([`Gradients::try_grad`] is
+    /// `None` for them), so the backward never forms, say, the input
+    /// layer's `g·Wᵀ` or the gradient of a reconstruction target.
     pub fn constant(&self, value: Matrix) -> Var {
-        self.push(value, Op::Leaf)
+        self.push_input(Value::Owned(value), false)
+    }
+
+    /// [`Tape::constant`] on a borrowed matrix, without copying it.
+    pub fn constant_ref(&self, value: &'p Matrix) -> Var {
+        self.push_input(Value::Borrowed(value), false)
+    }
+
+    /// Whether the reverse sweep computes a gradient for `v`.
+    #[cfg(test)]
+    fn needs_grad(&self, v: Var) -> bool {
+        self.nodes.borrow()[v.0].needs_grad
+    }
+
+    /// Moves the value of a node out of the tape (a borrowed value is
+    /// copied), leaving an empty matrix in its place. For the end of a
+    /// tape's use: the node must not be read, or swept backward, again.
+    pub fn take_value(&self, v: Var) -> Matrix {
+        let mut nodes = self.nodes.borrow_mut();
+        match std::mem::replace(&mut nodes[v.0].value, Value::Owned(Matrix::zeros(0, 0))) {
+            Value::Owned(m) => m,
+            Value::Borrowed(m) => m.clone(),
+        }
     }
 
     /// Copies the value of a node out of the tape.
@@ -85,7 +151,7 @@ impl Tape {
     pub fn add(&self, a: Var, b: Var) -> Var {
         let v = {
             let n = self.nodes.borrow();
-            &n[a.0].value + &n[b.0].value
+            &*n[a.0].value + &*n[b.0].value
         };
         self.push(v, Op::Add(a.0, b.0))
     }
@@ -94,7 +160,7 @@ impl Tape {
     pub fn sub(&self, a: Var, b: Var) -> Var {
         let v = {
             let n = self.nodes.borrow();
-            &n[a.0].value - &n[b.0].value
+            &*n[a.0].value - &*n[b.0].value
         };
         self.push(v, Op::Sub(a.0, b.0))
     }
@@ -103,7 +169,7 @@ impl Tape {
     pub fn mul(&self, a: Var, b: Var) -> Var {
         let v = {
             let n = self.nodes.borrow();
-            &n[a.0].value * &n[b.0].value
+            &*n[a.0].value * &*n[b.0].value
         };
         self.push(v, Op::Mul(a.0, b.0))
     }
@@ -112,7 +178,7 @@ impl Tape {
     pub fn div(&self, a: Var, b: Var) -> Var {
         let v = {
             let n = self.nodes.borrow();
-            &n[a.0].value / &n[b.0].value
+            &*n[a.0].value / &*n[b.0].value
         };
         self.push(v, Op::Div(a.0, b.0))
     }
@@ -126,7 +192,9 @@ impl Tape {
         self.push(v, Op::MatMul(a.0, b.0))
     }
 
-    /// Adds a `1×c` bias row to every row of an `n×c` matrix.
+    /// Adds a `1×c` bias row to every row of an `n×c` matrix. Layers use
+    /// [`Tape::linear`]; this op remains as its tests' reference.
+    #[cfg(test)]
     pub fn add_row_broadcast(&self, a: Var, bias: Var) -> Var {
         let v = {
             let n = self.nodes.borrow();
@@ -137,11 +205,37 @@ impl Tape {
         self.push(v, Op::AddRowBroadcast(a.0, bias.0))
     }
 
+    /// A dense layer `act(x·W + b)` for a `1×c` bias row `b`, in one node:
+    /// the product, then `+ b` and the activation in the product's output
+    /// pass ([`Dense::forward`]). Only the output is stored. Bit-identical
+    /// to `act(add_row_broadcast(matmul(x, w), b))` in value and gradients;
+    /// the backward forms `g ⊙ act'(y)` once, and `g'·Wᵀ` only if `x`
+    /// needs a gradient.
+    pub fn linear(&self, x: Var, w: Var, b: Var, act: Activation) -> Var {
+        let v = {
+            let n = self.nodes.borrow();
+            let bias = &n[b.0].value;
+            assert_eq!(bias.rows(), 1, "linear: bias must be 1×c");
+            Dense::global().forward(&n[x.0].value, &n[w.0].value, bias.row(0), act)
+        };
+        self.push(v, Op::Linear { x: x.0, w: w.0, b: b.0, act })
+    }
+
+    /// The activation `act` on its own (the identity records no node).
+    pub fn activation(&self, x: Var, act: Activation) -> Var {
+        match act {
+            Activation::Linear => x,
+            Activation::Relu => self.relu(x),
+            Activation::Sigmoid => self.sigmoid(x),
+            Activation::Tanh => self.tanh(x),
+        }
+    }
+
     // ---- scalar / unary ops ----------------------------------------------
 
     /// Multiplies by a constant scalar.
     pub fn scale(&self, a: Var, s: f64) -> Var {
-        let v = { &self.nodes.borrow()[a.0].value * s };
+        let v = { &*self.nodes.borrow()[a.0].value * s };
         self.push(v, Op::Scale(a.0, s))
     }
 
@@ -153,7 +247,7 @@ impl Tape {
 
     /// Elementwise negation.
     pub fn neg(&self, a: Var) -> Var {
-        let v = { -&self.nodes.borrow()[a.0].value };
+        let v = { -&*self.nodes.borrow()[a.0].value };
         self.push(v, Op::Neg(a.0))
     }
 
@@ -247,7 +341,7 @@ impl Tape {
     pub fn div_col_broadcast(&self, a: Var, b: Var) -> Var {
         let v = {
             let n = self.nodes.borrow();
-            let va = &n[a.0].value;
+            let va: &Matrix = &n[a.0].value;
             let vb = &n[b.0].value;
             assert_eq!(vb.cols(), 1, "div_col_broadcast: divisor must be n×1");
             assert_eq!(va.rows(), vb.rows(), "div_col_broadcast: row counts differ");
@@ -324,11 +418,27 @@ impl Tape {
         self.push(Matrix::full(1, 1, v), Op::CrossEntropy { m: m.0, p: p.clone(), eps, inv_n })
     }
 
+    // ---- fused reconstruction loss ------------------------------------------
+
+    /// Mean squared error `1/n · Σ (target − pred)²` over all entries, one
+    /// node ([`Dense::mse`]). Bit-identical to
+    /// `mean(square(sub(target, pred)))` in value and in the gradient of
+    /// each operand, which it forms only for an operand that needs one.
+    pub fn mse(&self, target: Var, pred: Var) -> Var {
+        let v = {
+            let n = self.nodes.borrow();
+            Dense::global().mse(&n[target.0].value, &n[pred.0].value)
+        };
+        self.push(Matrix::full(1, 1, v), Op::Mse { target: target.0, pred: pred.0 })
+    }
+
     // ---- backward ---------------------------------------------------------
 
     /// Runs the reverse sweep from a scalar (1×1) `loss` node and returns
-    /// the gradient of every node. Gradients of nodes that do not influence
-    /// the loss are zero matrices.
+    /// the gradient of every leaf. Gradients of leaves that do not
+    /// influence the loss are zero matrices. Constants and nodes computed
+    /// from constants only get no gradient; an intermediate node's gradient
+    /// is dropped once it has been passed on to its parents.
     ///
     /// # Panics
     /// Panics if `loss` is not 1×1.
@@ -337,31 +447,34 @@ impl Tape {
         assert_eq!(nodes[loss.0].value.shape(), (1, 1), "backward: loss must be a 1×1 scalar");
         let mut grads: Vec<Option<Matrix>> = vec![None; nodes.len()];
         grads[loss.0] = Some(Matrix::ones(1, 1));
-        let values: Vec<&Matrix> = nodes.iter().map(|n| &n.value).collect();
+        let values: Vec<&Matrix> = nodes.iter().map(|n| &*n.value).collect();
+        let needs: Vec<bool> = nodes.iter().map(|n| n.needs_grad).collect();
 
-        for id in (0..nodes.len()).rev() {
+        for id in (0..=loss.0).rev() {
             let Some(g) = grads[id].take() else { continue };
             let node = &nodes[id];
-            node.op.backward(&node.value, &g, &values, &mut |pid, delta| match &mut grads[pid] {
-                Some(existing) => *existing += &delta,
-                slot @ None => *slot = Some(delta),
-            });
-            grads[id] = Some(g);
+            if matches!(node.op, Op::Leaf) {
+                grads[id] = Some(g);
+            } else {
+                // The node's gradient is handed over: a rule may reuse its
+                // buffer for a parent's.
+                node.op.backward(&node.value, g, &values, &mut Acc::new(&needs, &mut grads));
+            }
         }
 
         Gradients { grads, shapes: values.iter().map(|v| v.shape()).collect() }
     }
 }
 
-/// The result of a backward pass: per-node gradients.
+/// The result of a backward pass: per-leaf gradients.
 pub struct Gradients {
     grads: Vec<Option<Matrix>>,
     shapes: Vec<(usize, usize)>,
 }
 
 impl Gradients {
-    /// Gradient of the loss w.r.t. node `v` (zeros if the node does not
-    /// influence the loss).
+    /// Gradient of the loss w.r.t. node `v` (zeros if it has none; see
+    /// [`Gradients::try_grad`]).
     pub fn grad(&self, v: Var) -> Matrix {
         match &self.grads[v.0] {
             Some(g) => g.clone(),
@@ -372,7 +485,8 @@ impl Gradients {
         }
     }
 
-    /// Borrowing accessor; `None` means the node has no gradient path.
+    /// Borrowing accessor; `None` means `v` is not a leaf with a gradient
+    /// path to the loss (a constant, an unused leaf, an intermediate node).
     pub fn try_grad(&self, v: Var) -> Option<&Matrix> {
         self.grads[v.0].as_ref()
     }
@@ -425,6 +539,162 @@ mod tests {
         let g = t.backward(loss);
         assert_eq!(g.grad(y), Matrix::zeros(2, 3));
         assert!(g.try_grad(y).is_none());
+    }
+
+    #[test]
+    fn constants_and_their_descendants_get_no_gradient() {
+        let t = Tape::new();
+        let x = t.leaf(Matrix::from_rows(&[&[1.0, 2.0]]));
+        let c = t.constant(Matrix::from_rows(&[&[3.0, 4.0]]));
+        let c2 = t.scale(c, 2.0);
+        let loss = t.sum(t.mul(x, c2));
+        assert!(t.needs_grad(x) && t.needs_grad(loss));
+        assert!(!t.needs_grad(c) && !t.needs_grad(c2));
+        let g = t.backward(loss);
+        assert!(g.try_grad(c).is_none());
+        assert!(g.try_grad(c2).is_none());
+        assert_eq!(g.grad(c), Matrix::zeros(1, 2));
+        assert_eq!(g.grad(x), Matrix::from_rows(&[&[6.0, 8.0]]));
+    }
+
+    #[test]
+    fn borrowed_leaves_and_constants_read_in_place() {
+        let w = Matrix::from_rows(&[&[2.0]]);
+        let x = Matrix::from_rows(&[&[3.0], &[5.0]]);
+        let t = Tape::new();
+        let (wv, xv) = (t.leaf_ref(&w), t.constant_ref(&x));
+        let y = t.matmul(xv, wv);
+        assert_eq!(t.value(y), Matrix::from_rows(&[&[6.0], &[10.0]]));
+        let g = t.backward(t.sum(y));
+        assert_eq!(g.grad(wv), Matrix::from_rows(&[&[8.0]]));
+        assert!(g.try_grad(xv).is_none());
+        assert_eq!(t.take_value(y), Matrix::from_rows(&[&[6.0], &[10.0]]));
+        assert_eq!(t.take_value(xv), x);
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    const ACTIVATIONS: [Activation; 4] =
+        [Activation::Linear, Activation::Relu, Activation::Sigmoid, Activation::Tanh];
+
+    /// `act(x·W + b)` as the three-node chain `Tape::linear` replaces.
+    fn composed_linear(t: &Tape, x: Var, w: Var, b: Var, act: Activation) -> Var {
+        t.activation(t.add_row_broadcast(t.matmul(x, w), b), act)
+    }
+
+    #[test]
+    fn linear_matches_composed_chain_bitwise_on_every_pool() {
+        let pools: Vec<runtime::ThreadPool> = [1, 2, 4].into_iter().map(runtime::ThreadPool::new).collect();
+        let r = &mut tensor::random::rng(21);
+        let (d, width) = (20, 33);
+        let w = tensor::random::randn(d, width, r);
+        let b = tensor::random::randn(1, width, r);
+        for rows in [1, 63, 64, 65, 4248] {
+            let x = tensor::random::randn(rows, d, r);
+            // A weighted sum as the loss, so the gradient at `y` is `weight`.
+            let weight = tensor::random::randn(rows, width, r);
+            for act in ACTIVATIONS {
+                let run = |fused: bool| {
+                    let t = Tape::new();
+                    let (xv, wv, bv) = (t.leaf_ref(&x), t.leaf_ref(&w), t.leaf_ref(&b));
+                    let y = if fused { t.linear(xv, wv, bv, act) } else { composed_linear(&t, xv, wv, bv, act) };
+                    let g = t.backward(t.sum(t.mul(y, t.constant_ref(&weight))));
+                    [t.value(y), g.grad(xv), g.grad(wv), g.grad(bv)].map(|m| bits(&m))
+                };
+                let want = run(false);
+                assert_eq!(run(true), want, "tape, {rows} rows, {act:?}");
+                for pool in &pools {
+                    let dense = Dense::on(pool);
+                    let y = dense.forward(&x, &w, b.row(0), act);
+                    let grads = dense.backward(&x, &w, &y, weight.clone(), act, (true, true, true));
+                    let got = [y, grads.dx.unwrap(), grads.dw.unwrap(), grads.db.unwrap()].map(|m| bits(&m));
+                    assert_eq!(got, want, "{rows} rows, {act:?}, {} threads", pool.threads());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn linear_on_a_constant_input_forms_no_input_gradient() {
+        let t = Tape::new();
+        let x = t.constant(Matrix::from_rows(&[&[1.0, -2.0]]));
+        let w = t.leaf(Matrix::from_rows(&[&[0.5], &[0.25]]));
+        let b = t.leaf(Matrix::from_rows(&[&[1.0]]));
+        let y = t.linear(x, w, b, Activation::Relu);
+        assert_eq!(t.value(y)[(0, 0)], 1.0);
+        let g = t.backward(t.sum(y));
+        assert!(g.try_grad(x).is_none());
+        assert_eq!(g.grad(w), Matrix::from_rows(&[&[1.0], &[-2.0]]));
+        assert_eq!(g.grad(b), Matrix::from_rows(&[&[1.0]]));
+    }
+
+    #[test]
+    fn linear_gradients_check_out() {
+        let r = &mut tensor::random::rng(22);
+        let x = tensor::random::randn(5, 3, r);
+        let w = tensor::random::randn(3, 4, r);
+        let b = tensor::random::randn(1, 4, r);
+        let weight = tensor::random::randn(5, 4, r);
+        for act in [Activation::Linear, Activation::Sigmoid, Activation::Tanh] {
+            let loss = |t: &Tape, y: Var| t.sum(t.mul(y, t.constant(weight.clone())));
+            crate::check::assert_grad_close(
+                &x,
+                |t, v| loss(t, t.linear(v, t.constant(w.clone()), t.constant(b.clone()), act)),
+                1e-6,
+                1e-5,
+            );
+            crate::check::assert_grad_close(
+                &w,
+                |t, v| loss(t, t.linear(t.constant(x.clone()), v, t.constant(b.clone()), act)),
+                1e-6,
+                1e-5,
+            );
+            crate::check::assert_grad_close(
+                &b,
+                |t, v| loss(t, t.linear(t.constant(x.clone()), t.constant(w.clone()), v, act)),
+                1e-6,
+                1e-5,
+            );
+        }
+    }
+
+    #[test]
+    fn mse_matches_composed_chain_bitwise() {
+        let r = &mut tensor::random::rng(23);
+        for (rows, cols) in [(1, 1), (7, 5), (130, 40), (4248, 3)] {
+            let target = tensor::random::randn(rows, cols, r);
+            let pred = tensor::random::randn(rows, cols, r);
+            let weight = tensor::random::randn(rows, cols, r);
+            // Both operands differentiable, then each one alone; another
+            // consumer of `pred` makes its gradient a fan-in sum.
+            for (t_leaf, p_leaf) in [(true, true), (false, true), (true, false)] {
+                let run = |fused: bool| {
+                    let t = Tape::new();
+                    let input = |m: &Matrix, leaf: bool| if leaf { t.leaf(m.clone()) } else { t.constant(m.clone()) };
+                    let (tv, pv) = (input(&target, t_leaf), input(&pred, p_leaf));
+                    let other = t.sum(t.mul(pv, t.constant(weight.clone())));
+                    let mse = if fused { t.mse(tv, pv) } else { t.mean(t.square(t.sub(tv, pv))) };
+                    let loss = t.add(t.scale(mse, 0.7), other);
+                    let g = t.backward(loss);
+                    let grad = |v: Var| g.try_grad(v).map(bits);
+                    (t.value(mse)[(0, 0)].to_bits(), grad(tv), grad(pv))
+                };
+                let want = run(false);
+                assert_eq!(run(true), want, "{rows}x{cols}, leaves {t_leaf}/{p_leaf}");
+                assert_eq!((want.1.is_some(), want.2.is_some()), (t_leaf, p_leaf));
+            }
+        }
+    }
+
+    #[test]
+    fn mse_of_one_node_against_itself_has_zero_gradient() {
+        let t = Tape::new();
+        let a = t.leaf(Matrix::from_rows(&[&[1.0, -2.0]]));
+        let loss = t.mse(a, a);
+        assert_eq!(t.value(loss)[(0, 0)], 0.0);
+        assert_eq!(t.backward(loss).grad(a), Matrix::zeros(1, 2));
     }
 
     #[test]

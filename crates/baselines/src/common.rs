@@ -177,8 +177,8 @@ pub fn train_step(
     let bound = params.bind(&tape);
     let loss = forward(&tape, &bound);
     let value = tape.value(loss)[(0, 0)];
-    let grads = tape.backward(loss);
-    adam.step_from_tape(params, &bound, &grads);
+    let grads = bound.backward(loss);
+    adam.step_from_tape(params, &grads);
     value
 }
 

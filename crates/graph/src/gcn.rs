@@ -38,7 +38,7 @@ impl GcnLayer {
         let t = bound.tape();
         let hw = t.matmul(h, bound.var(self.w));
         let agg = t.apply_left(adj.clone() as Rc<dyn autograd::LinearOperator>, hw);
-        self.activation.apply(t, agg)
+        t.activation(agg, self.activation)
     }
 
     /// Input dimension.

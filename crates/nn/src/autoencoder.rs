@@ -130,8 +130,8 @@ impl Autoencoder {
                 let loss = mse(&tape, target, recon);
                 epoch_loss += tape.value(loss)[(0, 0)];
                 batches += 1;
-                let grads = tape.backward(loss);
-                adam.step_from_tape(params, &bound, &grads);
+                let grads = bound.backward(loss);
+                adam.step_from_tape(params, &grads);
             }
             let mean_loss = epoch_loss / batches.max(1) as f64;
             trace.push(mean_loss);

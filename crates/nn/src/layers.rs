@@ -1,6 +1,6 @@
 //! Layers: activations, fully-connected layers, and MLP stacks.
 
-use autograd::{Tape, Var};
+use autograd::Var;
 use rand::rngs::StdRng;
 use runtime::{par_for_rows, ThreadPool};
 use tensor::par::{matmul_packed, plan_block_rows, with_scratch, PackedRhs};
@@ -9,41 +9,9 @@ use tensor::Matrix;
 
 use crate::params::{BoundParams, ParamId, Params};
 
-/// Pointwise non-linearity applied after a linear map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Activation {
-    /// Identity (no non-linearity) — used on latent/output layers.
-    Linear,
-    /// Rectified linear unit (paper §3, Eq. 1 mentions ReLU).
-    Relu,
-    /// Logistic sigmoid (the classic AE activation, paper §2.1).
-    Sigmoid,
-    /// Hyperbolic tangent.
-    Tanh,
-}
-
-impl Activation {
-    /// Applies the activation on the tape.
-    pub fn apply(self, t: &Tape, x: Var) -> Var {
-        match self {
-            Activation::Linear => x,
-            Activation::Relu => t.relu(x),
-            Activation::Sigmoid => t.sigmoid(x),
-            Activation::Tanh => t.tanh(x),
-        }
-    }
-
-    /// The activation of one value, with the tape ops' arithmetic.
-    #[inline]
-    fn eval(self, x: f64) -> f64 {
-        match self {
-            Activation::Linear => x,
-            Activation::Relu => x.max(0.0),
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            Activation::Tanh => x.tanh(),
-        }
-    }
-}
+/// Pointwise non-linearity applied after a linear map (defined next to
+/// the layer kernels that run it, [`tensor::layer`]).
+pub use tensor::layer::Activation;
 
 /// A fully-connected layer `act(X·W + b)` (paper Eq. 1–2).
 #[derive(Debug, Clone)]
@@ -102,11 +70,9 @@ impl Linear {
         Self { w, b, activation, fan_in, fan_out }
     }
 
-    /// Forward pass on the tape.
+    /// Forward pass on the tape: one fused [`autograd::Tape::linear`] node.
     pub fn forward(&self, bound: &BoundParams<'_>, x: Var) -> Var {
-        let t = bound.tape();
-        let z = t.add_row_broadcast(t.matmul(x, bound.var(self.w)), bound.var(self.b));
-        self.activation.apply(t, z)
+        bound.tape().linear(x, bound.var(self.w), bound.var(self.b), self.activation)
     }
 
     /// Input dimension.
@@ -269,11 +235,7 @@ impl FrozenMlp {
             let input = if i == 0 { x } else { &src[..rows * layer.w.rows()] };
             let output = if i == last { &mut *out } else { &mut dst[..rows * layer.w.cols()] };
             matmul_packed(input, &layer.w, output);
-            for row in output.chunks_exact_mut(layer.b.len().max(1)) {
-                for (v, &b) in row.iter_mut().zip(&layer.b) {
-                    *v = layer.activation.eval(*v + b);
-                }
-            }
+            layer.activation.bias_rows(output, &layer.b);
             std::mem::swap(&mut src, &mut dst);
         }
     }
@@ -300,6 +262,7 @@ impl FrozenMlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autograd::Tape;
     use tensor::random::rng;
 
     #[test]
@@ -362,12 +325,12 @@ mod tests {
     fn activations_behave() {
         let t = Tape::new();
         let x = t.leaf(Matrix::from_rows(&[&[-1.0, 0.0, 1.0]]));
-        assert_ne!(Activation::Relu.apply(&t, x), x);
-        let relu = t.value(Activation::Relu.apply(&t, x));
+        assert_ne!(t.activation(x, Activation::Relu), x);
+        let relu = t.value(t.activation(x, Activation::Relu));
         assert_eq!(relu.as_slice(), &[0.0, 0.0, 1.0]);
-        let id = Activation::Linear.apply(&t, x);
+        let id = t.activation(x, Activation::Linear);
         assert_eq!(id, x);
-        let sig = t.value(Activation::Sigmoid.apply(&t, x));
+        let sig = t.value(t.activation(x, Activation::Sigmoid));
         assert!((sig[(0, 1)] - 0.5).abs() < 1e-12);
     }
 }

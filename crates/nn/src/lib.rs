@@ -16,7 +16,7 @@ pub mod params;
 pub use autoencoder::Autoencoder;
 pub use layers::{Activation, FrozenMlp, Linear, Mlp};
 pub use optim::{Adam, Optimizer, Sgd};
-pub use params::{BoundParams, ParamId, Params};
+pub use params::{BoundParams, ParamGrads, ParamId, Params};
 
 #[cfg(test)]
 mod integration {
@@ -49,8 +49,8 @@ mod integration {
             let pred = mlp.forward(&bound, xv);
             let loss = mse(&tape, yv, pred);
             last = tape.value(loss)[(0, 0)];
-            let grads = tape.backward(loss);
-            adam.step_from_tape(&mut params, &bound, &grads);
+            let grads = bound.backward(loss);
+            adam.step_from_tape(&mut params, &grads);
         }
         assert!(last < 0.05, "final loss {last} too high");
     }

@@ -1,15 +1,18 @@
 //! Loss functions used across TableDC and the deep baselines.
 
 use autograd::{Tape, Var};
+use tensor::head::Head;
 use tensor::Matrix;
 
 /// Numerical floor inside logarithms.
 pub const LOG_EPS: f64 = 1e-12;
 
 /// Mean-squared-error reconstruction loss (paper Eq. 12):
-/// `1/n · Σ (x − x̂)²` where the mean is over *all* elements.
+/// `1/n · Σ (x − x̂)²` where the mean is over *all* elements. One fused
+/// tape node ([`Tape::mse`]) that differentiates whichever operands need
+/// it.
 pub fn mse(t: &Tape, target: Var, pred: Var) -> Var {
-    t.mean(t.square(t.sub(target, pred)))
+    t.mse(target, pred)
 }
 
 /// KL divergence `KL(p ‖ m) = 1/n · Σ p·log(p/m)` with a constant target
@@ -27,16 +30,19 @@ pub fn kl_div(t: &Tape, p: &Matrix, m: Var) -> Var {
 
 /// Plain (non-tape) mean-per-row KL divergence between two row-stochastic
 /// matrices, `1/n · Σ_ij p·log(p/q)` — used for reporting (Figure 5)
-/// without autograd.
+/// without autograd. The terms are evaluated in parallel row blocks
+/// ([`Head::sum_terms`]) and summed serially in row-major order.
 pub fn kl_div_value(p: &Matrix, q: &Matrix) -> f64 {
     assert_eq!(p.shape(), q.shape(), "kl_div_value: shape mismatch");
     let n = p.rows().max(1) as f64;
-    p.as_slice()
-        .iter()
-        .zip(q.as_slice())
-        .map(|(&pi, &qi)| if pi > 0.0 { pi * (pi / qi.max(LOG_EPS)).ln() } else { 0.0 })
-        .sum::<f64>()
-        / n
+    Head::global().sum_terms(p.shape(), |i, j| {
+        let (pi, qi) = (p[(i, j)], q[(i, j)]);
+        if pi > 0.0 {
+            pi * (pi / qi.max(LOG_EPS)).ln()
+        } else {
+            0.0
+        }
+    }) / n
 }
 
 /// Cross-entropy of row-stochastic predictions `m` against constant hard or
@@ -140,6 +146,24 @@ mod tests {
         let l = kl_div(&t, &p, m);
         assert!(t.value(l)[(0, 0)].abs() < 1e-9);
         assert!(kl_div_value(&p, &p).abs() < 1e-12);
+    }
+
+    #[test]
+    fn kl_div_value_matches_the_serial_sum_bitwise() {
+        for (n, k) in [(1, 1), (70, 9), (2050, 40)] {
+            let mut p = randn(n, k, &mut rng(n as u64)).softmax_rows();
+            let mut q = randn(n, k, &mut rng(k as u64 + 7)).softmax_rows();
+            p[(n - 1, 0)] = 0.0; // a zero target entry drops out
+            q[(0, k - 1)] = 0.0; // a zero prediction is floored at LOG_EPS
+            let serial = p
+                .as_slice()
+                .iter()
+                .zip(q.as_slice())
+                .map(|(&pi, &qi)| if pi > 0.0 { pi * (pi / qi.max(LOG_EPS)).ln() } else { 0.0 })
+                .sum::<f64>()
+                / n as f64;
+            assert_eq!(kl_div_value(&p, &q).to_bits(), serial.to_bits(), "{n}x{k}");
+        }
     }
 
     #[test]

@@ -3,30 +3,24 @@
 //! The paper trains TableDC and every deep baseline with Adam (§4.3); SGD
 //! is kept for tests and ablations.
 
-use autograd::Gradients;
 use tensor::Matrix;
 
-use crate::params::{BoundParams, ParamId, Params};
+use crate::params::{ParamGrads, ParamId, Params};
 
 /// A first-order optimizer over a [`Params`] store.
 pub trait Optimizer {
-    /// Applies one update step given `(id, gradient)` pairs.
-    fn step(&mut self, params: &mut Params, grads: &[(ParamId, Matrix)]);
+    /// Applies one update step given `(id, gradient)` pairs, each id at
+    /// most once.
+    fn step(&mut self, params: &mut Params, grads: &[(ParamId, &Matrix)]);
 
-    /// Convenience: pulls each bound parameter's gradient out of a backward
-    /// pass and applies the step.
-    fn step_from_tape(
-        &mut self,
-        params: &mut Params,
-        bound: &BoundParams<'_>,
-        grads: &Gradients,
-    ) where
+    /// Convenience: applies the step to every parameter that has a
+    /// gradient in a backward pass ([`crate::BoundParams::backward`]),
+    /// reading the gradients in place.
+    fn step_from_tape(&mut self, params: &mut Params, grads: &ParamGrads)
+    where
         Self: Sized,
     {
-        let pairs: Vec<(ParamId, Matrix)> = bound
-            .iter()
-            .filter_map(|(id, var)| grads.try_grad(var).map(|g| (id, g.clone())))
-            .collect();
+        let pairs: Vec<(ParamId, &Matrix)> = grads.iter().collect();
         self.step(params, &pairs);
     }
 
@@ -34,19 +28,11 @@ pub trait Optimizer {
     /// step additionally measures per-parameter and global gradient L2
     /// norms, the update-to-parameter-norm ratio, and whether any gradient
     /// carried a non-finite entry. See [`instrumented_step`].
-    fn step_from_tape_instrumented(
-        &mut self,
-        params: &mut Params,
-        bound: &BoundParams<'_>,
-        grads: &Gradients,
-    ) -> StepStats
+    fn step_from_tape_instrumented(&mut self, params: &mut Params, grads: &ParamGrads) -> StepStats
     where
         Self: Sized,
     {
-        let pairs: Vec<(ParamId, Matrix)> = bound
-            .iter()
-            .filter_map(|(id, var)| grads.try_grad(var).map(|g| (id, g.clone())))
-            .collect();
+        let pairs: Vec<(ParamId, &Matrix)> = grads.iter().collect();
         instrumented_step(self, params, &pairs)
     }
 }
@@ -120,7 +106,7 @@ impl StepStats {
 pub fn instrumented_step(
     opt: &mut (impl Optimizer + ?Sized),
     params: &mut Params,
-    grads: &[(ParamId, Matrix)],
+    grads: &[(ParamId, &Matrix)],
 ) -> StepStats {
     let mut grad_norms = Vec::with_capacity(grads.len());
     let mut global_sq = 0.0;
@@ -171,7 +157,7 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut Params, grads: &[(ParamId, Matrix)]) {
+    fn step(&mut self, params: &mut Params, grads: &[(ParamId, &Matrix)]) {
         for (id, g) in grads {
             let p = params.get_mut(*id);
             debug_assert_eq!(p.shape(), g.shape());
@@ -216,30 +202,77 @@ impl Adam {
     }
 }
 
+/// Values per task of a parallel Adam step: a fixed chunking, so the
+/// schedule never depends on the thread count (and no output depends on
+/// the schedule: every element's update reads only its own state).
+const ADAM_CHUNK: usize = 8192;
+
+/// One Adam step's constants.
+#[derive(Clone, Copy)]
+struct AdamStep {
+    lr: f64,
+    beta1: f64,
+    beta2: f64,
+    eps: f64,
+    bc1: f64,
+    bc2: f64,
+}
+
+/// A chunk of one parameter with its gradient and moments.
+type AdamChunk<'a> = (&'a mut [f64], &'a [f64], &'a mut [f64], &'a mut [f64]);
+
+impl AdamStep {
+    fn update(self, (w, g, m, v): AdamChunk<'_>) {
+        for (((w, gi), mi), vi) in w.iter_mut().zip(g).zip(m.iter_mut()).zip(v.iter_mut()) {
+            *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
+            *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
+            let m_hat = *mi / self.bc1;
+            let v_hat = *vi / self.bc2;
+            *w -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        }
+    }
+}
+
 impl Optimizer for Adam {
-    fn step(&mut self, params: &mut Params, grads: &[(ParamId, Matrix)]) {
+    /// Updates every parameter element by the same arithmetic, over fixed
+    /// chunks of [`ADAM_CHUNK`] values run in parallel on the global pool:
+    /// bit-identical for every thread count.
+    fn step(&mut self, params: &mut Params, grads: &[(ParamId, &Matrix)]) {
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let step = AdamStep {
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            bc1: 1.0 - self.beta1.powi(self.t as i32),
+            bc2: 1.0 - self.beta2.powi(self.t as i32),
+        };
         for (id, g) in grads {
             self.ensure_state(*id, g.shape());
-            let m = self.m[id.0].as_mut().expect("state ensured");
-            let v = self.v[id.0].as_mut().expect("state ensured");
-            let p = params.get_mut(*id);
-            debug_assert_eq!(p.shape(), g.shape());
-            for (((w, gi), mi), vi) in p
-                .as_mut_slice()
-                .iter_mut()
-                .zip(g.as_slice())
-                .zip(m.as_mut_slice())
-                .zip(v.as_mut_slice())
-            {
-                *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
-                *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
-                let m_hat = *mi / bc1;
-                let v_hat = *vi / bc2;
-                *w -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-            }
+        }
+        // Disjoint mutable views of the stepped parameters and moments.
+        let mut ws: Vec<Option<&mut Matrix>> = params.values_mut().iter_mut().map(Some).collect();
+        let mut ms: Vec<Option<&mut Matrix>> = self.m.iter_mut().map(Option::as_mut).collect();
+        let mut vs: Vec<Option<&mut Matrix>> = self.v.iter_mut().map(Option::as_mut).collect();
+        let mut chunks: Vec<AdamChunk<'_>> = Vec::new();
+        for (id, g) in grads {
+            let w = ws[id.0].take().expect("Adam::step: parameter listed twice");
+            let m = ms[id.0].take().expect("state ensured");
+            let v = vs[id.0].take().expect("state ensured");
+            assert_eq!(w.shape(), g.shape(), "Adam::step: gradient shape of {id:?}");
+            let parts = w.as_mut_slice().chunks_mut(ADAM_CHUNK).zip(g.as_slice().chunks(ADAM_CHUNK));
+            let moments = m.as_mut_slice().chunks_mut(ADAM_CHUNK).zip(v.as_mut_slice().chunks_mut(ADAM_CHUNK));
+            chunks.extend(parts.zip(moments).map(|((w, g), (m, v))| (w, g, m, v)));
+        }
+        let pool = runtime::global();
+        if pool.is_serial() || chunks.len() <= 1 {
+            chunks.into_iter().for_each(|c| step.update(c));
+        } else {
+            pool.scope(|s| {
+                for c in chunks {
+                    s.spawn(move || step.update(c));
+                }
+            });
         }
     }
 }
@@ -259,9 +292,8 @@ mod tests {
             let bound = params.bind(&tape);
             let diff = tape.add_scalar(bound.var(w), -3.0);
             let loss = tape.sum(tape.square(diff));
-            let grads = tape.backward(loss);
-            let pairs: Vec<(ParamId, Matrix)> =
-                bound.iter().map(|(id, v)| (id, grads.grad(v))).collect();
+            let grads = bound.backward(loss);
+            let pairs: Vec<(ParamId, &Matrix)> = grads.iter().collect();
             opt.step(&mut params, &pairs);
         }
         params.get(w)[(0, 0)]
@@ -286,8 +318,34 @@ mod tests {
         let mut params = Params::new();
         let w = params.register(Matrix::zeros(1, 1));
         let mut adam = Adam::new(0.01);
-        adam.step(&mut params, &[(w, Matrix::full(1, 1, 1000.0))]);
+        adam.step(&mut params, &[(w, &Matrix::full(1, 1, 1000.0))]);
         assert!((params.get(w)[(0, 0)] + 0.01).abs() < 1e-6);
+    }
+
+    #[test]
+    fn chunked_adam_step_matches_the_elementwise_update_bitwise() {
+        // Longer than several chunks, with a short tail chunk.
+        let len = 3 * ADAM_CHUNK + 17;
+        let r = &mut tensor::random::rng(9);
+        let w0 = tensor::random::randn(1, len, r);
+        let grads: Vec<Matrix> = (0..3).map(|_| tensor::random::randn(1, len, r)).collect();
+        let mut params = Params::new();
+        let w = params.register(w0.clone());
+        let bias = params.register(Matrix::zeros(1, 3));
+        let mut adam = Adam::new(0.01);
+        let (mut want, mut m, mut v) = (w0.as_slice().to_vec(), vec![0.0; len], vec![0.0; len]);
+        for (t, g) in grads.iter().enumerate() {
+            adam.step(&mut params, &[(w, g), (bias, &Matrix::ones(1, 3))]);
+            let bc1 = 1.0 - adam.beta1.powi(t as i32 + 1);
+            let bc2 = 1.0 - adam.beta2.powi(t as i32 + 1);
+            for (((x, gi), mi), vi) in want.iter_mut().zip(g.as_slice()).zip(&mut m).zip(&mut v) {
+                *mi = adam.beta1 * *mi + (1.0 - adam.beta1) * gi;
+                *vi = adam.beta2 * *vi + (1.0 - adam.beta2) * gi * gi;
+                *x -= adam.lr * (*mi / bc1) / ((*vi / bc2).sqrt() + adam.eps);
+            }
+        }
+        let got: Vec<u64> = params.get(w).as_slice().iter().map(|x| x.to_bits()).collect();
+        assert_eq!(got, want.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
     }
 
     #[test]
@@ -295,7 +353,7 @@ mod tests {
         let mut params = Params::new();
         let w = params.register(Matrix::full(1, 2, 1.0));
         let mut sgd = Sgd::new(0.5);
-        sgd.step(&mut params, &[(w, Matrix::from_rows(&[&[2.0, -4.0]]))]);
+        sgd.step(&mut params, &[(w, &Matrix::from_rows(&[&[2.0, -4.0]]))]);
         assert_eq!(params.get(w).as_slice(), &[0.0, 3.0]);
     }
 
@@ -310,14 +368,14 @@ mod tests {
         let mut adam = Adam::new(lr);
 
         // Step 1: m₁ = 0.1·1, v₁ = 0.001·1; bias-corrected m̂ = v̂ = 1.
-        adam.step(&mut params, &[(w, Matrix::full(1, 1, 1.0))]);
+        adam.step(&mut params, &[(w, &Matrix::full(1, 1, 1.0))]);
         let expected1 = -lr * 1.0 / (1.0f64.sqrt() + eps);
         assert!((params.get(w)[(0, 0)] - expected1).abs() < 1e-12);
 
         // Step 2 with g = 0.5:
         //   m₂ = 0.9·0.1 + 0.1·0.5 = 0.14,     m̂ = 0.14 / (1 − 0.9²)
         //   v₂ = 0.999·0.001 + 0.001·0.25,     v̂ = v₂ / (1 − 0.999²)
-        adam.step(&mut params, &[(w, Matrix::full(1, 1, 0.5))]);
+        adam.step(&mut params, &[(w, &Matrix::full(1, 1, 0.5))]);
         let m_hat = 0.14 / (1.0 - 0.9f64.powi(2));
         let v_hat = (0.999 * 0.001 + 0.001 * 0.25) / (1.0 - 0.999f64.powi(2));
         let expected2 = expected1 - lr * m_hat / (v_hat.sqrt() + eps);
@@ -334,7 +392,7 @@ mod tests {
         let w = params.register_named("w", Matrix::zeros(1, 2));
         let mut sgd = Sgd::new(0.5);
         let stats =
-            instrumented_step(&mut sgd, &mut params, &[(w, Matrix::from_rows(&[&[3.0, 4.0]]))]);
+            instrumented_step(&mut sgd, &mut params, &[(w, &Matrix::from_rows(&[&[3.0, 4.0]]))]);
         assert_eq!(stats.global_grad_norm, 5.0);
         assert_eq!(stats.grad_norms, vec![(w, 5.0)]);
         assert_eq!(stats.param_norm, 0.0);
@@ -354,7 +412,7 @@ mod tests {
         let stats = instrumented_step(
             &mut sgd,
             &mut params,
-            &[(a, Matrix::full(1, 1, 1.0)), (b, Matrix::full(1, 1, f64::NAN))],
+            &[(a, &Matrix::full(1, 1, 1.0)), (b, &Matrix::full(1, 1, f64::NAN))],
         );
         assert_eq!(stats.nonfinite_grad, Some(b));
         assert!(stats.global_grad_norm.is_nan());
@@ -393,9 +451,9 @@ mod proptests {
                 // control updates only the healthy one.
                 poisoned.step(
                     &mut poisoned_params,
-                    &[(pa, Matrix::full(1, 1, ga)), (pb, gb.clone())],
+                    &[(pa, &Matrix::full(1, 1, ga)), (pb, &gb)],
                 );
-                control.step(&mut control_params, &[(cb, gb)]);
+                control.step(&mut control_params, &[(cb, &gb)]);
             }
             // Both optimizers stepped 4 times, so bias correction agrees;
             // b's trajectory must be identical despite a's NaN gradient.

@@ -3,12 +3,13 @@
 //! Models in this workspace keep their weights in a flat [`Params`] store
 //! and refer to them by [`ParamId`]. Each training step binds the store to
 //! a fresh autograd tape ([`Params::bind`]), producing a [`BoundParams`]
-//! that maps ids to tape [`Var`]s; after `backward`, the optimizer reads
-//! each parameter's gradient through the same mapping. This mirrors the
-//! PyTorch parameter/optimizer split while staying explicit about tape
-//! lifetimes.
+//! that maps ids to tape [`Var`]s. The tape borrows the weights rather
+//! than copying them; [`BoundParams::backward`] hands back the gradients
+//! keyed by parameter ([`ParamGrads`]), which the optimizer applies once
+//! the tape is done. This mirrors the PyTorch parameter/optimizer split
+//! while staying explicit about tape lifetimes.
 
-use autograd::{Tape, Var};
+use autograd::{Gradients, Tape, Var};
 use tensor::Matrix;
 
 /// Identifier of a parameter inside a [`Params`] store.
@@ -80,16 +81,24 @@ impl Params {
         self.mats.iter().map(Matrix::len).sum()
     }
 
-    /// Creates tape leaves for every parameter, returning the binding used
-    /// by both the forward pass and the optimizer step.
-    pub fn bind<'t>(&self, tape: &'t Tape) -> BoundParams<'t> {
-        BoundParams { tape, vars: self.mats.iter().map(|m| tape.leaf(m.clone())).collect() }
+    /// All parameter values, in registration order (for an optimizer that
+    /// updates several at once).
+    pub(crate) fn values_mut(&mut self) -> &mut [Matrix] {
+        &mut self.mats
+    }
+
+    /// Creates tape leaves for every parameter, borrowing the values
+    /// rather than copying them ([`Tape::leaf_ref`]). The store stays
+    /// borrowed while the tape is in use; step the optimizer with
+    /// [`BoundParams::backward`]'s gradients after the tape's last use.
+    pub fn bind<'t>(&'t self, tape: &'t Tape<'t>) -> BoundParams<'t> {
+        BoundParams { tape, vars: self.mats.iter().map(|m| tape.leaf_ref(m)).collect() }
     }
 }
 
 /// Parameters bound to a specific tape as leaf nodes.
 pub struct BoundParams<'t> {
-    tape: &'t Tape,
+    tape: &'t Tape<'t>,
     vars: Vec<Var>,
 }
 
@@ -100,13 +109,41 @@ impl<'t> BoundParams<'t> {
     }
 
     /// The tape this binding belongs to.
-    pub fn tape(&self) -> &'t Tape {
+    pub fn tape(&self) -> &'t Tape<'t> {
         self.tape
     }
 
     /// Iterates over `(ParamId, Var)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (ParamId, Var)> + '_ {
         self.vars.iter().enumerate().map(|(i, &v)| (ParamId(i), v))
+    }
+
+    /// Runs the tape's reverse sweep from the scalar `loss` and keys the
+    /// gradients by parameter. The result borrows neither the tape nor
+    /// the store.
+    pub fn backward(&self, loss: Var) -> ParamGrads {
+        ParamGrads { grads: self.tape.backward(loss), vars: self.vars.clone() }
+    }
+}
+
+/// The gradients of one backward pass, keyed by parameter: what an
+/// optimizer step reads ([`crate::Optimizer::step_from_tape`]).
+pub struct ParamGrads {
+    grads: Gradients,
+    vars: Vec<Var>,
+}
+
+impl ParamGrads {
+    /// The gradient of parameter `id`; `None` if the loss does not
+    /// depend on it.
+    pub fn get(&self, id: ParamId) -> Option<&Matrix> {
+        self.grads.try_grad(self.vars[id.0])
+    }
+
+    /// `(ParamId, gradient)` for every parameter the loss depends on, in
+    /// registration order.
+    pub fn iter(&self) -> impl Iterator<Item = (ParamId, &Matrix)> + '_ {
+        (0..self.vars.len()).filter_map(|i| self.get(ParamId(i)).map(|g| (ParamId(i), g)))
     }
 }
 
@@ -145,5 +182,20 @@ mod tests {
         let bound = p.bind(&tape);
         assert_eq!(tape.value(bound.var(a))[(0, 0)], 3.0);
         assert_eq!(bound.iter().count(), 1);
+    }
+
+    #[test]
+    fn backward_keys_gradients_by_parameter() {
+        let mut p = Params::new();
+        let a = p.register(Matrix::full(1, 1, 3.0));
+        let unused = p.register(Matrix::ones(2, 2));
+        let tape = Tape::new();
+        let bound = p.bind(&tape);
+        let grads = bound.backward(tape.sum(tape.square(bound.var(a))));
+        // The tape is done: the store can be written again.
+        p.get_mut(a)[(0, 0)] = 0.0;
+        assert_eq!(grads.get(a), Some(&Matrix::full(1, 1, 6.0)));
+        assert!(grads.get(unused).is_none());
+        assert_eq!(grads.iter().map(|(id, _)| id).collect::<Vec<_>>(), vec![a]);
     }
 }

@@ -395,9 +395,11 @@ impl Net {
                 // exactly like a real divergence would.
                 self.params.get_mut(self.centers)[(0, 0)] = f64::NAN;
             }
+            // The tape borrows the parameters and the training matrix; the
+            // parameters are updated once the tape is done (line 11).
             let tape = Tape::new();
             let bound = self.params.bind(&tape);
-            let xv = tape.constant(x.clone());
+            let xv = tape.constant_ref(x);
 
             // Line 4: latent representation z.
             let z = self.ae.encode(&bound, xv);
@@ -407,8 +409,7 @@ impl Net {
             let (q, m) = cluster_head(&cfg, &tape, z, bound.var(self.centers));
 
             // Line 9: target distribution p from q (Eq. 11).
-            let q_val = tape.value(q);
-            let p = target_distribution(&q_val);
+            let p = tape.with_value(q, target_distribution);
 
             // Line 10: losses (Eq. 10, 12, 13).
             let ce = kl_div(&tape, &p, m);
@@ -417,7 +418,7 @@ impl Net {
 
             let ce_val = tape.value(ce)[(0, 0)];
             let re_val = tape.value(re)[(0, 0)];
-            let kl_pq_val = kl_div_value(&p, &q_val);
+            let kl_pq_val = tape.with_value(q, |q| kl_div_value(&p, q));
 
             // Health checks run before the history pushes and the update so
             // a strict-policy abort leaves neither a poisoned history entry
@@ -430,7 +431,7 @@ impl Net {
                 }
             }
             if abort_tensor.is_none()
-                && monitor.check_slice("q", q_val.as_slice(), epoch as u64).should_abort()
+                && tape.with_value(q, |q| monitor.check_slice("q", q.as_slice(), epoch as u64)).should_abort()
             {
                 abort_tensor = Some("q".to_string());
             }
@@ -441,8 +442,11 @@ impl Net {
 
             // Line 11: backprop and update, instrumented with gradient and
             // update-norm telemetry.
-            let grads = tape.backward(loss);
-            let stats = adam.step_from_tape_instrumented(&mut self.params, &bound, &grads);
+            let grads = bound.backward(loss);
+            // The epoch's q and m leave the tape (moved, not copied) before
+            // the update ends its borrow of the parameters.
+            let (q_val, m_val) = (tape.take_value(q), tape.take_value(m));
+            let stats = adam.step_from_tape_instrumented(&mut self.params, &grads);
             if let Some(id) = stats.nonfinite_grad {
                 let tensor = format!("grad.{}", self.params.name(id));
                 let norm = stats
@@ -492,7 +496,7 @@ impl Net {
             diagnostics::emit_diag_event("tabledc.diag", None, fit_id, &diag);
 
             final_q = q_val;
-            final_m = tape.value(m);
+            final_m = m_val;
         }
 
         if cfg.epochs == 0 {

@@ -240,8 +240,9 @@ impl<'p> Head<'p> {
 
     /// `Σᵢⱼ term(i, j)` in row-major order: the terms are evaluated in
     /// parallel row blocks, then added serially so the sum is the plain
-    /// left-to-right one.
-    fn sum_terms(self, shape: (usize, usize), term: impl Fn(usize, usize) -> f64 + Sync) -> f64 {
+    /// left-to-right one, bit-identical to `Σ` over an iterator of the
+    /// terms for every pool.
+    pub fn sum_terms(self, shape: (usize, usize), term: impl Fn(usize, usize) -> f64 + Sync) -> f64 {
         let terms = self.map_rows(shape, |i, row| {
             for (j, t) in row.iter_mut().enumerate() {
                 *t = term(i, j);

@@ -13,10 +13,12 @@
 //! copy of its body when the CPU has AVX2, and keeps the naive loop's exact
 //! per-element arithmetic, so every result is bit-identical across thread
 //! counts and CPUs. The soft-assignment clustering head and its loss run as
-//! fused row-block kernels ([`head`]) under the same bit-identity rule.
+//! fused row-block kernels ([`head`]) under the same bit-identity rule, as
+//! do the training layer stack's dense layer and MSE loss ([`layer`]).
 
 pub mod distance;
 pub mod head;
+pub mod layer;
 pub mod linalg;
 pub mod matrix;
 pub mod par;

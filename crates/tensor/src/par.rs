@@ -119,7 +119,29 @@ pub fn matmul(pool: &ThreadPool, a: &Matrix, b: &Matrix) -> Matrix {
         b.rows(),
         b.cols()
     );
-    gemm(pool, Isa::detect(), (a.rows(), a.cols(), b.cols()), Operand::plain(a), Operand::plain(b))
+    gemm(pool, Isa::detect(), (a.rows(), a.cols(), b.cols()), Operand::plain(a), Operand::plain(b), &|_| {})
+}
+
+/// [`matmul`] followed by `epilogue` on the product's output: each
+/// parallel row block, once its last slab is accumulated, is handed to
+/// `epilogue` as whole rows while it is still in cache. The product
+/// entries `epilogue` sees are [`matmul`]'s bits, and it runs once per row
+/// block (on every row exactly once), so an elementwise epilogue gives the
+/// same result as a separate pass over [`matmul`]'s output.
+///
+/// # Panics
+/// Panics if `a.cols() != b.rows()`.
+pub fn matmul_then(pool: &ThreadPool, a: &Matrix, b: &Matrix, epilogue: &(dyn Fn(&mut [f64]) + Sync)) -> Matrix {
+    assert_eq!(
+        a.cols(),
+        b.rows(),
+        "matmul_then: inner dimensions differ ({}x{} · {}x{})",
+        a.rows(),
+        a.cols(),
+        b.rows(),
+        b.cols()
+    );
+    gemm(pool, Isa::detect(), (a.rows(), a.cols(), b.cols()), Operand::plain(a), Operand::plain(b), epilogue)
 }
 
 /// Transposed-left product `aᵀ · b` on an explicit pool, without
@@ -137,7 +159,7 @@ pub fn matmul_tn(pool: &ThreadPool, a: &Matrix, b: &Matrix) -> Matrix {
         b.rows(),
         b.cols()
     );
-    gemm(pool, Isa::detect(), (a.cols(), a.rows(), b.cols()), Operand::transposed(a), Operand::plain(b))
+    gemm(pool, Isa::detect(), (a.cols(), a.rows(), b.cols()), Operand::transposed(a), Operand::plain(b), &|_| {})
 }
 
 /// Transposed-right product `a · bᵀ` on an explicit pool, without
@@ -155,7 +177,7 @@ pub fn matmul_nt(pool: &ThreadPool, a: &Matrix, b: &Matrix) -> Matrix {
         b.rows(),
         b.cols()
     );
-    gemm(pool, Isa::detect(), (a.rows(), a.cols(), b.rows()), Operand::plain(a), Operand::transposed(b))
+    gemm(pool, Isa::detect(), (a.rows(), a.cols(), b.rows()), Operand::plain(a), Operand::transposed(b), &|_| {})
 }
 
 /// The packed, register-tiled product of an `n×k` operand `a` and a `k×m`
@@ -168,11 +190,23 @@ pub fn matmul_nt(pool: &ThreadPool, a: &Matrix, b: &Matrix) -> Matrix {
 /// slabs. Every output element therefore sees exactly
 /// `acc = 0.0; for p in 0..k { acc += a[i][p] * b[p][j] }`, with the
 /// multiply and add rounded separately — the same bits as a naive loop,
-/// whatever the blocking, thread count or [`Isa`].
-fn gemm(pool: &ThreadPool, isa: Isa, (n, k, m): (usize, usize, usize), a: Operand, b: Operand) -> Matrix {
+/// whatever the blocking, thread count or [`Isa`]. `epilogue` then runs
+/// on each finished row block (see [`matmul_then`]).
+fn gemm(
+    pool: &ThreadPool,
+    isa: Isa,
+    (n, k, m): (usize, usize, usize),
+    a: Operand,
+    b: Operand,
+    epilogue: &(dyn Fn(&mut [f64]) + Sync),
+) -> Matrix {
     let _timer = obs::span!("tensor.matmul");
     let mut out = Matrix::zeros(n, m);
-    if n == 0 || m == 0 || k == 0 {
+    if n == 0 || m == 0 {
+        return out;
+    }
+    if k == 0 {
+        epilogue(out.as_mut_slice());
         return out;
     }
     let panels = m.div_ceil(NR);
@@ -186,8 +220,12 @@ fn gemm(pool: &ThreadPool, isa: Isa, (n, k, m): (usize, usize, usize), a: Operan
         let b_slab = &mut b_pack[..kc * panels * NR];
         pack_b(b, pc, kc, m, b_slab);
         let b_slab = &*b_slab;
+        let last = pc + kc == k;
         par_for_rows(pool, out.as_mut_slice(), m, block, |first_row, chunk| {
             RowBlock { a, first_row, pc, kc, b_slab, m }.run_on(isa, chunk);
+            if last {
+                epilogue(chunk);
+            }
         });
     }
     out
@@ -684,6 +722,23 @@ mod tests {
     }
 
     #[test]
+    fn matmul_then_runs_its_epilogue_once_after_the_last_slab() {
+        // An affine epilogue: applied to a partial sum, or twice, it would
+        // change the bits.
+        let epilogue = |rows: &mut [f64]| rows.iter_mut().for_each(|v| *v = *v * 0.5 - 1.0);
+        for (s, &(n, k, m)) in SHAPES.iter().enumerate() {
+            let a = test_matrix(n, k, 110 + s as u64);
+            let b = test_matrix(k, m, 130 + s as u64);
+            let mut want = naive(&a, &b);
+            epilogue(want.as_mut_slice());
+            for pool in pools() {
+                let what = format!("{n}x{k}·{k}x{m}, {} threads", pool.threads());
+                assert_same_bits(&matmul_then(&pool, &a, &b, &epilogue), &want, &what);
+            }
+        }
+    }
+
+    #[test]
     fn plain_and_avx2_copies_agree_bitwise() {
         // Without AVX2 only the plain copy can run; there is nothing to compare.
         let Some(avx2) = Isa::avx2() else { return };
@@ -691,7 +746,7 @@ mod tests {
             let a = test_matrix(n, k, 70 + s as u64);
             let b = test_matrix(m, k, 90 + s as u64);
             for pool in pools() {
-                let run = |isa| gemm(&pool, isa, (n, k, m), Operand::plain(&a), Operand::transposed(&b));
+                let run = |isa| gemm(&pool, isa, (n, k, m), Operand::plain(&a), Operand::transposed(&b), &|_| {});
                 let what = format!("{n}x{k}·{k}x{m}, {} threads", pool.threads());
                 assert_same_bits(&run(avx2), &run(Isa::Plain), &what);
             }

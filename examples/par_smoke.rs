@@ -1,7 +1,10 @@
 //! Parallel-runtime smoke check: times `sq_euclidean_cdist` on a
 //! 2000×128 matrix, the matmul kernel at the fit-tall forward shape
 //! (4248×160 · 160×256) and its transposed-left backward shape
-//! (160×4248 · 4248×256, via `matmul_tn`), and the fused clustering head
+//! (160×4248 · 4248×256, via `matmul_tn`), the fused dense layer at the
+//! fit-tall first layer (4248×160 → 256, ReLU): its forward (product, bias
+//! and activation in one pass) and its backward (activation gradient,
+//! bias, weight and input gradients), the fused clustering head
 //! at the fit-wide shape (2050 latent rows, 684 centers): its forward
 //! (soft assignment, softmax, KL loss) and its backward (KL, softmax and
 //! soft-assignment gradients), and one 64-row request to a frozen TableDC
@@ -20,6 +23,7 @@ use std::time::{Duration, Instant};
 use runtime::ThreadPool;
 use tabledc::{Init, TableDc, TableDcConfig};
 use tensor::head::{Head, SoftKernel};
+use tensor::layer::{Activation, Dense};
 use tensor::random::{randn, rng};
 use tensor::par;
 
@@ -84,6 +88,7 @@ fn main() {
     let act = randn(4248, 160, &mut r);
     let w = randn(160, 256, &mut r);
     let grad = randn(4248, 256, &mut r);
+    let bias = randn(1, 256, &mut r);
     // Fit-wide clustering head: squared Mahalanobis distances (Σ = 0.01·I)
     // from 2050 latent rows to 684 centers, the Cauchy kernel, and a
     // target distribution from a sharper softmax of the same distances.
@@ -121,6 +126,14 @@ fn main() {
     ok &= check("matmul 4248x160 · 160x256", &serial, parallel, |pool| par::matmul(pool, &act, &w));
     ok &= check("matmul_tn 160x4248 · 4248x256", &serial, parallel, |pool| {
         par::matmul_tn(pool, &act, &grad)
+    });
+    ok &= check("fused linear forward 4248x160 -> 256 relu", &serial, parallel, |pool| {
+        Dense::on(pool).forward(&act, &w, bias.row(0), Activation::Relu)
+    });
+    let layer_out = Dense::on(&serial).forward(&act, &w, bias.row(0), Activation::Relu);
+    ok &= check("fused linear backward 4248x160 -> 256 relu", &serial, parallel, |pool| {
+        let grads = Dense::on(pool).backward(&act, &w, &layer_out, grad.clone(), Activation::Relu, (true, true, true));
+        (grads.dx, grads.dw, grads.db)
     });
     let forward = |pool: &ThreadPool| {
         let head = Head::on(pool);

@@ -6,13 +6,15 @@
 #   1. cargo build --release && cargo test -q   (the repo's tier-1 gate)
 #   2. par_smoke example: times sq_euclidean_cdist on a 2000x128 matrix,
 #      matmul at the fit-tall forward shape (4248x160 . 160x256),
-#      matmul_tn at its backward shape (160x4248 . 4248x256), and the
-#      fused clustering head's forward and backward at the fit-wide shape
-#      (2050 latent rows, 684 centers), and one 64-row request to a frozen
-#      TableDC model at the assign shape (d=160, hidden [256,128], latent
-#      48, k=684), each on a 1-thread pool vs the full pool; asserts every
-#      pair of outputs is bit-identical, and fails if any parallel run is
-#      >1.5x slower than serial.
+#      matmul_tn at its backward shape (160x4248 . 4248x256), the fused
+#      dense layer's forward and backward at the fit-tall first layer
+#      (4248x160 -> 256, ReLU), the fused clustering head's forward and
+#      backward at the fit-wide shape (2050 latent rows, 684 centers), and
+#      one 64-row request to a frozen TableDC model at the assign shape
+#      (d=160, hidden [256,128], latent 48, k=684), each on a 1-thread
+#      pool vs the full pool; asserts every pair of outputs is
+#      bit-identical, and fails if any parallel run is >1.5x slower than
+#      serial.
 #   3. quickstart under TABLEDC_TRACE=<file> + TABLEDC_PROFILE=alloc +
 #      TABLEDC_FOLDED=<file> + TABLEDC_HEALTH=strict: the emitted trace
 #      must be valid JSON lines with monotone timestamps, balanced
@@ -52,7 +54,7 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
-echo "== runtime smoke: serial vs parallel cdist, matmul, fused head and frozen request =="
+echo "== runtime smoke: serial vs parallel cdist, matmul, fused layer, fused head and frozen request =="
 # Exercise real multi-thread scheduling even on single-core CI boxes; the
 # example still applies its slowdown gate.
 TABLEDC_THREADS=${TABLEDC_THREADS:-4} cargo run --release -q -p bench --example par_smoke
