@@ -179,9 +179,9 @@ impl Starmie {
             let v1 = augment(rng);
             let v2 = augment(rng);
             let proj = &projector;
-            let _ = train_step(&mut params, &mut adam, |t, bound| {
-                let a = proj.forward(bound, t.constant(v1.clone()));
-                let b = proj.forward(bound, t.constant(v2.clone()));
+            let _ = train_step(&mut params, &mut adam, [&v1, &v2], |t, bound, [v1, v2]| {
+                let a = proj.forward(bound, v1);
+                let b = proj.forward(bound, v2);
                 nt_xent(t, a, b, 0.5)
             });
         }

@@ -42,6 +42,12 @@ impl DeepConfig {
     pub fn encoder_dims(&self, input_dim: usize) -> Vec<usize> {
         vec![input_dim, 256, 128, self.latent_dim]
     }
+
+    /// The KNN graph degree over `n` rows: [`DeepConfig::knn_k`] clamped
+    /// to `1..=n − 1`.
+    pub fn knn_degree(&self, n: usize) -> usize {
+        self.knn_k.min(n.saturating_sub(1)).max(1)
+    }
 }
 
 /// Output of a baseline run.
@@ -164,18 +170,20 @@ pub fn kmeans_centers(z: &Matrix, k: usize, rng: &mut StdRng) -> Matrix {
     clustering::KMeans::new(k).fit(z, rng).centroids
 }
 
-/// Binds `params`, runs `forward` to produce a scalar loss, backprops and
-/// applies one Adam step. Returns the loss value. Centralizing this loop
-/// keeps each baseline's `fit` focused on its objective.
-pub fn train_step(
+/// Binds `params`, puts the `data` matrices on the tape as borrowed
+/// constants (no copy), runs `forward` on them to produce a scalar loss,
+/// backprops and applies one Adam step. Returns the loss value.
+/// Centralizing this loop keeps each baseline's `fit` focused on its
+/// objective.
+pub fn train_step<const N: usize>(
     params: &mut Params,
     adam: &mut nn::Adam,
-    forward: impl FnOnce(&Tape, &nn::BoundParams<'_>) -> Var,
+    data: [&Matrix; N],
+    forward: impl FnOnce(&Tape, &nn::BoundParams<'_>, [Var; N]) -> Var,
 ) -> f64 {
-    use nn::Optimizer;
     let tape = Tape::new();
     let bound = params.bind(&tape);
-    let loss = forward(&tape, &bound);
+    let loss = forward(&tape, &bound, data.map(|m| tape.constant_ref(m)));
     let value = tape.value(loss)[(0, 0)];
     let grads = bound.backward(loss);
     adam.step_from_tape(params, &grads);
@@ -264,7 +272,7 @@ mod tests {
         let mut adam = nn::Adam::new(0.1);
         let mut last = f64::INFINITY;
         for _ in 0..100 {
-            last = train_step(&mut params, &mut adam, |t, b| t.sum(t.square(b.var(w))));
+            last = train_step(&mut params, &mut adam, [], |t, b, []| t.sum(t.square(b.var(w))));
         }
         assert!(last < 0.1, "loss {last}");
     }

@@ -48,8 +48,7 @@ impl Dcrn {
         // preprocessing so the comparison isolates the objectives.
         let x = &x.standardize_cols();
         let cfg = &self.config;
-        let adj: Rc<Csr> =
-            Rc::new(gcn_adjacency(x, cfg.knn_k.min(x.rows().saturating_sub(1)).max(1)));
+        let adj: Rc<Csr> = Rc::new(gcn_adjacency(x, cfg.knn_degree(x.rows())));
 
         let mut params = Params::new();
         let dims = cfg.encoder_dims(x.cols());
@@ -86,11 +85,7 @@ impl Dcrn {
             let mut q_val = Matrix::zeros(1, 1);
             let mut re_val = 0.0;
             let mut kl_val = 0.0;
-            let loss_val = train_step(&mut params, &mut adam, |t, bound| {
-                let xv = t.constant(x.clone());
-                let x1v = t.constant(x1.clone());
-                let x2v = t.constant(x2.clone());
-
+            let loss_val = train_step(&mut params, &mut adam, [x, &x1, &x2], |t, bound, [xv, x1v, x2v]| {
                 let z1 = t.add(ae_ref.encode(bound, x1v), gcn_ref.forward(bound, &adj, x1v));
                 let z2 = t.add(ae_ref.encode(bound, x2v), gcn_ref.forward(bound, &adj, x2v));
 

@@ -39,8 +39,7 @@ impl Dfcn {
         // preprocessing so the comparison isolates the objectives.
         let x = &x.standardize_cols();
         let cfg = &self.config;
-        let adj: Rc<Csr> =
-            Rc::new(gcn_adjacency(x, cfg.knn_k.min(x.rows().saturating_sub(1)).max(1)));
+        let adj: Rc<Csr> = Rc::new(gcn_adjacency(x, cfg.knn_degree(x.rows())));
 
         let mut params = Params::new();
         let dims = cfg.encoder_dims(x.cols());
@@ -71,8 +70,7 @@ impl Dfcn {
             let mut q_val = Matrix::zeros(1, 1);
             let mut re_val = 0.0;
             let mut kl_val = 0.0;
-            let loss_val = train_step(&mut params, &mut adam, |t, bound| {
-                let xv = t.constant(x.clone());
+            let loss_val = train_step(&mut params, &mut adam, [x, &smoothed], |t, bound, [xv, sm]| {
                 let z_ae = ae_ref.encode(bound, xv);
                 let recon = ae_ref.decode(bound, z_ae);
                 let z_gcn = gcn_ref.forward(bound, &adj, xv);
@@ -95,7 +93,6 @@ impl Dfcn {
                 // GCN view reconstructs the smoothed input from its latent
                 // via the decoder (shared decoder, as in the fusion idea).
                 let recon_g = ae_ref.decode(bound, z_gcn);
-                let sm = t.constant(smoothed.clone());
                 let re_gcn = mse(t, sm, recon_g);
                 re_val = t.value(re_ae)[(0, 0)];
                 kl_val = kl_div_value(&p, &q_val);

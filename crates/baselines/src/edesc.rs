@@ -69,8 +69,7 @@ impl Edesc {
             let mut s_val = Matrix::zeros(1, 1);
             let mut re_val = 0.0;
             let mut kl_val = 0.0;
-            let loss_val = train_step(&mut params, &mut adam, |t, bound| {
-                let xv = t.constant(x.clone());
+            let loss_val = train_step(&mut params, &mut adam, [x], |t, bound, [xv]| {
                 let z = ae_ref.encode(bound, xv);
                 let recon = ae_ref.decode(bound, z);
                 let d = bound.var(bases);

@@ -40,7 +40,7 @@ impl Sdcn {
         // preprocessing so the comparison isolates the objectives.
         let x = &x.standardize_cols();
         let cfg = &self.config;
-        let adj: Rc<Csr> = Rc::new(gcn_adjacency(x, cfg.knn_k.min(x.rows().saturating_sub(1)).max(1)));
+        let adj: Rc<Csr> = Rc::new(gcn_adjacency(x, cfg.knn_degree(x.rows())));
 
         // Pretrained AE.
         let mut params = Params::new();
@@ -76,9 +76,7 @@ impl Sdcn {
             let mut z_val = Matrix::zeros(1, 1);
             let mut re_val = 0.0;
             let mut kl_val = 0.0;
-            let loss_val = train_step(&mut params, &mut adam, |t, bound| {
-                let xv = t.constant(x.clone());
-
+            let loss_val = train_step(&mut params, &mut adam, [x], |t, bound, [xv]| {
                 // AE forward, keeping every encoder layer's activations for
                 // injection into the GCN.
                 let mut h = xv;

@@ -51,7 +51,7 @@ impl Shgp {
         let x = &x.standardize_cols();
         let cfg = &self.config;
         let n = x.rows();
-        let knn = cfg.knn_k.min(n.saturating_sub(1)).max(1);
+        let knn = cfg.knn_degree(n);
 
         let mut params = Params::new();
         let encoder = Mlp::new(
@@ -102,13 +102,11 @@ impl Shgp {
             for _ in 0..steps_per_round {
                 let enc = &encoder;
                 let head_ref = &head;
-                let tgt = targets.clone();
-                let _ = train_step(&mut params, &mut adam, |t, bound| {
-                    let xv = t.constant(x.clone());
+                let _ = train_step(&mut params, &mut adam, [x], |t, bound, [xv]| {
                     let z = enc.forward(bound, xv);
                     let logits = head_ref.forward(bound, z);
                     let probs = t.softmax_rows(logits);
-                    cross_entropy(t, &tgt, probs)
+                    cross_entropy(t, &targets, probs)
                 });
             }
             embedding = encoder.infer(&params, x);

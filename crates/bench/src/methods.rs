@@ -9,7 +9,6 @@ use clustering::{Birch, Dbscan, KMeans};
 use datagen::Task;
 use rand::rngs::StdRng;
 use tabledc::{TableDc, TableDcConfig};
-use tensor::distance::euclidean;
 use tensor::Matrix;
 
 /// Every clustering method of Tables 2–4, in the paper's row order.
@@ -171,19 +170,11 @@ impl Budget {
 
 /// Median distance to the `k`-th nearest neighbour — the standard DBSCAN
 /// eps heuristic.
+///
+/// # Panics
+/// Panics if `x` has fewer than two rows.
 pub fn median_knn_distance(x: &Matrix, k: usize) -> f64 {
-    let n = x.rows();
-    let k = k.min(n.saturating_sub(1)).max(1);
-    let mut kth: Vec<f64> = (0..n)
-        .map(|i| {
-            let mut d: Vec<f64> =
-                (0..n).filter(|&j| j != i).map(|j| euclidean(x.row(i), x.row(j))).collect();
-            d.sort_by(|a, b| a.partial_cmp(b).expect("NaN distance"));
-            d[k - 1]
-        })
-        .collect();
-    kth.sort_by(|a, b| a.partial_cmp(b).expect("NaN distance"));
-    kth[n / 2]
+    clustering::dbscan::kth_nn_distances(x, k)[x.rows() / 2]
 }
 
 #[cfg(test)]

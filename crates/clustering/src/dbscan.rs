@@ -85,14 +85,16 @@ impl Dbscan {
     }
 }
 
-/// Selects DBSCAN's ε without labels by maximizing the silhouette score
-/// over a grid of k-NN-distance quantiles — the model-selection loop a
-/// real deployment needs (the benchmark harness uses the median-4NN
-/// heuristic directly for parity with the paper's untuned runs).
-pub fn auto_eps(x: &Matrix, min_pts: usize, quantiles: &[f64]) -> f64 {
+/// Every row's Euclidean distance to its `k`-th nearest other row, sorted
+/// ascending (`k` clamped to `1..=n − 1`): the k-distance curve DBSCAN's ε
+/// is read from. O(n²) distances.
+///
+/// # Panics
+/// Panics if `x` has fewer than two rows.
+pub fn kth_nn_distances(x: &Matrix, k: usize) -> Vec<f64> {
     let n = x.rows();
-    assert!(n >= 2, "auto_eps: need at least two points");
-    let k = min_pts.min(n - 1).max(1);
+    assert!(n >= 2, "kth_nn_distances: need at least two points");
+    let k = k.min(n - 1).max(1);
     let mut kth: Vec<f64> = (0..n)
         .map(|i| {
             let mut d: Vec<f64> = (0..n)
@@ -104,7 +106,16 @@ pub fn auto_eps(x: &Matrix, min_pts: usize, quantiles: &[f64]) -> f64 {
         })
         .collect();
     kth.sort_by(|a, b| a.partial_cmp(b).expect("NaN distance"));
+    kth
+}
 
+/// Selects DBSCAN's ε without labels by maximizing the silhouette score
+/// over a grid of k-NN-distance quantiles — the model-selection loop a
+/// real deployment needs (the benchmark harness uses the median-4NN
+/// heuristic directly for parity with the paper's untuned runs).
+pub fn auto_eps(x: &Matrix, min_pts: usize, quantiles: &[f64]) -> f64 {
+    let n = x.rows();
+    let kth = kth_nn_distances(x, min_pts);
     let mut best = (f64::NEG_INFINITY, kth[n / 2]);
     for &q in quantiles {
         let idx = ((q.clamp(0.0, 1.0)) * (n - 1) as f64).round() as usize;

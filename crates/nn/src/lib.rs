@@ -1,7 +1,7 @@
 //! # nn — neural-network building blocks on the autograd tape
 //!
 //! Layers ([`layers`]), the shared autoencoder ([`autoencoder`]), losses
-//! ([`loss`]), optimizers ([`optim`]), and parameter management
+//! ([`loss`]), the Adam optimizer ([`optim`]), and parameter management
 //! ([`params`]). Every deep model in this repository — TableDC itself and
 //! the SDCN/DFCN/DCRN/EDESC/SHGP baselines — is assembled from these
 //! pieces, so behavioural differences between methods come from their
@@ -15,7 +15,7 @@ pub mod params;
 
 pub use autoencoder::Autoencoder;
 pub use layers::{Activation, FrozenMlp, Linear, Mlp};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;
 pub use params::{BoundParams, ParamGrads, ParamId, Params};
 
 #[cfg(test)]
@@ -26,7 +26,7 @@ mod integration {
 
     use crate::layers::{Activation, Mlp};
     use crate::loss::mse;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::Adam;
     use crate::params::Params;
 
     /// End-to-end sanity: a 2-layer MLP can fit a linear map.

@@ -1,41 +1,9 @@
-//! First-order optimizers: SGD and Adam.
-//!
-//! The paper trains TableDC and every deep baseline with Adam (§4.3); SGD
-//! is kept for tests and ablations.
+//! The optimizer: Adam, with which the paper trains TableDC and every deep
+//! baseline (§4.3).
 
 use tensor::Matrix;
 
 use crate::params::{ParamGrads, ParamId, Params};
-
-/// A first-order optimizer over a [`Params`] store.
-pub trait Optimizer {
-    /// Applies one update step given `(id, gradient)` pairs, each id at
-    /// most once.
-    fn step(&mut self, params: &mut Params, grads: &[(ParamId, &Matrix)]);
-
-    /// Convenience: applies the step to every parameter that has a
-    /// gradient in a backward pass ([`crate::BoundParams::backward`]),
-    /// reading the gradients in place.
-    fn step_from_tape(&mut self, params: &mut Params, grads: &ParamGrads)
-    where
-        Self: Sized,
-    {
-        let pairs: Vec<(ParamId, &Matrix)> = grads.iter().collect();
-        self.step(params, &pairs);
-    }
-
-    /// [`Optimizer::step_from_tape`] with training-health telemetry: the
-    /// step additionally measures per-parameter and global gradient L2
-    /// norms, the update-to-parameter-norm ratio, and whether any gradient
-    /// carried a non-finite entry. See [`instrumented_step`].
-    fn step_from_tape_instrumented(&mut self, params: &mut Params, grads: &ParamGrads) -> StepStats
-    where
-        Self: Sized,
-    {
-        let pairs: Vec<(ParamId, &Matrix)> = grads.iter().collect();
-        instrumented_step(self, params, &pairs)
-    }
-}
 
 /// Numerical-health telemetry of one optimizer step.
 #[derive(Debug, Clone)]
@@ -96,78 +64,6 @@ impl StepStats {
     }
 }
 
-/// Applies one optimizer step while measuring gradient and update norms.
-///
-/// The measurement is three extra passes over the updated parameters
-/// (gradient norms, pre-step parameter snapshot, post-step delta norm) —
-/// negligible next to the backward pass that produced the gradients, so
-/// callers run it unconditionally and the health policy only decides what
-/// to *do* with the numbers.
-pub fn instrumented_step(
-    opt: &mut (impl Optimizer + ?Sized),
-    params: &mut Params,
-    grads: &[(ParamId, &Matrix)],
-) -> StepStats {
-    let mut grad_norms = Vec::with_capacity(grads.len());
-    let mut global_sq = 0.0;
-    let mut nonfinite_grad = None;
-    for (id, g) in grads {
-        let sq = g.frobenius_sq();
-        if !sq.is_finite() && nonfinite_grad.is_none() {
-            nonfinite_grad = Some(*id);
-        }
-        grad_norms.push((*id, sq.sqrt()));
-        global_sq += sq;
-    }
-    let before: Vec<(ParamId, Matrix)> =
-        grads.iter().map(|(id, _)| (*id, params.get(*id).clone())).collect();
-    let param_sq: f64 = before.iter().map(|(_, m)| m.frobenius_sq()).sum();
-    opt.step(params, grads);
-    let update_sq: f64 = before
-        .iter()
-        .map(|(id, old)| {
-            old.as_slice()
-                .iter()
-                .zip(params.get(*id).as_slice())
-                .map(|(a, b)| (b - a) * (b - a))
-                .sum::<f64>()
-        })
-        .sum();
-    StepStats {
-        grad_norms,
-        global_grad_norm: global_sq.sqrt(),
-        param_norm: param_sq.sqrt(),
-        update_norm: update_sq.sqrt(),
-        nonfinite_grad,
-    }
-}
-
-/// Plain stochastic gradient descent: `θ ← θ − lr·g`.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f64,
-}
-
-impl Sgd {
-    /// Creates SGD with the given learning rate.
-    pub fn new(lr: f64) -> Self {
-        Self { lr }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut Params, grads: &[(ParamId, &Matrix)]) {
-        for (id, g) in grads {
-            let p = params.get_mut(*id);
-            debug_assert_eq!(p.shape(), g.shape());
-            for (w, gi) in p.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                *w -= self.lr * gi;
-            }
-        }
-    }
-}
-
 /// Adam (Kingma & Ba) with bias correction — the optimizer of §4.3.
 #[derive(Debug, Clone)]
 pub struct Adam {
@@ -188,6 +84,108 @@ impl Adam {
     /// Adam with standard hyper-parameters (β₁=0.9, β₂=0.999, ε=1e-8).
     pub fn new(lr: f64) -> Self {
         Self { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
+    }
+
+    /// Applies one update step given `(id, gradient)` pairs, each id at
+    /// most once. Updates every parameter element by the same arithmetic,
+    /// over fixed chunks of `ADAM_CHUNK` values run in parallel on the
+    /// global pool: bit-identical for every thread count.
+    pub fn step(&mut self, params: &mut Params, grads: &[(ParamId, &Matrix)]) {
+        self.t += 1;
+        let step = AdamStep {
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            bc1: 1.0 - self.beta1.powi(self.t as i32),
+            bc2: 1.0 - self.beta2.powi(self.t as i32),
+        };
+        for (id, g) in grads {
+            self.ensure_state(*id, g.shape());
+        }
+        // Disjoint mutable views of the stepped parameters and moments.
+        let mut ws: Vec<Option<&mut Matrix>> = params.values_mut().iter_mut().map(Some).collect();
+        let mut ms: Vec<Option<&mut Matrix>> = self.m.iter_mut().map(Option::as_mut).collect();
+        let mut vs: Vec<Option<&mut Matrix>> = self.v.iter_mut().map(Option::as_mut).collect();
+        let mut chunks: Vec<AdamChunk<'_>> = Vec::new();
+        for (id, g) in grads {
+            let w = ws[id.0].take().expect("Adam::step: parameter listed twice");
+            let m = ms[id.0].take().expect("state ensured");
+            let v = vs[id.0].take().expect("state ensured");
+            assert_eq!(w.shape(), g.shape(), "Adam::step: gradient shape of {id:?}");
+            let parts = w.as_mut_slice().chunks_mut(ADAM_CHUNK).zip(g.as_slice().chunks(ADAM_CHUNK));
+            let moments = m.as_mut_slice().chunks_mut(ADAM_CHUNK).zip(v.as_mut_slice().chunks_mut(ADAM_CHUNK));
+            chunks.extend(parts.zip(moments).map(|((w, g), (m, v))| (w, g, m, v)));
+        }
+        let pool = runtime::global();
+        if pool.is_serial() || chunks.len() <= 1 {
+            chunks.into_iter().for_each(|c| step.update(c));
+        } else {
+            pool.scope(|s| {
+                for c in chunks {
+                    s.spawn(move || step.update(c));
+                }
+            });
+        }
+    }
+
+    /// Applies the step to every parameter that has a gradient in a
+    /// backward pass ([`crate::BoundParams::backward`]), reading the
+    /// gradients in place.
+    pub fn step_from_tape(&mut self, params: &mut Params, grads: &ParamGrads) {
+        let pairs: Vec<(ParamId, &Matrix)> = grads.iter().collect();
+        self.step(params, &pairs);
+    }
+
+    /// [`Adam::step_from_tape`] with training-health telemetry: see
+    /// [`Adam::instrumented_step`].
+    pub fn step_from_tape_instrumented(&mut self, params: &mut Params, grads: &ParamGrads) -> StepStats {
+        let pairs: Vec<(ParamId, &Matrix)> = grads.iter().collect();
+        self.instrumented_step(params, &pairs)
+    }
+
+    /// [`Adam::step`] while measuring per-parameter and global gradient L2
+    /// norms, the update-to-parameter-norm ratio, and whether any gradient
+    /// carried a non-finite entry.
+    ///
+    /// The measurement is three extra passes over the updated parameters
+    /// (gradient norms, pre-step parameter snapshot, post-step delta norm) —
+    /// negligible next to the backward pass that produced the gradients, so
+    /// callers run it unconditionally and the health policy only decides what
+    /// to *do* with the numbers.
+    pub fn instrumented_step(&mut self, params: &mut Params, grads: &[(ParamId, &Matrix)]) -> StepStats {
+        let mut grad_norms = Vec::with_capacity(grads.len());
+        let mut global_sq = 0.0;
+        let mut nonfinite_grad = None;
+        for (id, g) in grads {
+            let sq = g.frobenius_sq();
+            if !sq.is_finite() && nonfinite_grad.is_none() {
+                nonfinite_grad = Some(*id);
+            }
+            grad_norms.push((*id, sq.sqrt()));
+            global_sq += sq;
+        }
+        let before: Vec<(ParamId, Matrix)> =
+            grads.iter().map(|(id, _)| (*id, params.get(*id).clone())).collect();
+        let param_sq: f64 = before.iter().map(|(_, m)| m.frobenius_sq()).sum();
+        self.step(params, grads);
+        let update_sq: f64 = before
+            .iter()
+            .map(|(id, old)| {
+                old.as_slice()
+                    .iter()
+                    .zip(params.get(*id).as_slice())
+                    .map(|(a, b)| (b - a) * (b - a))
+                    .sum::<f64>()
+            })
+            .sum();
+        StepStats {
+            grad_norms,
+            global_grad_norm: global_sq.sqrt(),
+            param_norm: param_sq.sqrt(),
+            update_norm: update_sq.sqrt(),
+            nonfinite_grad,
+        }
     }
 
     fn ensure_state(&mut self, id: ParamId, shape: (usize, usize)) {
@@ -233,58 +231,14 @@ impl AdamStep {
     }
 }
 
-impl Optimizer for Adam {
-    /// Updates every parameter element by the same arithmetic, over fixed
-    /// chunks of [`ADAM_CHUNK`] values run in parallel on the global pool:
-    /// bit-identical for every thread count.
-    fn step(&mut self, params: &mut Params, grads: &[(ParamId, &Matrix)]) {
-        self.t += 1;
-        let step = AdamStep {
-            lr: self.lr,
-            beta1: self.beta1,
-            beta2: self.beta2,
-            eps: self.eps,
-            bc1: 1.0 - self.beta1.powi(self.t as i32),
-            bc2: 1.0 - self.beta2.powi(self.t as i32),
-        };
-        for (id, g) in grads {
-            self.ensure_state(*id, g.shape());
-        }
-        // Disjoint mutable views of the stepped parameters and moments.
-        let mut ws: Vec<Option<&mut Matrix>> = params.values_mut().iter_mut().map(Some).collect();
-        let mut ms: Vec<Option<&mut Matrix>> = self.m.iter_mut().map(Option::as_mut).collect();
-        let mut vs: Vec<Option<&mut Matrix>> = self.v.iter_mut().map(Option::as_mut).collect();
-        let mut chunks: Vec<AdamChunk<'_>> = Vec::new();
-        for (id, g) in grads {
-            let w = ws[id.0].take().expect("Adam::step: parameter listed twice");
-            let m = ms[id.0].take().expect("state ensured");
-            let v = vs[id.0].take().expect("state ensured");
-            assert_eq!(w.shape(), g.shape(), "Adam::step: gradient shape of {id:?}");
-            let parts = w.as_mut_slice().chunks_mut(ADAM_CHUNK).zip(g.as_slice().chunks(ADAM_CHUNK));
-            let moments = m.as_mut_slice().chunks_mut(ADAM_CHUNK).zip(v.as_mut_slice().chunks_mut(ADAM_CHUNK));
-            chunks.extend(parts.zip(moments).map(|((w, g), (m, v))| (w, g, m, v)));
-        }
-        let pool = runtime::global();
-        if pool.is_serial() || chunks.len() <= 1 {
-            chunks.into_iter().for_each(|c| step.update(c));
-        } else {
-            pool.scope(|s| {
-                for c in chunks {
-                    s.spawn(move || step.update(c));
-                }
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use autograd::Tape;
 
-    /// Minimizes f(w) = (w − 3)² from w = 0 with the given optimizer and
-    /// returns the final value of w.
-    fn minimize(opt: &mut dyn Optimizer, steps: usize) -> f64 {
+    /// Minimizes f(w) = (w − 3)² from w = 0 with Adam and returns the
+    /// final value of w.
+    fn minimize(opt: &mut Adam, steps: usize) -> f64 {
         let mut params = Params::new();
         let w = params.register(Matrix::zeros(1, 1));
         for _ in 0..steps {
@@ -297,12 +251,6 @@ mod tests {
             opt.step(&mut params, &pairs);
         }
         params.get(w)[(0, 0)]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let w = minimize(&mut Sgd::new(0.1), 100);
-        assert!((w - 3.0).abs() < 1e-6, "w = {w}");
     }
 
     #[test]
@@ -348,15 +296,6 @@ mod tests {
         assert_eq!(got, want.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
     }
 
-    #[test]
-    fn sgd_step_is_linear_in_gradient() {
-        let mut params = Params::new();
-        let w = params.register(Matrix::full(1, 2, 1.0));
-        let mut sgd = Sgd::new(0.5);
-        sgd.step(&mut params, &[(w, &Matrix::from_rows(&[&[2.0, -4.0]]))]);
-        assert_eq!(params.get(w).as_slice(), &[0.0, 3.0]);
-    }
-
     /// Bias correction pinned against hand-computed moment values for the
     /// first two steps (β₁ = 0.9, β₂ = 0.999, gradients g₁ = 1, g₂ = 0.5).
     #[test]
@@ -390,14 +329,14 @@ mod tests {
     fn instrumented_step_measures_norms() {
         let mut params = Params::new();
         let w = params.register_named("w", Matrix::zeros(1, 2));
-        let mut sgd = Sgd::new(0.5);
-        let stats =
-            instrumented_step(&mut sgd, &mut params, &[(w, &Matrix::from_rows(&[&[3.0, 4.0]]))]);
+        let mut adam = Adam::new(0.5);
+        let stats = adam.instrumented_step(&mut params, &[(w, &Matrix::from_rows(&[&[3.0, 4.0]]))]);
         assert_eq!(stats.global_grad_norm, 5.0);
         assert_eq!(stats.grad_norms, vec![(w, 5.0)]);
         assert_eq!(stats.param_norm, 0.0);
-        // SGD update is −lr·g = (−1.5, −2.0), norm 2.5.
-        assert!((stats.update_norm - 2.5).abs() < 1e-12);
+        // Adam's bias-corrected first step is −lr·g/(|g| + ε) ≈ (−0.5, −0.5),
+        // norm 0.5·√2.
+        assert!((stats.update_norm - 0.5 * 2f64.sqrt()).abs() < 1e-6);
         assert!(stats.nonfinite_grad.is_none());
         // Near-zero parameter norm saturates the ratio guard, not a panic.
         assert!(stats.update_ratio().is_finite());
@@ -408,12 +347,9 @@ mod tests {
         let mut params = Params::new();
         let a = params.register(Matrix::ones(1, 1));
         let b = params.register(Matrix::ones(1, 1));
-        let mut sgd = Sgd::new(0.1);
-        let stats = instrumented_step(
-            &mut sgd,
-            &mut params,
-            &[(a, &Matrix::full(1, 1, 1.0)), (b, &Matrix::full(1, 1, f64::NAN))],
-        );
+        let mut adam = Adam::new(0.1);
+        let stats =
+            adam.instrumented_step(&mut params, &[(a, &Matrix::full(1, 1, 1.0)), (b, &Matrix::full(1, 1, f64::NAN))]);
         assert_eq!(stats.nonfinite_grad, Some(b));
         assert!(stats.global_grad_norm.is_nan());
     }

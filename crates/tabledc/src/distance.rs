@@ -52,7 +52,7 @@ impl Distance {
     /// transform ([`whitening`]; gradients do not flow through Σ itself,
     /// matching how such losses are trained in practice). This is the
     /// training path; inference whitens with the transform frozen from the
-    /// training latent when the fit ends ([`crate::Frozen`]).
+    /// training latent when the fit ends ([`crate::TableDc`]).
     ///
     /// # Errors
     /// [`LinalgError`] if an empirical covariance is not positive definite

@@ -48,7 +48,6 @@
 
 pub mod diagnostics;
 pub mod distance;
-pub mod frozen;
 pub mod init;
 pub mod kernel;
 pub mod model;
@@ -57,7 +56,6 @@ pub use diagnostics::{
     ConvergenceStatus, ConvergenceVerdict, DiagnosticsTracker, EpochDiagnostics, VerdictRules,
 };
 pub use distance::{Covariance, Distance};
-pub use frozen::Frozen;
 pub use init::Init;
 pub use kernel::Kernel;
 pub use model::{target_distribution, HealthConfig, History, TableDc, TableDcConfig, TableDcFit};

@@ -1,12 +1,16 @@
 //! The TableDC model: autoencoder + Mahalanobis/Cauchy self-supervised
-//! clustering head, trained per Algorithm 1.
+//! clustering head, trained per Algorithm 1. The training network lives
+//! only inside [`TableDc::fit`]; the fitted model it returns is the frozen
+//! inference plan (`model/frozen.rs`).
+
+mod frozen;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use autograd::{Tape, Var};
 use clustering::metrics::num_clusters;
 use nn::loss::{kl_div, kl_div_value, mse};
-use nn::{Adam, Autoencoder, Optimizer, ParamId, Params};
+use nn::{Adam, Autoencoder, ParamId, Params};
 use obs::health::{HealthMonitor, HealthReport, Policy, Verdict};
 use obs::json::Json;
 use rand::rngs::StdRng;
@@ -15,9 +19,10 @@ use tensor::Matrix;
 
 use crate::diagnostics::{self, ConvergenceVerdict, DiagnosticsTracker, VerdictRules};
 use crate::distance::Distance;
-use crate::frozen::Frozen;
 use crate::init::Init;
 use crate::kernel::Kernel;
+
+pub use frozen::TableDc;
 
 /// Configuration of a TableDC run. Defaults follow §3 and §4.3 of the
 /// paper; the distance/kernel/init fields expose the Table 5 and Figure 4
@@ -181,17 +186,9 @@ impl History {
     }
 }
 
-/// A fitted TableDC model.
-pub struct TableDc {
-    net: Net,
-    /// The inference plan, frozen from `net` when the fit ends: every
-    /// [`TableDc::soft_assignments`], [`TableDc::predict`] and
-    /// [`TableDc::embed`] call runs on it.
-    frozen: Frozen,
-}
-
 /// The trainable network: the autoencoder and the cluster centers in one
-/// parameter store, with the configuration they were built from.
+/// parameter store, with the configuration they were built from. It lives
+/// only inside [`Net::fit`]: the fitted [`TableDc`] is frozen from it.
 struct Net {
     config: TableDcConfig,
     params: Params,
@@ -224,38 +221,14 @@ pub struct TableDcFit {
 impl TableDc {
     /// Trains TableDC on the rows of `x` following Algorithm 1:
     /// AE pretraining, Birch center initialization, then joint optimization
-    /// of `α·KL(p‖m) + re_loss` with Adam.
+    /// of `α·KL(p‖m) + re_loss` with Adam. The returned model is frozen
+    /// from the trained network, which is dropped.
     ///
     /// # Panics
     /// Panics if `k` is 0 or exceeds the number of rows.
     pub fn fit(config: TableDcConfig, x: &Matrix, rng: &mut StdRng) -> (TableDc, TableDcFit) {
-        let _fit_timer = obs::span!("tabledc.fit");
-        assert!(config.k >= 1, "TableDC: k must be >= 1");
-        assert!(config.k <= x.rows(), "TableDC: k = {} > n = {}", config.k, x.rows());
-
-        // Standardize features in front of the encoder (part of the deep
-        // model's preprocessing; the raw matrix is what SC baselines see).
-        // The statistics are frozen with the model so inference applies
-        // the same transform to new rows.
-        let (x_mean, x_inv_std) = x.col_standardization();
-        let x = &x.standardize_cols_with(&x_mean, &x_inv_std);
-
-        // Line 1: pretrain the autoencoder.
-        let mut params = Params::new();
-        let dims = [&[x.cols()][..], &config.hidden_dims, &[config.latent_dim]].concat();
-        let ae = Autoencoder::new(&mut params, &dims, rng);
-        ae.pretrain(&mut params, x, config.pretrain_epochs, config.lr);
-
-        // Line 2: initialize cluster centers with Birch (or an ablation
-        // initializer) on the pretrained latent space.
-        let z0 = ae.embed(&params, x);
-        let c0 = config.init.centers(&z0, config.k, rng);
-        let centers = params.register_named("centers", c0);
-
-        let mut net = Net { config, params, ae, centers };
-        let fit = net.train(x);
-        let frozen = net.freeze(x, x_mean, x_inv_std);
-        (TableDc { net, frozen }, fit)
+        let (model, fit, _) = Net::fit(config, x, rng);
+        (model, fit)
     }
 
     /// Runs [`TableDc::fit`] `restarts` times and keeps the run whose hard
@@ -317,65 +290,67 @@ impl TableDc {
             None => last_aborted.expect("at least one restart ran"),
         }
     }
-
-    /// `(q, m)` (Eq. 8–9) for (possibly new) data without training.
-    ///
-    /// Runs the [`Frozen`] plan: rows are standardized with the training
-    /// matrix's column statistics and scored independently of the others in
-    /// the call, so a 1-row request gets the same answer as that row inside
-    /// a full-matrix call. One `tabledc.infer` span per call; the rows run
-    /// in blocks on the [`runtime::global`] pool with bit-identical results
-    /// for every thread count.
-    pub fn soft_assignments(&self, x: &Matrix) -> (Matrix, Matrix) {
-        self.frozen.soft_assignments(x)
-    }
-
-    /// Hard cluster assignment for (possibly new) data.
-    pub fn predict(&self, x: &Matrix) -> Vec<usize> {
-        self.soft_assignments(x).0.argmax_rows()
-    }
-
-    /// The latent embedding of `x` (standardized with the training
-    /// statistics) under the trained encoder.
-    pub fn embed(&self, x: &Matrix) -> Matrix {
-        self.frozen.embed(x)
-    }
-
-    /// The frozen inference plan every scoring call runs on.
-    pub fn frozen(&self) -> &Frozen {
-        &self.frozen
-    }
-
-    /// The learned cluster centers (`k × latent_dim`).
-    pub fn centers(&self) -> Matrix {
-        self.net.params.get(self.net.centers).clone()
-    }
-
-    /// The configuration this model was trained with.
-    pub fn config(&self) -> &TableDcConfig {
-        &self.net.config
-    }
 }
 
 impl Net {
+    /// Algorithm 1 on the rows of `x` ([`TableDc::fit`]): the model frozen
+    /// from the trained network, the fit, and the network itself, which
+    /// only the tests' tape references keep.
+    fn fit(config: TableDcConfig, x: &Matrix, rng: &mut StdRng) -> (TableDc, TableDcFit, Net) {
+        let _fit_timer = obs::span!("tabledc.fit");
+        assert!(config.k >= 1, "TableDC: k must be >= 1");
+        assert!(config.k <= x.rows(), "TableDC: k = {} > n = {}", config.k, x.rows());
+
+        // Standardize features in front of the encoder (part of the deep
+        // model's preprocessing; the raw matrix is what SC baselines see).
+        // The statistics are frozen with the model so inference applies
+        // the same transform to new rows.
+        let (x_mean, x_inv_std) = x.col_standardization();
+        let x_std = &x.standardize_cols_with(&x_mean, &x_inv_std);
+
+        // Line 1: pretrain the autoencoder.
+        let mut params = Params::new();
+        let dims = [&[x.cols()][..], &config.hidden_dims, &[config.latent_dim]].concat();
+        let ae = Autoencoder::new(&mut params, &dims, rng);
+        ae.pretrain(&mut params, x_std, config.pretrain_epochs, config.lr);
+
+        // Line 2: initialize cluster centers with Birch (or an ablation
+        // initializer) on the pretrained latent space.
+        let z0 = ae.embed(&params, x_std);
+        let c0 = config.init.centers(&z0, config.k, rng);
+        let centers = params.register_named("centers", c0);
+
+        let mut net = Net { config, params, ae, centers };
+        let (last, history, health, convergence) = net.train(x_std);
+        let model = net.freeze(x_std, x_mean, x_inv_std);
+        // With no epoch to run, the assignments are the initialized model's.
+        let (q, m) = last.unwrap_or_else(|| model.soft_assignments(x));
+        let labels = q.argmax_rows();
+        let fit = TableDcFit { clusters_used: num_clusters(&labels), labels, q, m, history, health, convergence };
+        (model, fit, net)
+    }
+
     /// The network frozen for inference: its current weights, with the
     /// training statistics `x_mean`/`x_inv_std` that raw rows are
-    /// standardized with. `x` is the standardized training matrix (the
+    /// standardized with. `x_std` is the standardized training matrix (the
     /// empirical-covariance ablation whitens with its latent's Σ).
-    fn freeze(&self, x: &Matrix, x_mean: Vec<f64>, x_inv_std: Vec<f64>) -> Frozen {
+    fn freeze(&self, x_std: &Matrix, x_mean: Vec<f64>, x_inv_std: Vec<f64>) -> TableDc {
         let encoder = self.ae.frozen_encoder(&self.params);
-        Frozen::new(&self.config, encoder, self.params.get(self.centers), x, x_mean, x_inv_std)
+        let centers = self.params.get(self.centers).clone();
+        TableDc::freeze(self.config.clone(), encoder, centers, x_std, x_mean, x_inv_std)
     }
 
     /// Lines 3–12 of Algorithm 1: the joint optimization loop over the
-    /// standardized training matrix `x`.
-    fn train(&mut self, x: &Matrix) -> TableDcFit {
+    /// standardized training matrix `x`. Returns the last completed
+    /// epoch's `(q, m)` (zeros if none completed; `None` if no epoch was
+    /// to run), the history, the health report and the convergence
+    /// verdict.
+    fn train(&mut self, x: &Matrix) -> (Option<(Matrix, Matrix)>, History, HealthReport, ConvergenceVerdict) {
         let _train_timer = obs::span!("tabledc.train");
         let cfg = self.config.clone();
         let mut adam = Adam::new(cfg.lr);
         let mut history = History::default();
-        let mut final_q = Matrix::zeros(x.rows(), cfg.k);
-        let mut final_m = Matrix::zeros(x.rows(), cfg.k);
+        let mut last = (cfg.epochs > 0).then(|| (Matrix::zeros(x.rows(), cfg.k), Matrix::zeros(x.rows(), cfg.k)));
         let mut tracker = DiagnosticsTracker::new();
         let fit_id = diagnostics::next_fit_id();
         let epoch_hist = obs::registry().histogram("tabledc.epoch_ms");
@@ -495,20 +470,9 @@ impl Net {
                 .emit();
             diagnostics::emit_diag_event("tabledc.diag", None, fit_id, &diag);
 
-            final_q = q_val;
-            final_m = m_val;
+            last = Some((q_val, m_val));
         }
 
-        if cfg.epochs == 0 {
-            // Still produce assignments from the initialized model. `x` is
-            // already on the training scale, which identity statistics
-            // keep bit for bit.
-            let d = x.cols();
-            (final_q, final_m) = self.freeze(x, vec![0.0; d], vec![1.0; d]).soft_assignments(x);
-        }
-
-        let labels = final_q.argmax_rows();
-        let clusters_used = num_clusters(&labels);
         let convergence = tracker.verdict(cfg.k, &VerdictRules::default());
         obs::event("tabledc.convergence")
             .u64("fit", fit_id)
@@ -516,15 +480,7 @@ impl Net {
             .i64("epoch", convergence.epoch.map_or(-1, |e| e as i64))
             .str("rule", &convergence.rule)
             .emit();
-        TableDcFit {
-            labels,
-            q: final_q,
-            m: final_m,
-            history,
-            clusters_used,
-            health: monitor.report(),
-            convergence,
-        }
+        (last, history, monitor.report(), convergence)
     }
 
     /// Strict-policy abort path: writes the diagnostic dump, emits the
@@ -657,28 +613,26 @@ pub fn target_distribution(q: &Matrix) -> Matrix {
 }
 
 #[cfg(test)]
-impl TableDc {
+impl Net {
     /// The tape inference path the frozen plan replaced: one tape over the
     /// whole already-standardized matrix `x_std`. Kept as the bit-identity
-    /// reference for [`Frozen`].
+    /// reference for [`TableDc`]'s scoring.
     fn tape_soft_assignments(&self, x_std: &Matrix) -> (Matrix, Matrix) {
-        let net = &self.net;
         let tape = Tape::new();
-        let bound = net.params.bind(&tape);
-        let z = net.ae.encode(&bound, tape.constant(x_std.clone()));
-        let (q, m) = cluster_head(&net.config, &tape, z, bound.var(net.centers));
+        let bound = self.params.bind(&tape);
+        let z = self.ae.encode(&bound, tape.constant_ref(x_std));
+        let (q, m) = cluster_head(&self.config, &tape, z, bound.var(self.centers));
         (tape.value(q), tape.value(m))
     }
 
-    /// This model's weights under another distance and kernel, frozen
-    /// against the raw training matrix `x`.
-    fn with_head(&self, distance: Distance, kernel: Kernel, x: &Matrix) -> TableDc {
-        let Net { config, params, ae, centers } = &self.net;
-        let config = TableDcConfig { distance, kernel, ..config.clone() };
-        let net = Net { config, params: params.clone(), ae: ae.clone(), centers: *centers };
+    /// This network's weights under another distance and kernel, with the
+    /// model frozen from them against the raw training matrix `x`.
+    fn with_head(&self, distance: Distance, kernel: Kernel, x: &Matrix) -> (Net, TableDc) {
+        let config = TableDcConfig { distance, kernel, ..self.config.clone() };
+        let net = Net { config, params: self.params.clone(), ae: self.ae.clone(), centers: self.centers };
         let (x_mean, x_inv_std) = x.col_standardization();
-        let frozen = net.freeze(&x.standardize_cols(), x_mean, x_inv_std);
-        TableDc { net, frozen }
+        let model = net.freeze(&x.standardize_cols(), x_mean, x_inv_std);
+        (net, model)
     }
 }
 
@@ -1023,11 +977,20 @@ mod tests {
 
     #[test]
     fn zero_epochs_still_assigns_from_init() {
+        // With no epoch to run, `fit` scores the raw matrix with the model
+        // it returns. Standardizing with the training statistics gives the
+        // training matrix bit for bit, so `(q, m)` is also the tape's
+        // answer on the standardized matrix.
         let (x, _) = workload(9);
         let cfg = TableDcConfig { epochs: 0, ..small_config(4) };
-        let (_, fit) = TableDc::fit(cfg, &x, &mut rng(10));
+        let (model, fit, net) = Net::fit(cfg, &x, &mut rng(10));
         assert_eq!(fit.labels.len(), x.rows());
         assert!(fit.clusters_used >= 1);
+        let (q, m) = model.soft_assignments(&x);
+        assert!(same_bits(&fit.q, &q) && same_bits(&fit.m, &m), "0-epoch fit differs from the model's scores");
+        let (q_ref, m_ref) = net.tape_soft_assignments(&x.standardize_cols());
+        assert!(same_bits(&fit.q, &q_ref) && same_bits(&fit.m, &m_ref), "0-epoch fit differs from the tape");
+        assert_eq!(fit.labels, q.argmax_rows());
     }
 
     #[test]
@@ -1046,9 +1009,9 @@ mod tests {
         let cfg = MixtureConfig { n: 1101, k: 3, dim: 16, separation: 3.0, ..Default::default() };
         let g = generate_mixture(&cfg, &mut rng(20));
         let tcfg = TableDcConfig { pretrain_epochs: 2, epochs: 2, ..small_config(3) };
-        let (model, _) = TableDc::fit(tcfg, &g.x, &mut rng(21));
+        let (model, _, net) = Net::fit(tcfg, &g.x, &mut rng(21));
         let (q, m) = model.soft_assignments(&g.x);
-        let (q_ref, m_ref) = model.tape_soft_assignments(&g.x.standardize_cols());
+        let (q_ref, m_ref) = net.tape_soft_assignments(&g.x.standardize_cols());
         assert!(same_bits(&q, &q_ref), "blocked q differs from single-tape q");
         assert!(same_bits(&m, &m_ref), "blocked m differs from single-tape m");
         assert_eq!(q.shape(), (cfg.n, 3));
@@ -1058,19 +1021,19 @@ mod tests {
     fn frozen_plan_matches_the_tape_bitwise_for_every_head_size_and_pool() {
         let (x, _) = workload(31);
         let tcfg = TableDcConfig { pretrain_epochs: 3, epochs: 3, ..small_config(4) };
-        let (model, _) = TableDc::fit(tcfg, &x, &mut rng(32));
+        let (_, _, net) = Net::fit(tcfg, &x, &mut rng(32));
         let requests = generate_mixture(&MixtureConfig { n: 1100, k: 4, dim: 16, ..Default::default() }, &mut rng(33)).x;
         let (x_mean, x_inv_std) = x.col_standardization();
         let pools: Vec<ThreadPool> = [1, 2, 4].into_iter().map(ThreadPool::new).collect();
         for distance in [Distance::Euclidean, Distance::Cosine, Distance::Mahalanobis(Covariance::ScaledIdentity(0.01))] {
             for kernel in [Kernel::Cauchy { gamma: 1.0 }, Kernel::StudentT { nu: 2.0 }, Kernel::Normal { sigma: 1.0 }] {
-                let variant = model.with_head(distance, kernel, &x);
+                let (variant, model) = net.with_head(distance, kernel, &x);
                 for n in [1, 3, 64, 65, 1100] {
                     let rows: Vec<usize> = (0..n).collect();
                     let request = requests.select_rows(&rows);
                     let (q_ref, m_ref) = variant.tape_soft_assignments(&request.standardize_cols_with(&x_mean, &x_inv_std));
                     for pool in &pools {
-                        let (q, m) = variant.frozen().soft_assignments_on(pool, &request);
+                        let (q, m) = model.soft_assignments_on(pool, &request);
                         let what = format!("{distance:?}, {kernel:?}, {n} rows, {} threads", pool.threads());
                         assert!(same_bits(&q, &q_ref), "q differs: {what}");
                         assert!(same_bits(&m, &m_ref), "m differs: {what}");
@@ -1089,7 +1052,7 @@ mod tests {
         for threads in [1, 2, 3, 4] {
             let pool = ThreadPool::new(threads);
             let before = pool.stats().tasks_executed;
-            let _ = model.frozen().soft_assignments_on(&pool, &request);
+            let _ = model.soft_assignments_on(&pool, &request);
             let tasks = pool.stats().tasks_executed - before;
             assert!(tasks <= threads as u64, "{tasks} tasks on {threads} threads");
         }
@@ -1103,11 +1066,11 @@ mod tests {
         let (x, _) = workload(37);
         let distance = Distance::Mahalanobis(Covariance::Empirical { shrinkage: 0.1 });
         let tcfg = TableDcConfig { distance, pretrain_epochs: 3, epochs: 5, ..small_config(4) };
-        let (model, _) = TableDc::fit(tcfg, &x, &mut rng(38));
+        let (model, _, net) = Net::fit(tcfg, &x, &mut rng(38));
         let (q_full, m_full) = model.soft_assignments(&x);
         // Over the whole training matrix the tape estimates the same Σ the
         // plan froze, so the two still agree bit for bit there.
-        let (q_ref, m_ref) = model.tape_soft_assignments(&x.standardize_cols());
+        let (q_ref, m_ref) = net.tape_soft_assignments(&x.standardize_cols());
         assert!(same_bits(&q_full, &q_ref) && same_bits(&m_full, &m_ref));
         for i in [0, 1, 57, x.rows() - 1] {
             let (q_row, m_row) = model.soft_assignments(&x.select_rows(&[i]));
@@ -1119,7 +1082,7 @@ mod tests {
     #[test]
     fn frozen_model_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Frozen>();
+        assert_send_sync::<TableDc>();
     }
 
     #[test]

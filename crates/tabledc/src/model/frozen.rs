@@ -1,42 +1,49 @@
-//! The frozen inference plan: a fitted TableDC's Eq. 3–9 forward pass with
-//! its operands packed once, run without an autograd tape.
+//! The fitted model: TableDC's Eq. 3–9 forward pass with its operands
+//! packed once, run without an autograd tape.
 //!
-//! [`Frozen`] is built from the trained weights when [`crate::TableDc::fit`]
-//! ends. It holds the training column statistics, the encoder as a
-//! [`FrozenMlp`], the centers packed as the right operand of `z·cᵀ` with
-//! their squared norms, and the distance and kernel parameters. A request
-//! is split into row blocks ([`plan_block_rows`]: one per pool thread, at
-//! most 64 rows) in one pool fork. Each block runs the whole chain on its
-//! thread's scratch buffer: standardize, the encoder's packed matmuls with
-//! their bias-and-activation passes, the distances, the kernel with its row
+//! A [`TableDc`] is frozen from the trained network when
+//! [`TableDc::fit`] ends; the network is dropped there. It holds the
+//! training column statistics, the encoder as a [`FrozenMlp`], the centers
+//! packed as the right operand of `z·cᵀ` with their squared norms, and the
+//! distance and kernel parameters. A request is split into row blocks
+//! ([`plan_block_rows`]: one per pool thread, at most 64 rows) in one pool
+//! fork. Each block runs the whole chain on its thread's scratch buffer:
+//! standardize, the encoder's packed matmuls with their
+//! bias-and-activation passes, the distances, the kernel with its row
 //! normalization in place in `q`, and the softmax into `m`.
 //!
 //! Every output element goes through the operations of the training
 //! tape's forward pass ([`crate::Distance::sq_cdist`],
 //! [`crate::Kernel::apply`], the row softmax), in the same order, through
-//! the same row functions ([`sq_dist_row`], [`kernel_row`],
-//! [`softmax_row`]). `q`, `m` and the labels are therefore bit-identical to
-//! the tape's, for every request size and thread count. Each row is scored
-//! from its own input alone: under [`Covariance::Empirical`] the whitening
-//! is estimated once from the training latent, not from the request.
+//! the same row functions ([`standardize_row`], [`sq_dist_row`],
+//! [`kernel_row`], [`softmax_row`]). `q`, `m` and the labels are therefore
+//! bit-identical to the tape's, for every request size and thread count.
+//! Each row is scored from its own input alone: under
+//! [`Covariance::Empirical`] the whitening is estimated once from the
+//! training latent, not from the request.
 
 use nn::FrozenMlp;
 use runtime::{par_for_rows, ThreadPool};
 use tensor::head::{kernel_row, SoftKernel};
-use tensor::par::{matmul_packed, plan_block_rows, softmax_row, sq_dist_row, sq_norm, with_scratch, PackedRhs};
+use tensor::par::{
+    matmul_packed, plan_block_rows, softmax_row, sq_dist_row, sq_norm, standardize_row, with_scratch, PackedRhs,
+};
 use tensor::Matrix;
 
 use crate::distance::{normalize_row, square, whitening, Covariance, Distance};
 use crate::model::TableDcConfig;
 
-/// A fitted TableDC model frozen for inference. See the module docs.
+/// A fitted TableDC model, frozen for inference. See the module docs.
 #[derive(Clone, Debug)]
-pub struct Frozen {
+pub struct TableDc {
+    config: TableDcConfig,
     /// Column means of the training matrix.
     x_mean: Vec<f64>,
     /// Inverse column standard deviations of the training matrix.
     x_inv_std: Vec<f64>,
     encoder: FrozenMlp,
+    /// The learned cluster centers, as [`TableDc::centers`] returns them.
+    centers: Matrix,
     metric: Metric,
     /// The right operand of `z·cᵀ`: the centers as the metric sees them
     /// (whitened under [`Metric::Whitened`], L2-normalized under
@@ -45,7 +52,6 @@ pub struct Frozen {
     /// `‖c‖²` of each of those center rows.
     c_sq: Vec<f64>,
     kernel: SoftKernel,
-    eps: f64,
 }
 
 /// How a block's latent rows become squared distances to the centers.
@@ -60,7 +66,7 @@ enum Metric {
     Cosine,
 }
 
-impl Frozen {
+impl TableDc {
     /// Freezes a trained network: its `encoder`, its `centers` and the
     /// head of `config`. `x_std` is the standardized training matrix,
     /// which only [`Covariance::Empirical`] reads; `x_mean`/`x_inv_std`
@@ -69,10 +75,10 @@ impl Frozen {
     /// # Panics
     /// Panics if the empirical covariance of the training latent is not
     /// positive definite even after shrinkage.
-    pub(crate) fn new(
-        config: &TableDcConfig,
+    pub(super) fn freeze(
+        config: TableDcConfig,
         encoder: FrozenMlp,
-        centers: &Matrix,
+        centers: Matrix,
         x_std: &Matrix,
         x_mean: Vec<f64>,
         x_inv_std: Vec<f64>,
@@ -96,15 +102,16 @@ impl Frozen {
                 (Metric::Cosine, cn)
             }
         };
-        Frozen {
+        TableDc {
+            kernel: config.kernel.soft_kernel(),
+            config,
             x_mean,
             x_inv_std,
             encoder,
+            centers,
             metric,
             centers_t: PackedRhs::transposed(&c),
             c_sq: c.row_iter().map(sq_norm).collect(),
-            kernel: config.kernel.soft_kernel(),
-            eps: config.eps,
         }
     }
 
@@ -113,15 +120,19 @@ impl Frozen {
         self.c_sq.len()
     }
 
-    /// `(q, m)` (Eq. 8–9) for the rows of `x`, on the [`runtime::global`]
-    /// pool.
+    /// `(q, m)` (Eq. 8–9) for (possibly new) data without training, on the
+    /// [`runtime::global`] pool (see [`TableDc::soft_assignments_on`]).
     pub fn soft_assignments(&self, x: &Matrix) -> (Matrix, Matrix) {
         self.soft_assignments_on(runtime::global(), x)
     }
 
-    /// `(q, m)` for the rows of `x` on an explicit pool: one
-    /// `tabledc.infer` span and one pool fork of at most `pool.threads()`
-    /// blocks for a request of up to `64·threads` rows.
+    /// `(q, m)` for the rows of `x` on an explicit pool. Rows are
+    /// standardized with the training matrix's column statistics and
+    /// scored independently of the others in the call, so a 1-row request
+    /// gets the same answer as that row inside a full-matrix call, for
+    /// every thread count. One `tabledc.infer` span and one pool fork of
+    /// at most `pool.threads()` blocks for a request of up to
+    /// `64·threads` rows.
     ///
     /// # Panics
     /// Panics if `x` does not have the training matrix's column count.
@@ -148,13 +159,29 @@ impl Frozen {
         (q, m)
     }
 
-    /// The latent embedding of the rows of `x` under the frozen encoder,
-    /// on the [`runtime::global`] pool.
+    /// Hard cluster assignment for (possibly new) data.
+    pub fn predict(&self, x: &Matrix) -> Vec<usize> {
+        self.soft_assignments(x).0.argmax_rows()
+    }
+
+    /// The latent embedding of the rows of `x` (standardized with the
+    /// training statistics) under the trained encoder, on the
+    /// [`runtime::global`] pool.
     ///
     /// # Panics
     /// Panics if `x` does not have the training matrix's column count.
     pub fn embed(&self, x: &Matrix) -> Matrix {
         self.encoder.infer(runtime::global(), &x.standardize_cols_with(&self.x_mean, &self.x_inv_std))
+    }
+
+    /// The learned cluster centers (`k × latent_dim`).
+    pub fn centers(&self) -> &Matrix {
+        &self.centers
+    }
+
+    /// The configuration this model was trained with.
+    pub fn config(&self) -> &TableDcConfig {
+        &self.config
     }
 
     /// Eq. 3–9 for one block of raw rows `x`: `q` and `m` are the block's
@@ -168,12 +195,8 @@ impl Frozen {
             let (z, scratch) = scratch.split_at_mut(z_len);
             let (z, zw) = z.split_at_mut(rows * latent);
             let (xs, scratch) = scratch.split_at_mut(x.len());
-            // The training statistics, as `Matrix::standardize_cols_with`
-            // applies them.
             for (xs_row, x_row) in xs.chunks_exact_mut(d).zip(x.chunks_exact(d)) {
-                for ((v, &raw), (&mean, &inv)) in xs_row.iter_mut().zip(x_row).zip(self.x_mean.iter().zip(&self.x_inv_std)) {
-                    *v = (raw - mean) * inv;
-                }
+                standardize_row(xs_row, x_row, &self.x_mean, &self.x_inv_std);
             }
             self.encoder.forward_rows(xs, z, scratch);
             match &self.metric {
@@ -191,7 +214,7 @@ impl Frozen {
                 }
             }
             for (q_row, m_row) in q.chunks_exact_mut(k).zip(m.chunks_exact_mut(k)) {
-                let den = kernel_row(self.kernel, q_row, self.eps);
+                let den = kernel_row(self.kernel, q_row, self.config.eps);
                 for v in q_row.iter_mut() {
                     *v /= den;
                 }

@@ -425,11 +425,10 @@ impl Matrix {
     pub fn standardize_cols_with(&self, means: &[f64], inv_std: &[f64]) -> Matrix {
         assert_eq!(means.len(), self.cols, "standardize_cols_with: {} means for {} columns", means.len(), self.cols);
         assert_eq!(inv_std.len(), self.cols, "standardize_cols_with: {} scales for {} columns", inv_std.len(), self.cols);
-        let mut out = self.clone();
-        for row in out.data.chunks_exact_mut(self.cols.max(1)) {
-            for ((x, &m), &inv) in row.iter_mut().zip(means).zip(inv_std) {
-                *x = (*x - m) * inv;
-            }
+        let mut out = Matrix::zeros(self.rows, self.cols);
+        let width = self.cols.max(1);
+        for (out_row, row) in out.data.chunks_exact_mut(width).zip(self.data.chunks_exact(width)) {
+            crate::par::standardize_row(out_row, row, means, inv_std);
         }
         out
     }

@@ -477,6 +477,16 @@ pub fn sq_dist_row(row: &mut [f64], xn: f64, yn: &[f64]) {
     }
 }
 
+/// Standardizes one row with given column statistics:
+/// `out[j] = (x[j] − means[j]) · inv_std[j]` (see
+/// [`Matrix::standardize_cols_with`]).
+#[inline]
+pub fn standardize_row(out: &mut [f64], x: &[f64], means: &[f64], inv_std: &[f64]) {
+    for ((v, &raw), (&mean, &inv)) in out.iter_mut().zip(x).zip(means.iter().zip(inv_std)) {
+        *v = (raw - mean) * inv;
+    }
+}
+
 /// Row-wise softmax on an explicit pool (see [`Matrix::softmax_rows`]).
 pub fn softmax_rows(pool: &ThreadPool, x: &Matrix) -> Matrix {
     let mut out = x.clone();

@@ -155,7 +155,7 @@ fn main() {
     });
 
     ok &= check("frozen request 64x160 -> k=684", &serial, parallel, |pool| {
-        model.frozen().soft_assignments_on(pool, &request)
+        model.soft_assignments_on(pool, &request)
     });
 
     let stats = parallel.stats();
