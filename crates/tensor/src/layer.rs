@@ -15,8 +15,10 @@
 //! ascending-`p` product sums, then `+ b`, then the activation; the bias
 //! gradient as column sums in ascending row order; the MSE as
 //! `(t − p).powf(2.0)` summed over all entries in row-major order, and its
-//! gradient as `((g/n)·2)·(t − p)^1`. Outputs are therefore the composed
-//! ops' and identical for every thread count.
+//! gradient as `((g/n)·2)·(t − p)`. The composed chain's gradient takes
+//! `(t − p).powf(1.0)`, which returns its argument exactly, so the multiply
+//! alone has its bits. Outputs are therefore the composed ops' and
+//! identical for every thread count.
 
 use std::hint::black_box;
 
@@ -224,14 +226,13 @@ impl<'p> Dense<'p> {
     }
 
     /// Gradient w.r.t. `target` of `g ·` [`Dense::mse`]:
-    /// `((g/n)·2)·(target − pred)^1`. The gradient w.r.t. `pred` is its
+    /// `((g/n)·2)·(target − pred)`. The gradient w.r.t. `pred` is its
     /// negation.
     pub fn mse_backward(self, target: &Matrix, pred: &Matrix, g: f64) -> Matrix {
         assert_eq!(target.shape(), pred.shape(), "Dense::mse_backward: shape mismatch");
         let gn = g / target.len() as f64;
-        let (two, one) = (black_box(2.0), black_box(1.0));
         let (rows, cols) = target.shape();
-        Matrix::from_vec(rows, cols, self.map_rows(target, pred, |d| gn * two * d.powf(one)))
+        Matrix::from_vec(rows, cols, self.map_rows(target, pred, |d| gn * 2.0 * d))
     }
 
     /// `f(t − p)` for every entry of `target` (`t`) and `pred` (`p`), in
@@ -259,6 +260,34 @@ mod tests {
     fn zero_inner_dimension_still_applies_bias_and_activation() {
         let y = Dense::global().forward(&Matrix::zeros(3, 0), &Matrix::zeros(0, 2), &[-1.0, 2.0], Activation::Relu);
         assert_eq!(y, Matrix::from_rows(&[&[0.0, 2.0], &[0.0, 2.0], &[0.0, 2.0]]));
+    }
+
+    /// The composed chain's MSE gradient takes `d.powf(1.0)` with a
+    /// runtime exponent; [`Dense::mse_backward`] uses `d` itself. That is
+    /// exact only if `powf(1.0)` returns its argument's bits everywhere.
+    #[test]
+    fn powf_one_returns_its_argument_bitwise() {
+        let one = black_box(1.0);
+        let mut sweep = vec![0.0, f64::MIN_POSITIVE, f64::MAX, f64::EPSILON, f64::INFINITY];
+        // Subnormals, from the smallest up to the largest.
+        sweep.extend((0..52).map(|e| f64::from_bits(1u64 << e)));
+        sweep.push(f64::from_bits((1u64 << 52) - 1));
+        // Every normal power of two and its neighbours.
+        for biased in 1..=2046u64 {
+            let p = biased << 52;
+            sweep.extend([p - 1, p, p + 1].map(f64::from_bits));
+        }
+        // Random bit patterns (xorshift), NaNs skipped.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..200_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            sweep.push(f64::from_bits(state));
+        }
+        for d in sweep.iter().flat_map(|&v| [v, -v]).filter(|v| !v.is_nan()) {
+            assert_eq!(d.powf(one).to_bits(), d.to_bits(), "{d:e}");
+        }
     }
 
     #[test]

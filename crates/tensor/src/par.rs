@@ -18,6 +18,11 @@
 //! add the separately rounded products `a[i][p] * b[p][j]` for ascending
 //! `p` onto 0.0, with no fused multiply-add, so their output is the naive
 //! triple loop's to the bit.
+//!
+//! [`RowStrips`] serves the other shape, many rows times one vector (a
+//! K-means++ seed's distances): rows packed feature-major so that each SIMD
+//! lane sums one row's dot product, with the same arithmetic and the same
+//! two compiled copies.
 
 use runtime::{block_rows, par_for_rows, par_join, ThreadPool};
 
@@ -432,6 +437,92 @@ fn micro(kc: usize, a_panel: &[f64], b_panel: &[f64], c: &mut [[f64; NR]; MR]) {
     *c = acc;
 }
 
+/// Rows of one strip of a [`RowStrips`] operand: one dot product per SIMD
+/// lane, four AVX2 vectors of `f64`.
+pub const LANES: usize = 16;
+
+/// The rows of a matrix packed feature-major in strips of [`LANES`] rows:
+/// strip `s` holds, for each feature `p` in ascending order, the `p`-th
+/// entries of rows `s·LANES .. s·LANES + LANES` side by side, zero past the
+/// last row. [`RowStrips::dots`] then takes the dot products of many rows
+/// with one vector, a row per SIMD lane, where a row-at-a-time loop is one
+/// serial chain of dependent adds.
+#[derive(Clone, Debug)]
+pub struct RowStrips {
+    rows: usize,
+    cols: usize,
+    /// Strip `s` starts at `s · cols · LANES`.
+    data: Vec<f64>,
+}
+
+impl RowStrips {
+    /// Packs the rows of `x`.
+    pub fn new(x: &Matrix) -> Self {
+        let (rows, cols) = x.shape();
+        let mut data = vec![0.0; rows.div_ceil(LANES) * cols * LANES];
+        for (s, strip) in data.chunks_exact_mut((cols * LANES).max(1)).enumerate() {
+            for (l, i) in (s * LANES..rows.min(s * LANES + LANES)).enumerate() {
+                for (p, &v) in x.row(i).iter().enumerate() {
+                    strip[p * LANES + l] = v;
+                }
+            }
+        }
+        Self { rows, cols, data }
+    }
+
+    /// `out[r] = x_{first + r} · y` for every `r`, each summed as
+    /// `acc = 0.0; for p ascending { acc += x[p] * y[p] }` with the product
+    /// rounded before the add: one [`matmul`] entry's bits.
+    ///
+    /// # Panics
+    /// Panics unless `first` is a multiple of [`LANES`], `y` has one value
+    /// per column and rows `first .. first + out.len()` exist.
+    pub fn dots(&self, first: usize, y: &[f64], out: &mut [f64]) {
+        assert_eq!(first % LANES, 0, "RowStrips::dots: first row {first} is not a strip start");
+        assert_eq!(y.len(), self.cols, "RowStrips::dots: vector length {} != {} columns", y.len(), self.cols);
+        assert!(first + out.len() <= self.rows, "RowStrips::dots: rows past {}", self.rows);
+        if self.cols == 0 {
+            out.fill(0.0);
+            return;
+        }
+        let width = self.cols * LANES;
+        let strips = &self.data[first / LANES * width..];
+        match Isa::detect() {
+            Isa::Plain => dots_body(strips, y, out),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: an `Avx2Detected` exists only after
+            // `is_x86_feature_detected!("avx2")` returned true.
+            Isa::Avx2(_) => unsafe { dots_avx2(strips, y, out) },
+        }
+    }
+}
+
+/// [`dots_body`] compiled with AVX2 enabled.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn dots_avx2(strips: &[f64], y: &[f64], out: &mut [f64]) {
+    dots_body(strips, y, out);
+}
+
+/// The body of [`RowStrips::dots`]: per strip, a [`LANES`]-wide
+/// accumulator kept in registers across every feature.
+#[inline(always)]
+fn dots_body(strips: &[f64], y: &[f64], out: &mut [f64]) {
+    for (strip, out) in strips.chunks_exact(y.len() * LANES).zip(out.chunks_mut(LANES)) {
+        let mut acc = [0.0f64; LANES];
+        for (x, &v) in strip.chunks_exact(LANES).zip(y) {
+            let x: &[f64; LANES] = x.try_into().expect("LANES-wide chunk");
+            for (a, &xv) in acc.iter_mut().zip(x) {
+                *a += xv * v;
+            }
+        }
+        out.copy_from_slice(&acc[..out.len()]);
+    }
+}
+
 /// Pairwise squared Euclidean distances on an explicit pool (see
 /// [`crate::distance::sq_euclidean_cdist`]).
 pub fn sq_euclidean_cdist(pool: &ThreadPool, x: &Matrix, y: &Matrix) -> Matrix {
@@ -707,6 +798,33 @@ mod tests {
         matmul_packed(&[], &PackedRhs::new(&Matrix::zeros(0, 3)), &mut out);
         assert_eq!(out, vec![0.0; 6]);
         matmul_packed(&[1.0, 2.0], &PackedRhs::new(&Matrix::zeros(2, 0)), &mut []);
+    }
+
+    #[test]
+    fn row_strip_dots_match_naive_reference_bitwise() {
+        // Row counts around the strip width, one row, features past KC.
+        for (s, &(n, d)) in [(1, 1), (15, 7), (16, 48), (17, 3), (100, 48), (45, 300), (9, 0)].iter().enumerate() {
+            let x = test_matrix(n, d, 150 + s as u64);
+            let y = test_matrix(1, d, 170 + s as u64);
+            let want = naive(&x, &y.transpose());
+            let strips = RowStrips::new(&x);
+            // Every strip start, to the end and one row short of it.
+            for first in (0..n).step_by(LANES) {
+                for len in [n - first, (n - first).saturating_sub(1)] {
+                    let mut got = vec![f64::NAN; len];
+                    strips.dots(first, y.row(0), &mut got);
+                    for (r, g) in got.iter().enumerate() {
+                        assert_eq!(g.to_bits(), want[(first + r, 0)].to_bits(), "{n}x{d}: row {}", first + r);
+                    }
+                    // The plain copy gives the dispatched copy's bits.
+                    if d > 0 {
+                        let mut plain = vec![f64::NAN; len];
+                        dots_body(&strips.data[first * d..], y.row(0), &mut plain);
+                        assert!(plain.iter().zip(&got).all(|(p, g)| p.to_bits() == g.to_bits()), "{n}x{d}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

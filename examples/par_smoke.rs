@@ -7,9 +7,11 @@
 //! bias, weight and input gradients), the fused clustering head
 //! at the fit-wide shape (2050 latent rows, 684 centers): its forward
 //! (soft assignment, softmax, KL loss) and its backward (KL, softmax and
-//! soft-assignment gradients), and one 64-row request to a frozen TableDC
+//! soft-assignment gradients), one 64-row request to a frozen TableDC
 //! model at the assign shape (d = 160, hidden `[256, 128]`, latent 48,
-//! k = 684), each with a serial pool and with the full machine. It
+//! k = 684), and Birch's global step at the fit-wide shape (weighted
+//! K-means, 8 restarts, over 1950 subclusters of 48 features, k = 684),
+//! each with a serial pool and with the full machine. It
 //! verifies every pair of outputs is bit-identical and exits non-zero if
 //! any parallel run is more than 1.5× slower than serial (a regression
 //! guard, not a benchmark).
@@ -20,6 +22,7 @@
 
 use std::time::{Duration, Instant};
 
+use clustering::KMeans;
 use runtime::ThreadPool;
 use tabledc::{Init, TableDc, TableDcConfig};
 use tensor::head::{Head, SoftKernel};
@@ -110,6 +113,12 @@ fn main() {
     };
     let (model, _) = TableDc::fit(config, &randn(700, 160, &mut r), &mut rng(7));
     let request = randn(64, 160, &mut r);
+    // Birch's global step on fit-wide: CF subcluster centroids, about
+    // three per cluster, weighted by their point counts.
+    let clusters = randn(684, 48, &mut r);
+    let spread = randn(1950, 48, &mut r);
+    let subclusters = tensor::Matrix::from_fn(1950, 48, |i, j| 3.0 * clusters[(i % 684, j)] + spread[(i, j)]);
+    let counts: Vec<f64> = (0..1950).map(|i| (1 + i % 3) as f64).collect();
 
     let serial = ThreadPool::new(1);
     let parallel = runtime::global();
@@ -156,6 +165,12 @@ fn main() {
 
     ok &= check("frozen request 64x160 -> k=684", &serial, parallel, |pool| {
         model.soft_assignments_on(pool, &request)
+    });
+
+    ok &= check("birch global step: weighted k-means 1950x48 -> k=684, 8 restarts", &serial, parallel, |pool| {
+        let birch = KMeans { n_init: 8, ..KMeans::new(684) };
+        let global = birch.fit_weighted_on(pool, &subclusters, &counts, &mut rng(3));
+        (global.labels, global.centroids, global.inertia.to_bits(), global.n_iter)
     });
 
     let stats = parallel.stats();

@@ -9,12 +9,14 @@
 #      matmul_tn at its backward shape (160x4248 . 4248x256), the fused
 #      dense layer's forward and backward at the fit-tall first layer
 #      (4248x160 -> 256, ReLU), the fused clustering head's forward and
-#      backward at the fit-wide shape (2050 latent rows, 684 centers), and
+#      backward at the fit-wide shape (2050 latent rows, 684 centers),
 #      one 64-row request to a frozen TableDC model at the assign shape
-#      (d=160, hidden [256,128], latent 48, k=684), each on a 1-thread
-#      pool vs the full pool; asserts every pair of outputs is
-#      bit-identical, and fails if any parallel run is >1.5x slower than
-#      serial.
+#      (d=160, hidden [256,128], latent 48, k=684), and Birch's global
+#      step at the fit-wide shape (weighted k-means, 8 restarts, 1950x48
+#      subclusters, k=684), each on a 1-thread pool vs the full pool;
+#      asserts every pair of outputs is bit-identical (for Birch's step:
+#      labels, centroids, inertia and iteration count), and fails if any
+#      parallel run is >1.5x slower than serial.
 #   3. quickstart under TABLEDC_TRACE=<file> + TABLEDC_PROFILE=alloc +
 #      TABLEDC_FOLDED=<file> + TABLEDC_HEALTH=strict: the emitted trace
 #      must be valid JSON lines with monotone timestamps, balanced
@@ -54,7 +56,7 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
-echo "== runtime smoke: serial vs parallel cdist, matmul, fused layer, fused head and frozen request =="
+echo "== runtime smoke: serial vs parallel cdist, matmul, fused layer, fused head, frozen request and Birch global step =="
 # Exercise real multi-thread scheduling even on single-core CI boxes; the
 # example still applies its slowdown gate.
 TABLEDC_THREADS=${TABLEDC_THREADS:-4} cargo run --release -q -p bench --example par_smoke
