@@ -140,8 +140,7 @@ mod tests {
         let mut p = randn(4, 5, &mut rng(6));
         p.map_inplace(|v| v.abs() + 0.1);
         let sums = p.row_sums();
-        for i in 0..4 {
-            let s = sums[i];
+        for (i, &s) in sums.iter().enumerate() {
             for v in p.row_mut(i) {
                 *v /= s;
             }

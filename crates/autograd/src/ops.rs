@@ -285,8 +285,7 @@ impl Op {
                 acc.add(*x, || {
                     let row_s = g.row_sums();
                     let mut dx = g.matmul(vc);
-                    for i in 0..dx.rows() {
-                        let rs = row_s[i];
+                    for (i, &rs) in row_s.iter().enumerate() {
                         for (d, &xv) in dx.row_mut(i).iter_mut().zip(vx.row(i)) {
                             *d = 2.0 * (rs * xv - *d);
                         }
@@ -296,8 +295,7 @@ impl Op {
                 acc.add(*c, || {
                     let col_s = g.col_sums();
                     let mut dc = g.matmul_tn(vx);
-                    for j in 0..dc.rows() {
-                        let cs = col_s[j];
+                    for (j, &cs) in col_s.iter().enumerate() {
                         for (d, &cv) in dc.row_mut(j).iter_mut().zip(vc.row(j)) {
                             *d = 2.0 * (cs * cv - *d);
                         }

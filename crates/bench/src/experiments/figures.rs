@@ -12,10 +12,13 @@ use crate::report::{render_table, Scores};
 
 use super::RunOptions;
 
+/// One Figure 2 panel: `(panel title, rows of (system, dataset, Scores))`.
+pub type Fig2Panel = (String, Vec<(String, String, Scores)>);
+
 /// Figure 2: TableDC vs the bespoke solutions, per task.
 pub struct Fig2Result {
-    /// `(panel title, rows of (system, dataset, Scores))`.
-    pub panels: Vec<(String, Vec<(String, String, Scores)>)>,
+    /// One entry per panel.
+    pub panels: Vec<Fig2Panel>,
 }
 
 impl Fig2Result {
@@ -203,12 +206,12 @@ pub fn fig3(opts: RunOptions, ks: &[usize]) -> Fig3Result {
             lr: 1e-3,
             knn_k: 5,
         };
-        let time = |f: &mut dyn FnMut() -> ()| -> f64 {
+        let time = |f: &mut dyn FnMut()| -> f64 {
             let t0 = Instant::now();
             f();
             t0.elapsed().as_secs_f64()
         };
-        let mut rng = StdRng::seed_from_u64(opts.seed ^ 0xf16_3 ^ k as u64);
+        let mut rng = StdRng::seed_from_u64(opts.seed ^ 0xf163 ^ k as u64);
         let cfg = TableDcConfig {
             latent_dim: 16,
             pretrain_epochs: pretrain,

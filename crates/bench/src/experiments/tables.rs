@@ -204,11 +204,14 @@ pub fn table4(opts: RunOptions) -> ComparisonResult {
     )
 }
 
+/// One Table 5 section: `(dataset label, distance rows, kernel rows)` —
+/// each row is `(name, Scores)`.
+pub type Table5Section = (String, Vec<(String, Scores)>, Vec<(String, Scores)>);
+
 /// Table 5: the distance × kernel ablation on the self-supervised module.
 pub struct Table5Result {
-    /// `(dataset label, distance rows, kernel rows)` — each row is
-    /// `(name, Scores)`.
-    pub sections: Vec<(String, Vec<(String, Scores)>, Vec<(String, Scores)>)>,
+    /// One entry per dataset.
+    pub sections: Vec<Table5Section>,
 }
 
 impl Table5Result {

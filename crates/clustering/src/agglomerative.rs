@@ -50,10 +50,11 @@ impl Agglomerative {
         // Dense distance matrix between active clusters (Euclidean).
         let mut dist = vec![vec![0.0f64; n]; n];
         for i in 0..n {
-            for j in (i + 1)..n {
+            let (upper, lower) = dist.split_at_mut(i + 1);
+            for (j, row_j) in (i + 1..n).zip(lower) {
                 let d = sq_euclidean(x.row(i), x.row(j)).sqrt();
-                dist[i][j] = d;
-                dist[j][i] = d;
+                upper[i][j] = d;
+                row_j[i] = d;
             }
         }
         let mut active: Vec<bool> = vec![true; n];

@@ -90,8 +90,11 @@ impl ClusteringFeature {
 
 enum Node {
     Leaf { entries: Vec<ClusteringFeature> },
-    Internal { children: Vec<(ClusteringFeature, Box<Node>)> },
+    Internal { children: Vec<Child> },
 }
+
+/// An internal node's child with its summarizing CF.
+type Child = (ClusteringFeature, Box<Node>);
 
 /// Outcome of inserting into a node: either it absorbed the point, or it
 /// split into two (the caller replaces the child with both halves).
@@ -154,7 +157,7 @@ impl Node {
                     children.push((cf2, n2));
                     if children.len() > b {
                         let (g1, g2) = split_children(std::mem::take(children));
-                        let cf_of = |g: &[(ClusteringFeature, Box<Node>)]| {
+                        let cf_of = |g: &[Child]| {
                             let mut acc = g[0].0.clone();
                             for (cf, _) in &g[1..] {
                                 acc.merge(cf);
@@ -210,9 +213,7 @@ fn split_entries(entries: Vec<ClusteringFeature>) -> (ClusteringFeature, Vec<Clu
     (c1, g1, c2, g2)
 }
 
-fn split_children(
-    children: Vec<(ClusteringFeature, Box<Node>)>,
-) -> (Vec<(ClusteringFeature, Box<Node>)>, Vec<(ClusteringFeature, Box<Node>)>) {
+fn split_children(children: Vec<Child>) -> (Vec<Child>, Vec<Child>) {
     let (i, j) = farthest_pair(&children, |c| &c.0);
     let seed1 = children[i].0.clone();
     let seed2 = children[j].0.clone();

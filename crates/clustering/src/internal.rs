@@ -109,9 +109,9 @@ pub fn calinski_harabasz_index(x: &Matrix, labels: &[usize]) -> f64 {
     let (centroids, counts) = centroids_and_counts(x, labels, k);
     let global = x.col_means();
     let mut between = 0.0;
-    for c in 0..k {
-        if counts[c] > 0 {
-            between += counts[c] as f64 * sq_euclidean(centroids.row(c), &global);
+    for (c, &count) in counts.iter().enumerate() {
+        if count > 0 {
+            between += count as f64 * sq_euclidean(centroids.row(c), &global);
         }
     }
     let mut within = 0.0;
@@ -134,9 +134,9 @@ fn centroids_and_counts(x: &Matrix, labels: &[usize], k: usize) -> (Matrix, Vec<
             *c += v;
         }
     }
-    for c in 0..k {
-        if counts[c] > 0 {
-            let inv = 1.0 / counts[c] as f64;
+    for (c, &count) in counts.iter().enumerate() {
+        if count > 0 {
+            let inv = 1.0 / count as f64;
             for v in centroids.row_mut(c) {
                 *v *= inv;
             }

@@ -332,7 +332,7 @@ mod tests {
         let cfg = DomainCorpusConfig { n_columns: 24, n_domains: 6, ..Default::default() };
         let c = domain_corpus(&cfg, &mut rng(5));
         assert_eq!(c.items.len(), 24);
-        let mut counts = vec![0usize; 6];
+        let mut counts = [0usize; 6];
         for &l in &c.labels() {
             counts[l] += 1;
         }

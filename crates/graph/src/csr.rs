@@ -166,7 +166,7 @@ impl Csr {
         }
         // from_triplets sums duplicates, so divide doubled entries by the
         // number of times they were pushed. Simpler: dedup first.
-        trip.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+        trip.sort_unstable_by_key(|a| (a.0, a.1));
         trip.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
         Csr::from_triplets(self.rows, self.cols, &trip)
     }

@@ -55,7 +55,7 @@ impl Histogram {
     /// `[lower, upper)` intervals, so exact bucket boundaries belong to the
     /// higher bucket.
     pub fn bucket_index(v: f64) -> usize {
-        if !(v >= MIN_BOUND) {
+        if v.is_nan() || v < MIN_BOUND {
             return 0; // below range, zero, negative, or NaN
         }
         let raw = ((v / MIN_BOUND).log2() * SUB_PER_OCTAVE).floor();

@@ -84,6 +84,7 @@ impl Tree {
     }
 
     /// Finds or creates the child of `parent` named `name`.
+    #[allow(clippy::ptr_arg, reason = "a new node clones the Cow, which borrows `'static` names without allocating")]
     fn intern(&mut self, parent: NodeId, name: &Cow<'static, str>) -> NodeId {
         let parent = if (parent as usize) < self.nodes.len() { parent } else { ROOT };
         for &c in &self.nodes[parent as usize].children {
@@ -142,6 +143,7 @@ pub(crate) fn current_node() -> NodeId {
 
 /// Begins a span activation: resolves the tree node under the innermost
 /// active frame and pushes a new frame. Called by [`crate::span`].
+#[allow(clippy::ptr_arg, reason = "passed on to `Tree::intern`, which may keep a clone of the Cow")]
 pub(crate) fn enter(name: &Cow<'static, str>) -> NodeId {
     let parent = CURRENT.with(Cell::get);
     let id = lock(tree()).intern(parent, name);

@@ -83,7 +83,7 @@ impl ConvergenceStatus {
     }
 
     /// Inverse of [`ConvergenceStatus::as_str`].
-    pub fn from_str(s: &str) -> Option<Self> {
+    pub fn from_name(s: &str) -> Option<Self> {
         Some(match s {
             "converged" => ConvergenceStatus::Converged,
             "oscillating" => ConvergenceStatus::Oscillating,
@@ -515,9 +515,9 @@ mod tests {
             ConvergenceStatus::Collapsed,
             ConvergenceStatus::Unknown,
         ] {
-            assert_eq!(ConvergenceStatus::from_str(s.as_str()), Some(s));
+            assert_eq!(ConvergenceStatus::from_name(s.as_str()), Some(s));
         }
-        assert_eq!(ConvergenceStatus::from_str("nope"), None);
+        assert_eq!(ConvergenceStatus::from_name("nope"), None);
     }
 
     #[test]

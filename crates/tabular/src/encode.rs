@@ -79,7 +79,7 @@ pub fn embed_columns(
             provenance.push((ti, ci));
             let ty = col.infer_type();
             let one_hot = |t: ColumnType| if ty == t { 1.0 } else { 0.0 };
-            let distinct_ratio = if col.len() == 0 {
+            let distinct_ratio = if col.is_empty() {
                 0.0
             } else {
                 col.distinct_count() as f64 / col.len() as f64

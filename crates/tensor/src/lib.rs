@@ -9,10 +9,10 @@
 //! Everything is pure Rust with no external numerics dependencies. The hot
 //! kernel is the packed, register-tiled matmul in [`par`] (which the cdist
 //! kernels reduce to); it reads transposed operands in place
-//! ([`Matrix::matmul_tn`], [`Matrix::matmul_nt`]), runs an AVX2-compiled
-//! copy of its body when the CPU has AVX2, and keeps the naive loop's exact
-//! per-element arithmetic, so every result is bit-identical across thread
-//! counts and CPUs. The soft-assignment clustering head and its loss run as
+//! ([`Matrix::matmul_tn`], [`Matrix::matmul_nt`]), runs its AVX2 or
+//! AVX-512 copy when the CPU has the feature, and keeps the naive loop's
+//! exact per-element arithmetic, so every result is bit-identical across
+//! thread counts, CPUs and compiled copies. The soft-assignment clustering head and its loss run as
 //! fused row-block kernels ([`head`]) under the same bit-identity rule, as
 //! do the training layer stack's dense layer and MSE loss ([`layer`]).
 

@@ -12,17 +12,19 @@
 //!
 //! The matmul kernel ([`matmul`], [`matmul_tn`], [`matmul_nt`]) is packed
 //! and register-tiled: B is packed into KC×NR column panels, A into MR×KC
-//! row panels, and an MR×NR micro-kernel accumulates in registers. Its body
-//! is compiled twice — for the baseline target and with AVX2 enabled — and
-//! the AVX2 copy is picked at runtime when the CPU supports it. Both copies
-//! add the separately rounded products `a[i][p] * b[p][j]` for ascending
-//! `p` onto 0.0, with no fused multiply-add, so their output is the naive
-//! triple loop's to the bit.
+//! row panels, and an MR×NR micro-kernel accumulates in registers. The
+//! kernel has three compiled copies — the baseline target (4×8 tile), the
+//! same body with AVX2 enabled (4×8 tile in eight ymm registers), and an
+//! AVX-512F copy written with intrinsics (8×8 tile in eight zmm registers)
+//! — and runtime CPU detection picks the widest one the CPU supports
+//! ([`kernel_copy`] names it). Every copy adds the separately rounded
+//! products `a[i][p] * b[p][j]` for ascending `p` onto 0.0, with no fused
+//! multiply-add, so its output is the naive triple loop's to the bit.
 //!
 //! [`RowStrips`] serves the other shape, many rows times one vector (a
 //! K-means++ seed's distances): rows packed feature-major so that each SIMD
 //! lane sums one row's dot product, with the same arithmetic and the same
-//! two compiled copies.
+//! three compiled copies.
 
 use runtime::{block_rows, par_for_rows, par_join, ThreadPool};
 
@@ -32,13 +34,18 @@ use crate::matrix::Matrix;
 /// dominates under this size; the cutoff never affects results).
 const MIN_MAP_ROWS: usize = 64;
 
-/// Rows of one micro-tile: the micro-kernel keeps an MR×NR block of the
-/// output in registers.
+/// Rows of one micro-tile of the plain and AVX2 copies: the micro-kernel
+/// keeps an MR×NR block of the output in registers.
 const MR: usize = 4;
-/// Columns of one micro-tile (two AVX2 vectors of `f64`).
+/// Rows of one micro-tile of the AVX-512 copy: one zmm accumulator per row.
+#[cfg(target_arch = "x86_64")]
+const MR_AVX512: usize = 8;
+/// Columns of one micro-tile (two AVX2 vectors or one AVX-512 vector of
+/// `f64`). Every copy shares it, so [`pack_b`]'s layout is copy-independent.
 const NR: usize = 8;
 /// Depth of one packed slab of the inner dimension: an MR×KC panel of A
-/// (8 KiB) stays in L1 while the KC×NR panels of B stream past it.
+/// (8 KiB, or 16 KiB for the 8-row tile) stays in L1 while the KC×NR
+/// panels of B stream past it.
 const KC: usize = 256;
 
 /// A read-only matrix operand addressed through strides: element `(i, j)`
@@ -68,7 +75,7 @@ impl<'a> Operand<'a> {
     }
 }
 
-/// Which compiled copy of the kernel body runs. Both copies perform the
+/// Which compiled copy of the kernel body runs. Every copy performs the
 /// same scalar operations in the same order (see [`micro`]), so the choice
 /// never changes output bits — only speed.
 #[derive(Clone, Copy, Debug)]
@@ -78,6 +85,9 @@ enum Isa {
     /// The body compiled with AVX2 enabled.
     #[cfg(target_arch = "x86_64")]
     Avx2(isa::Avx2Detected),
+    /// The 8-row AVX-512F micro-kernel ([`micro_avx512`]).
+    #[cfg(target_arch = "x86_64")]
+    Avx512(isa::Avx512Detected),
 }
 
 mod isa {
@@ -89,10 +99,16 @@ mod isa {
     #[derive(Clone, Copy, Debug)]
     pub(super) struct Avx2Detected(());
 
+    /// Proof that runtime detection found AVX-512F: only [`Isa::avx512`]
+    /// makes one.
+    #[cfg(target_arch = "x86_64")]
+    #[derive(Clone, Copy, Debug)]
+    pub(super) struct Avx512Detected(());
+
     impl Isa {
         /// The fastest copy this CPU can run.
         pub(super) fn detect() -> Isa {
-            Isa::avx2().unwrap_or(Isa::Plain)
+            Isa::avx512().or_else(Isa::avx2).unwrap_or(Isa::Plain)
         }
 
         /// The AVX2 copy, if this CPU supports AVX2.
@@ -103,6 +119,39 @@ mod isa {
             }
             None
         }
+
+        /// The AVX-512 copy, if this CPU supports AVX-512F.
+        pub(super) fn avx512() -> Option<Isa> {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return Some(Isa::Avx512(Avx512Detected(())));
+            }
+            None
+        }
+    }
+}
+
+impl Isa {
+    /// Rows of this copy's micro-tile.
+    fn mr(self) -> usize {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512(_) => MR_AVX512,
+            _ => MR,
+        }
+    }
+}
+
+/// The compiled copy of the matmul kernel that runs on this CPU: `plain`,
+/// `avx2` or `avx512`. Picked by CPU detection alone; every copy gives the
+/// same bits.
+pub fn kernel_copy() -> &'static str {
+    match Isa::detect() {
+        Isa::Plain => "plain",
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2(_) => "avx2",
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512(_) => "avx512",
     }
 }
 
@@ -219,7 +268,7 @@ fn gemm(
     // Cheap rows (small k·m) get coarser blocks so per-task work stays
     // meaningful; the blocking is invisible in the output.
     let min_rows = (32_768 / (k * m).max(1)).max(8);
-    let block = block_rows(n, pool.threads(), min_rows).next_multiple_of(MR);
+    let block = block_rows(n, pool.threads(), min_rows).next_multiple_of(isa.mr());
     for pc in (0..k).step_by(KC) {
         let kc = KC.min(k - pc);
         let b_slab = &mut b_pack[..kc * panels * NR];
@@ -292,6 +341,11 @@ impl PackedRhs {
 /// Panics unless `out` holds whole `b.cols()`-wide rows and `a` holds as
 /// many `b.rows()`-wide rows.
 pub fn matmul_packed(a: &[f64], b: &PackedRhs, out: &mut [f64]) {
+    packed_product(Isa::detect(), a, b, out);
+}
+
+/// [`matmul_packed`] with the given compiled copy.
+fn packed_product(isa: Isa, a: &[f64], b: &PackedRhs, out: &mut [f64]) {
     let PackedRhs { k, m, ref panels } = *b;
     if m == 0 {
         assert!(out.is_empty(), "matmul_packed: output for zero columns must be empty");
@@ -304,7 +358,6 @@ pub fn matmul_packed(a: &[f64], b: &PackedRhs, out: &mut [f64]) {
         out.fill(0.0);
         return;
     }
-    let isa = Isa::detect();
     let a = Operand { data: a, rs: k, cs: 1 };
     let width = m.div_ceil(NR) * NR;
     for pc in (0..k).step_by(KC) {
@@ -350,11 +403,15 @@ impl RowBlock<'_> {
     /// Runs the block with the [`Isa`]'s compiled copy of the body.
     fn run_on(&self, isa: Isa, out: &mut [f64]) {
         match isa {
-            Isa::Plain => self.run(out),
+            Isa::Plain => self.run(out, micro),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: an `Avx2Detected` exists only after
             // `is_x86_feature_detected!("avx2")` returned true.
             Isa::Avx2(_) => unsafe { self.run_avx2(out) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: an `Avx512Detected` exists only after
+            // `is_x86_feature_detected!("avx512f")` returned true.
+            Isa::Avx512(_) => unsafe { self.run_avx512(out) },
         }
     }
 
@@ -365,22 +422,38 @@ impl RowBlock<'_> {
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn run_avx2(&self, out: &mut [f64]) {
-        self.run(out);
+        self.run(out, micro);
+    }
+
+    /// [`RowBlock::run`] with AVX-512F enabled and the 8-row
+    /// [`micro_avx512`] tile.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn run_avx512(&self, out: &mut [f64]) {
+        // The closure inherits this function's target features, so the
+        // intrinsics inline into the loop.
+        // SAFETY: the caller guarantees AVX-512F, `micro_avx512`'s only
+        // requirement.
+        self.run(out, |kc, a_panel, b_panel, c| unsafe { micro_avx512(kc, a_panel, b_panel, c) });
     }
 
     /// Accumulates this slab's contribution into the block's output rows
-    /// `out` (row-major, `m` columns).
+    /// `out` (row-major, `m` columns), `R` rows at a time through `micro`.
     #[inline(always)]
-    fn run(&self, out: &mut [f64]) {
+    fn run<const R: usize>(&self, out: &mut [f64], micro: impl Fn(usize, &[f64], &[f64], &mut [[f64; NR]; R])) {
         let Self { a, first_row, pc, kc, b_slab, m } = *self;
         let rows = out.len() / m;
-        let mut a_panel = [0.0f64; MR * KC];
-        for i0 in (0..rows).step_by(MR) {
-            let mr = MR.min(rows - i0);
-            // Pack the MR×kc panel of `a`, p-major, zero-padding rows
-            // past the end of the block.
-            for r in 0..MR {
-                let dst = a_panel[r..].iter_mut().step_by(MR).take(kc);
+        // p-major: `a_panel[p][r]` is row `r`'s value at inner index `p`.
+        let mut a_panel = [[0.0f64; R]; KC];
+        for i0 in (0..rows).step_by(R) {
+            let mr = R.min(rows - i0);
+            // Pack the R×kc panel of `a`, zero-padding rows past the end
+            // of the block.
+            for r in 0..R {
+                let dst = a_panel[..kc].iter_mut().map(|col| &mut col[r]);
                 if r < mr {
                     let start = (first_row + i0 + r) * a.rs + pc * a.cs;
                     dst.zip(a.data[start..].iter().step_by(a.cs)).for_each(|(d, &v)| *d = v);
@@ -388,16 +461,17 @@ impl RowBlock<'_> {
                     dst.for_each(|d| *d = 0.0);
                 }
             }
+            let a_flat = a_panel.as_flattened();
             for (jp, b_panel) in b_slab.chunks_exact(kc * NR).enumerate() {
                 let j0 = jp * NR;
                 let nr = NR.min(m - j0);
-                let mut c = [[0.0; NR]; MR];
+                let mut c = [[0.0; NR]; R];
                 if pc > 0 {
                     for (r, c_row) in c.iter_mut().enumerate().take(mr) {
                         copy_tile_row(&mut c_row[..nr], &out[(i0 + r) * m + j0..][..nr]);
                     }
                 }
-                micro(kc, &a_panel, b_panel, &mut c);
+                micro(kc, a_flat, b_panel, &mut c);
                 for (r, c_row) in c.iter().enumerate().take(mr) {
                     copy_tile_row(&mut out[(i0 + r) * m + j0..][..nr], &c_row[..nr]);
                 }
@@ -437,8 +511,34 @@ fn micro(kc: usize, a_panel: &[f64], b_panel: &[f64], c: &mut [[f64; NR]; MR]) {
     *c = acc;
 }
 
+/// [`micro`]'s arithmetic on an 8×8 tile held in eight zmm registers, one
+/// per row: for each `p`, one load of the `b` row, then per tile row a
+/// broadcast of its `a` value, `_mm512_mul_pd` and `_mm512_add_pd`. Each
+/// lane thus does `acc += a * b` with both operations rounded, exactly as
+/// the scalar loop. Written with intrinsics: LLVM's code for a generic
+/// tile compiled with AVX-512F enabled was no faster than the AVX2 copy at
+/// 8 rows and slower than this tile on most shapes at 4 rows.
+///
+/// # Safety
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn micro_avx512(kc: usize, a_panel: &[f64], b_panel: &[f64], c: &mut [[f64; NR]; MR_AVX512]) {
+    use std::arch::x86_64::{_mm512_add_pd, _mm512_loadu_pd, _mm512_mul_pd, _mm512_set1_pd, _mm512_storeu_pd};
+    let mut acc = c.map(|row| _mm512_loadu_pd(row.as_ptr()));
+    for (a, b) in a_panel[..kc * MR_AVX512].chunks_exact(MR_AVX512).zip(b_panel[..kc * NR].chunks_exact(NR)) {
+        let b = _mm512_loadu_pd(b.as_ptr());
+        for (acc_row, &av) in acc.iter_mut().zip(a) {
+            *acc_row = _mm512_add_pd(*acc_row, _mm512_mul_pd(_mm512_set1_pd(av), b));
+        }
+    }
+    for (row, acc_row) in c.iter_mut().zip(acc) {
+        _mm512_storeu_pd(row.as_mut_ptr(), acc_row);
+    }
+}
+
 /// Rows of one strip of a [`RowStrips`] operand: one dot product per SIMD
-/// lane, four AVX2 vectors of `f64`.
+/// lane, four AVX2 or two AVX-512 vectors of `f64`.
 pub const LANES: usize = 16;
 
 /// The rows of a matrix packed feature-major in strips of [`LANES`] rows:
@@ -486,14 +586,23 @@ impl RowStrips {
             return;
         }
         let width = self.cols * LANES;
-        let strips = &self.data[first / LANES * width..];
-        match Isa::detect() {
-            Isa::Plain => dots_body(strips, y, out),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: an `Avx2Detected` exists only after
-            // `is_x86_feature_detected!("avx2")` returned true.
-            Isa::Avx2(_) => unsafe { dots_avx2(strips, y, out) },
-        }
+        dots_on(Isa::detect(), &self.data[first / LANES * width..], y, out);
+    }
+}
+
+/// [`RowStrips::dots`] over the strips starting at `strips`, with the
+/// given compiled copy.
+fn dots_on(isa: Isa, strips: &[f64], y: &[f64], out: &mut [f64]) {
+    match isa {
+        Isa::Plain => dots_body(strips, y, out),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an `Avx2Detected` exists only after
+        // `is_x86_feature_detected!("avx2")` returned true.
+        Isa::Avx2(_) => unsafe { dots_avx2(strips, y, out) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an `Avx512Detected` exists only after
+        // `is_x86_feature_detected!("avx512f")` returned true.
+        Isa::Avx512(_) => unsafe { dots_avx512(strips, y, out) },
     }
 }
 
@@ -505,6 +614,33 @@ impl RowStrips {
 #[target_feature(enable = "avx2")]
 unsafe fn dots_avx2(strips: &[f64], y: &[f64], out: &mut [f64]) {
     dots_body(strips, y, out);
+}
+
+/// [`dots_body`]'s arithmetic with the strip's accumulator in two zmm
+/// registers: per feature, a broadcast of `y[p]`, `_mm512_mul_pd` and
+/// `_mm512_add_pd`, so each lane does the scalar `acc += x * v` with both
+/// operations rounded.
+///
+/// # Safety
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn dots_avx512(strips: &[f64], y: &[f64], out: &mut [f64]) {
+    use std::arch::x86_64::{
+        _mm512_add_pd, _mm512_loadu_pd, _mm512_mul_pd, _mm512_set1_pd, _mm512_setzero_pd, _mm512_storeu_pd,
+    };
+    for (strip, out) in strips.chunks_exact(y.len() * LANES).zip(out.chunks_mut(LANES)) {
+        let (mut lo, mut hi) = (_mm512_setzero_pd(), _mm512_setzero_pd());
+        for (x, &v) in strip.chunks_exact(LANES).zip(y) {
+            let v = _mm512_set1_pd(v);
+            lo = _mm512_add_pd(lo, _mm512_mul_pd(_mm512_loadu_pd(x.as_ptr()), v));
+            hi = _mm512_add_pd(hi, _mm512_mul_pd(_mm512_loadu_pd(x[LANES / 2..].as_ptr()), v));
+        }
+        let mut acc = [0.0f64; LANES];
+        _mm512_storeu_pd(acc.as_mut_ptr(), lo);
+        _mm512_storeu_pd(acc[LANES / 2..].as_mut_ptr(), hi);
+        out.copy_from_slice(&acc[..out.len()]);
+    }
 }
 
 /// The body of [`RowStrips::dots`]: per strip, a [`LANES`]-wide
@@ -646,11 +782,17 @@ pub fn argmax_rows(pool: &ThreadPool, x: &Matrix) -> Vec<usize> {
 const MAX_PLAN_ROWS: usize = 64;
 
 /// Rows per block when a frozen model scores `rows` rows on `threads`
-/// threads: one block per thread, rounded up to whole MR-row micro-tiles,
-/// at most [`MAX_PLAN_ROWS`]. A block's rows are scored from their own
-/// inputs alone, so the blocking never changes an output bit.
+/// threads: one block per thread, rounded up to whole micro-tiles of the
+/// running kernel copy, at most [`MAX_PLAN_ROWS`]. A block's rows are
+/// scored from their own inputs alone, so the blocking never changes an
+/// output bit.
 pub fn plan_block_rows(rows: usize, threads: usize) -> usize {
-    rows.div_ceil(threads.max(1)).next_multiple_of(MR).min(MAX_PLAN_ROWS)
+    plan_rows(rows, threads, Isa::detect().mr())
+}
+
+/// [`plan_block_rows`] for micro-tiles of `mr` rows.
+fn plan_rows(rows: usize, threads: usize, mr: usize) -> usize {
+    rows.div_ceil(threads.max(1)).next_multiple_of(mr).min(MAX_PLAN_ROWS)
 }
 
 thread_local! {
@@ -691,6 +833,11 @@ mod tests {
 
     fn pools() -> Vec<ThreadPool> {
         [1, 2, 4, 8].into_iter().map(ThreadPool::new).collect()
+    }
+
+    /// Every compiled copy this CPU can run.
+    fn copies() -> Vec<Isa> {
+        [Some(Isa::Plain), Isa::avx2(), Isa::avx512()].into_iter().flatten().collect()
     }
 
     /// Deterministic pseudo-random matrix without an RNG dependency.
@@ -816,11 +963,11 @@ mod tests {
                     for (r, g) in got.iter().enumerate() {
                         assert_eq!(g.to_bits(), want[(first + r, 0)].to_bits(), "{n}x{d}: row {}", first + r);
                     }
-                    // The plain copy gives the dispatched copy's bits.
-                    if d > 0 {
-                        let mut plain = vec![f64::NAN; len];
-                        dots_body(&strips.data[first * d..], y.row(0), &mut plain);
-                        assert!(plain.iter().zip(&got).all(|(p, g)| p.to_bits() == g.to_bits()), "{n}x{d}");
+                    // Every compiled copy gives the dispatched copy's bits.
+                    for isa in copies().into_iter().filter(|_| d > 0) {
+                        let mut copy = vec![f64::NAN; len];
+                        dots_on(isa, &strips.data[first * d..], y.row(0), &mut copy);
+                        assert!(copy.iter().zip(&got).all(|(c, g)| c.to_bits() == g.to_bits()), "{isa:?} {n}x{d}");
                     }
                 }
             }
@@ -829,13 +976,22 @@ mod tests {
 
     #[test]
     fn plan_blocks_give_each_thread_one_block_of_whole_tiles() {
-        assert_eq!(plan_block_rows(64, 1), 64);
-        assert_eq!(plan_block_rows(64, 2), 32);
-        assert_eq!(plan_block_rows(65, 2), 36);
-        assert_eq!(plan_block_rows(1, 4), MR);
-        assert_eq!(plan_block_rows(1100, 2), MAX_PLAN_ROWS);
-        for threads in 1..=8 {
-            assert!(64usize.div_ceil(plan_block_rows(64, threads)) <= threads);
+        for isa in copies() {
+            let mr = isa.mr();
+            assert_eq!(plan_rows(64, 1, mr), 64);
+            assert_eq!(plan_rows(64, 2, mr), 32);
+            assert_eq!(plan_rows(65, 2, mr), 33usize.next_multiple_of(mr));
+            assert_eq!(plan_rows(1, 4, mr), mr);
+            assert_eq!(plan_rows(1100, 2, mr), MAX_PLAN_ROWS);
+            for threads in 1..=8 {
+                assert_eq!(plan_rows(64, threads, mr) % mr, 0);
+                assert!(64usize.div_ceil(plan_rows(64, threads, mr)) <= threads);
+            }
+        }
+        // The public plan follows the tile of the copy that runs.
+        let mr = Isa::detect().mr();
+        for (rows, threads) in [(64, 1), (65, 2), (1, 4), (100, 3), (1100, 2)] {
+            assert_eq!(plan_block_rows(rows, threads), plan_rows(rows, threads, mr));
         }
     }
 
@@ -867,16 +1023,42 @@ mod tests {
     }
 
     #[test]
-    fn plain_and_avx2_copies_agree_bitwise() {
-        // Without AVX2 only the plain copy can run; there is nothing to compare.
-        let Some(avx2) = Isa::avx2() else { return };
-        for (s, &(n, k, m)) in SHAPES.iter().enumerate() {
-            let a = test_matrix(n, k, 70 + s as u64);
-            let b = test_matrix(m, k, 90 + s as u64);
-            for pool in pools() {
-                let run = |isa| gemm(&pool, isa, (n, k, m), Operand::plain(&a), Operand::transposed(&b), &|_| {});
-                let what = format!("{n}x{k}·{k}x{m}, {} threads", pool.threads());
-                assert_same_bits(&run(avx2), &run(Isa::Plain), &what);
+    fn every_compiled_copy_matches_naive_reference_bitwise() {
+        // Rows around the 4- and 8-row tiles, columns around the 8-wide
+        // panel, and depths of one step, one whole slab and one past it.
+        let pools: Vec<ThreadPool> = [1, 2, 4].into_iter().map(ThreadPool::new).collect();
+        let epilogue = |rows: &mut [f64]| rows.iter_mut().for_each(|v| *v = *v * 0.5 - 1.0);
+        let mut salt = 200;
+        for n in [1, 7, 9, 17, 64, 65] {
+            for k in [1, KC, KC + 1] {
+                for m in [5, 8, 37] {
+                    salt += 2;
+                    let a = test_matrix(n, k, salt);
+                    let b = test_matrix(k, m, salt + 1);
+                    let want = naive(&a, &b);
+                    let mut want_then = want.clone();
+                    epilogue(want_then.as_mut_slice());
+                    let (at, bt) = (a.transpose(), b.transpose());
+                    let packed = PackedRhs::new(&b);
+                    for isa in copies() {
+                        let what =
+                            |op: &str, threads: usize| format!("{isa:?} {op} {n}x{k}·{k}x{m}, {threads} threads");
+                        for pool in &pools {
+                            let run = |a, b, epilogue: &(dyn Fn(&mut [f64]) + Sync)| {
+                                gemm(pool, isa, (n, k, m), a, b, epilogue)
+                            };
+                            let t = pool.threads();
+                            let (a_nn, b_nn) = (Operand::plain(&a), Operand::plain(&b));
+                            assert_same_bits(&run(a_nn, b_nn, &|_| {}), &want, &what("nn", t));
+                            assert_same_bits(&run(Operand::transposed(&at), b_nn, &|_| {}), &want, &what("tn", t));
+                            assert_same_bits(&run(a_nn, Operand::transposed(&bt), &|_| {}), &want, &what("nt", t));
+                            assert_same_bits(&run(a_nn, b_nn, &epilogue), &want_then, &what("then", t));
+                        }
+                        let mut got = Matrix::full(n, m, f64::NAN);
+                        packed_product(isa, a.as_slice(), &packed, got.as_mut_slice());
+                        assert_same_bits(&got, &want, &what("packed", 1));
+                    }
+                }
             }
         }
     }

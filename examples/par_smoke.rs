@@ -14,7 +14,9 @@
 //! each with a serial pool and with the full machine. It
 //! verifies every pair of outputs is bit-identical and exits non-zero if
 //! any parallel run is more than 1.5× slower than serial (a regression
-//! guard, not a benchmark).
+//! guard, not a benchmark). Its header names the compiled copy of the
+//! matmul kernel that CPU detection picked (`plain`, `avx2` or `avx512`),
+//! so a log records which kernel the checks measured.
 //!
 //! ```sh
 //! cargo run --release -p bench --example par_smoke
@@ -128,6 +130,7 @@ fn main() {
         runtime::THREADS_ENV,
         std::env::var(runtime::THREADS_ENV).ok()
     );
+    println!("kernel copy: {} (picked by CPU detection; every check below runs it)", par::kernel_copy());
 
     let mut ok = check("sq_euclidean_cdist 2000x128 · 256x128", &serial, parallel, |pool| {
         par::sq_euclidean_cdist(pool, &x, &y)

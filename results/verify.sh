@@ -3,7 +3,9 @@
 # traced-run observability smoke, a training-health/ledger gate, and a
 # perf-regression gate.
 #
-#   1. cargo build --release && cargo test -q   (the repo's tier-1 gate)
+#   1. cargo build --release && cargo test -q   (the repo's tier-1 gate),
+#      then cargo clippy --workspace --all-targets --release with
+#      -D warnings: any lint warning fails the gate.
 #   2. par_smoke example: times sq_euclidean_cdist on a 2000x128 matrix,
 #      matmul at the fit-tall forward shape (4248x160 . 160x256),
 #      matmul_tn at its backward shape (160x4248 . 4248x256), the fused
@@ -16,7 +18,9 @@
 #      subclusters, k=684), each on a 1-thread pool vs the full pool;
 #      asserts every pair of outputs is bit-identical (for Birch's step:
 #      labels, centroids, inertia and iteration count), and fails if any
-#      parallel run is >1.5x slower than serial.
+#      parallel run is >1.5x slower than serial. Its header names the
+#      compiled kernel copy CPU detection picked (plain, avx2 or avx512),
+#      so the log records which kernel these gates measured.
 #   3. quickstart under TABLEDC_TRACE=<file> + TABLEDC_PROFILE=alloc +
 #      TABLEDC_FOLDED=<file> + TABLEDC_HEALTH=strict: the emitted trace
 #      must be valid JSON lines with monotone timestamps, balanced
@@ -55,6 +59,9 @@ cargo build --release
 
 echo "== tier-1: cargo test -q =="
 cargo test -q
+
+echo "== lint: cargo clippy -D warnings =="
+cargo clippy --workspace --all-targets --release -- -D warnings
 
 echo "== runtime smoke: serial vs parallel cdist, matmul, fused layer, fused head, frozen request and Birch global step =="
 # Exercise real multi-thread scheduling even on single-core CI boxes; the
