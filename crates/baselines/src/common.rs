@@ -4,14 +4,23 @@
 //! All five deep baselines (SDCN, DFCN, DCRN, EDESC, SHGP) are built on the
 //! same `nn`/`graph` substrate as TableDC itself, so quality differences
 //! between methods come from their objectives — not from framework or
-//! tuning asymmetries. Per §4.3 the baselines run with the same epoch
-//! budget as TableDC and their originally published architectural choices
-//! (Student-t kernel, Euclidean distances, K-means initialization).
+//! tuning asymmetries. SDCN, DFCN, DCRN and EDESC train their joint epochs
+//! through TableDC's own epoch driver ([`train_epochs`]), so the loop around
+//! their objectives is TableDC's too. Per §4.3 the baselines run with the
+//! same epoch budget as TableDC and their originally published
+//! architectural choices (Student-t kernel, Euclidean distances, K-means
+//! initialization).
+
+use std::rc::Rc;
 
 use autograd::{Tape, Var};
-use nn::Params;
+use graph::Csr;
+use nn::{Autoencoder, Params};
 use rand::rngs::StdRng;
-use tabledc::diagnostics::{self, ConvergenceVerdict, DiagnosticsTracker, VerdictRules};
+use obs::json::Json;
+use tabledc::diagnostics::ConvergenceVerdict;
+use tabledc::train::{Driver, Method, Objective};
+use tabledc::HealthConfig;
 use tensor::head::SoftKernel;
 use tensor::Matrix;
 
@@ -48,6 +57,24 @@ impl DeepConfig {
     pub fn knn_degree(&self, n: usize) -> usize {
         self.knn_k.min(n.saturating_sub(1)).max(1)
     }
+
+    /// The GCN-normalized KNN graph over the rows of `x`, of degree
+    /// [`DeepConfig::knn_degree`].
+    pub fn adjacency(&self, x: &Matrix) -> Rc<Csr> {
+        Rc::new(graph::gcn_adjacency(x, self.knn_degree(x.rows())))
+    }
+
+    /// The start every autoencoder baseline shares: `x` standardized as
+    /// TableDC standardizes it, so the comparison isolates the objectives,
+    /// and a parameter store holding the [`DeepConfig::encoder_dims`]
+    /// autoencoder pretrained on it.
+    pub fn pretrained_autoencoder(&self, x: &Matrix, rng: &mut StdRng) -> (Matrix, Params, Autoencoder) {
+        let x = x.standardize_cols();
+        let mut params = Params::new();
+        let ae = Autoencoder::new(&mut params, &self.encoder_dims(x.cols()), rng);
+        ae.pretrain(&mut params, &x, self.pretrain_epochs, self.lr);
+        (x, params, ae)
+    }
 }
 
 /// Output of a baseline run.
@@ -78,80 +105,45 @@ impl ClusterOutput {
     }
 }
 
-/// Per-epoch telemetry shared by the deep baselines: one `baseline.epoch`
-/// event, NaN/Inf health checks on the loss scalars, and the structural
-/// diagnostics (`baseline.diag` events + churn/share/margin tracking) the
-/// convergence verdict is rendered from. One observer per fit; every event
-/// carries the observer's process-unique `fit` id so `trace_check` can
-/// verify per-fit epoch monotonicity.
-pub struct EpochObserver {
+/// Trains a deep baseline's joint epochs through the shared epoch driver
+/// ([`tabledc::train::Driver`]) with Adam at [`DeepConfig::lr`]:
+/// `objective` builds each epoch on the tape from the `data` constants, and
+/// the driver checks, steps and observes it under `baseline.*` telemetry
+/// for `method` and the `TABLEDC_HEALTH` policy. The labels are the argmax
+/// of the last completed epoch's assignment matrix (all 0 when none
+/// completed).
+pub fn train_epochs<const N: usize>(
     method: &'static str,
-    fit_id: u64,
+    cfg: &DeepConfig,
     k: usize,
-    monitor: obs::HealthMonitor,
-    tracker: DiagnosticsTracker,
-}
-
-impl EpochObserver {
-    /// A fresh observer for one `method` fit into `k` clusters (health
-    /// policy from `TABLEDC_HEALTH`).
-    pub fn new(method: &'static str, k: usize) -> Self {
-        Self {
-            method,
-            fit_id: diagnostics::next_fit_id(),
-            k,
-            monitor: obs::HealthMonitor::from_env(),
-            tracker: DiagnosticsTracker::new(),
-        }
-    }
-
-    /// Records one epoch: emits `baseline.epoch`, checks each loss scalar
-    /// against the monitor's policy, and — when the epoch is healthy —
-    /// observes the soft-assignment matrix `q` for structural diagnostics
-    /// and emits `baseline.diag`. Returns
-    /// [`Abort`](obs::health::Action::Abort) when a strict-policy
-    /// violation was found — the baseline then stops its epoch loop
-    /// (baselines record the violation but do not write diagnostic dumps;
-    /// those are TableDC's own abort path).
-    pub fn observe(
-        &mut self,
-        epoch: usize,
-        re_loss: f64,
-        kl_pq: f64,
-        loss: f64,
-        q: &Matrix,
-    ) -> obs::health::Action {
-        obs::event("baseline.epoch")
-            .str("method", self.method)
-            .u64("fit", self.fit_id)
-            .u64("epoch", epoch as u64)
-            .f64("re_loss", re_loss)
-            .f64("kl_pq", kl_pq)
-            .f64("loss", loss)
-            .emit();
-        for (name, v) in [("re_loss", re_loss), ("kl_pq", kl_pq), ("loss", loss)] {
-            let action = self.monitor.check_scalar(&format!("{}.{name}", self.method), v, epoch as u64);
-            if action.should_abort() {
-                return action;
-            }
-        }
-        let diag = self.tracker.observe(q, None);
-        diagnostics::emit_diag_event("baseline.diag", Some(self.method), self.fit_id, &diag);
-        diagnostics::record_series(&format!("{}.diag", self.method), &diag);
-        obs::health::Action::Continue
-    }
-
-    /// Closes the fit: the health report and the convergence verdict.
-    pub fn finish(self) -> (obs::HealthReport, ConvergenceVerdict) {
-        let verdict = self.tracker.verdict(self.k, &VerdictRules::default());
-        obs::event("baseline.convergence")
-            .str("method", self.method)
-            .u64("fit", self.fit_id)
-            .str("status", verdict.status.as_str())
-            .i64("epoch", verdict.epoch.map_or(-1, |e| e as i64))
-            .str("rule", &verdict.rule)
-            .emit();
-        (self.monitor.report(), verdict)
+    params: &mut Params,
+    data: [&Matrix; N],
+    objective: impl FnMut(&Tape<'_>, &nn::BoundParams<'_>, [Var; N]) -> Objective,
+) -> ClusterOutput {
+    let driver = Driver {
+        method: Method::Baseline(method),
+        k,
+        epochs: cfg.epochs,
+        health: HealthConfig::default(),
+        centers: None,
+        config: Json::obj([
+            ("method", method.into()),
+            ("k", k.into()),
+            ("latent_dim", cfg.latent_dim.into()),
+            ("lr", cfg.lr.into()),
+            ("pretrain_epochs", cfg.pretrain_epochs.into()),
+            ("epochs", cfg.epochs.into()),
+            ("knn_k", cfg.knn_k.into()),
+        ]),
+    };
+    let n = data.first().map_or(0, |x| x.rows());
+    let trained = driver.run(params, &mut nn::Adam::new(cfg.lr), data, objective);
+    ClusterOutput {
+        labels: trained.assign.map_or_else(|| vec![0; n], |a| a.argmax_rows()),
+        re_loss: trained.history.re_loss,
+        kl_pq: trained.history.kl_pq,
+        health: trained.health,
+        convergence: trained.convergence,
     }
 }
 
@@ -172,9 +164,9 @@ pub fn kmeans_centers(z: &Matrix, k: usize, rng: &mut StdRng) -> Matrix {
 
 /// Binds `params`, puts the `data` matrices on the tape as borrowed
 /// constants (no copy), runs `forward` on them to produce a scalar loss,
-/// backprops and applies one Adam step. Returns the loss value.
-/// Centralizing this loop keeps each baseline's `fit` focused on its
-/// objective.
+/// backprops and applies one Adam step. Returns the loss value. The step
+/// of the methods without a per-epoch assignment matrix (SHGP, Starmie);
+/// the deep-clustering methods train through [`train_epochs`].
 pub fn train_step<const N: usize>(
     params: &mut Params,
     adam: &mut nn::Adam,
@@ -186,7 +178,7 @@ pub fn train_step<const N: usize>(
     let loss = forward(&tape, &bound, data.map(|m| tape.constant_ref(m)));
     let value = tape.value(loss)[(0, 0)];
     let grads = bound.backward(loss);
-    adam.step_from_tape(params, &grads);
+    adam.step(params, &grads);
     value
 }
 
@@ -215,54 +207,6 @@ mod tests {
         let c = t.leaf(Matrix::from_rows(&[&[0.5, 0.0], &[5.0, 0.0]]));
         let q = t.value(student_t_assignments(&t, z, c, 1.0));
         assert!(q[(0, 0)] > q[(0, 1)]);
-    }
-
-    #[test]
-    fn epoch_observer_emits_diag_events_and_renders_a_verdict() {
-        let q = Matrix::from_rows(&[&[0.9, 0.1], &[0.2, 0.8], &[0.1, 0.9], &[0.7, 0.3]]);
-        let ((health, verdict), lines) = obs::test_support::with_memory_sink(|| {
-            let mut obs_ = EpochObserver::new("unit", 2);
-            for epoch in 0..12 {
-                let action = obs_.observe(epoch, 0.5, 0.1, 0.6, &q);
-                assert!(!action.should_abort());
-            }
-            obs_.finish()
-        });
-        assert_eq!(health.verdict, obs::health::Verdict::Healthy);
-        // Constant labels: settled after the first full-churn epoch.
-        assert_eq!(verdict.status, tabledc::ConvergenceStatus::Converged);
-        assert_eq!(verdict.epoch, Some(1));
-        let diags: Vec<_> = lines.iter().filter(|l| l.contains("\"baseline.diag\"")).collect();
-        assert_eq!(diags.len(), 12);
-        let v = obs::json::parse(diags[3]).expect("valid JSON");
-        assert_eq!(v.get("method").unwrap().as_str(), Some("unit"));
-        assert_eq!(v.get("epoch").unwrap().as_f64(), Some(3.0));
-        assert_eq!(v.get("delta_label_frac").unwrap().as_f64(), Some(0.0));
-        assert_eq!(v.get("min_share").unwrap().as_f64(), Some(0.5));
-        assert_eq!(v.get("max_share").unwrap().as_f64(), Some(0.5));
-        assert!(lines.iter().any(|l| l.contains("\"baseline.convergence\"")));
-        // Every event of the fit shares one fit id.
-        let fit_ids: Vec<f64> = diags
-            .iter()
-            .map(|l| obs::json::parse(l).unwrap().get("fit").unwrap().as_f64().unwrap())
-            .collect();
-        assert!(fit_ids.windows(2).all(|w| w[0] == w[1]));
-    }
-
-    #[test]
-    fn epoch_observer_aborts_on_strict_nan_before_diagnostics() {
-        let q = Matrix::from_rows(&[&[1.0, 0.0]]);
-        let (action, lines) = obs::test_support::with_memory_sink(|| {
-            let mut obs_ = EpochObserver::new("unit2", 2);
-            // Install a strict monitor by poking the loss with NaN under a
-            // strict policy.
-            obs_.monitor = obs::HealthMonitor::new(obs::health::Policy::Strict);
-            obs_.observe(0, f64::NAN, 0.1, 0.6, &q)
-        });
-        assert!(action.should_abort());
-        // The aborting epoch emits baseline.epoch but no baseline.diag.
-        assert!(lines.iter().any(|l| l.contains("\"baseline.epoch\"")));
-        assert!(!lines.iter().any(|l| l.contains("\"baseline.diag\"")));
     }
 
     #[test]

@@ -7,19 +7,16 @@
 //! information correlation to improve the discriminative property" §4.1.2).
 //! Clustering is Student-t self-supervision on the mean fused view.
 
-use std::rc::Rc;
-
-use graph::{gcn_adjacency, Csr, Gcn};
+use graph::Gcn;
 use nn::loss::{kl_div, kl_div_value, mse};
-use nn::{Activation, Adam, Autoencoder, Params};
+use nn::Activation;
 use rand::rngs::StdRng;
 use rand::Rng;
 use tabledc::target_distribution;
+use tabledc::train::Objective;
 use tensor::Matrix;
 
-use crate::common::{
-    kmeans_centers, student_t_assignments, train_step, ClusterOutput, DeepConfig, EpochObserver,
-};
+use crate::common::{kmeans_centers, student_t_assignments, train_epochs, ClusterOutput, DeepConfig};
 
 /// DCRN model configuration.
 #[derive(Debug, Clone)]
@@ -44,85 +41,56 @@ impl Dcrn {
 
     /// Trains DCRN on the rows of `x` into `k` clusters.
     pub fn fit(&self, x: &Matrix, k: usize, rng: &mut StdRng) -> ClusterOutput {
-        // Standardize features in front of the encoder, matching TableDC's
-        // preprocessing so the comparison isolates the objectives.
-        let x = &x.standardize_cols();
         let cfg = &self.config;
-        let adj: Rc<Csr> = Rc::new(gcn_adjacency(x, cfg.knn_degree(x.rows())));
-
-        let mut params = Params::new();
-        let dims = cfg.encoder_dims(x.cols());
-        let ae = Autoencoder::new(&mut params, &dims, rng);
-        ae.pretrain(&mut params, x, cfg.pretrain_epochs, cfg.lr);
-        let gcn = Gcn::new(&mut params, &dims, Activation::Linear, rng);
+        let (x, mut params, ae) = cfg.pretrained_autoencoder(x, rng);
+        let x = &x;
+        let adj = cfg.adjacency(x);
+        let gcn = Gcn::new(&mut params, &cfg.encoder_dims(x.cols()), Activation::Linear, rng);
 
         let z0 = ae.embed(&params, x);
         let centers = params.register(kmeans_centers(&z0, k, rng));
 
-        let mut adam = Adam::new(cfg.lr);
-        let mut out = ClusterOutput::from_labels(vec![0; x.rows()]);
-        let mut final_q = Matrix::zeros(x.rows(), k);
-
-        let mut observer = EpochObserver::new("dcrn", k);
-        for epoch in 0..cfg.epochs {
-            // Two feature-dropout views (the siamese augmentation).
-            let view = |r: &mut StdRng| {
-                let mut v = x.clone();
-                for val in v.as_mut_slice() {
-                    if r.gen::<f64>() < self.dropout {
-                        *val = 0.0;
-                    }
+        // A feature-dropout view (the siamese augmentation).
+        let view = |r: &mut StdRng| {
+            let mut v = x.clone();
+            for val in v.as_mut_slice() {
+                if r.gen::<f64>() < self.dropout {
+                    *val = 0.0;
                 }
-                v
-            };
-            let x1 = view(rng);
-            let x2 = view(rng);
-
-            let adj = adj.clone();
-            let ae_ref = &ae;
-            let gcn_ref = &gcn;
-            let latent = cfg.latent_dim;
-            let mut q_val = Matrix::zeros(1, 1);
-            let mut re_val = 0.0;
-            let mut kl_val = 0.0;
-            let loss_val = train_step(&mut params, &mut adam, [x, &x1, &x2], |t, bound, [xv, x1v, x2v]| {
-                let z1 = t.add(ae_ref.encode(bound, x1v), gcn_ref.forward(bound, &adj, x1v));
-                let z2 = t.add(ae_ref.encode(bound, x2v), gcn_ref.forward(bound, &adj, x2v));
-
-                // Cross-view feature-correlation matrix (latent × latent)
-                // over L2-normalized *columns*; target: identity.
-                let n1 = normalize_cols(t, z1);
-                let n2 = normalize_cols(t, z2);
-                let s_f = t.matmul(t.transpose(n1), n2);
-                let eye = t.constant(Matrix::identity(latent));
-                let corr_loss = t.mean(t.square(t.sub(s_f, eye)));
-
-                // Clustering on the mean fused view.
-                let fused = t.scale(t.add(z1, z2), 0.5);
-                let q = student_t_assignments(t, fused, bound.var(centers), 1.0);
-                q_val = t.value(q);
-                let p = target_distribution(&q_val);
-                let kl = kl_div(t, &p, q);
-
-                let recon = ae_ref.decode(bound, ae_ref.encode(bound, xv));
-                let re = mse(t, xv, recon);
-                re_val = t.value(re)[(0, 0)];
-                kl_val = kl_div_value(&p, &q_val);
-                t.add(t.add(re, t.scale(kl, 0.1)), t.scale(corr_loss, 1.0))
-            });
-            if observer.observe(epoch, re_val, kl_val, loss_val, &q_val).should_abort() {
-                break;
             }
-            out.re_loss.push(re_val);
-            out.kl_pq.push(kl_val);
-            final_q = q_val;
-        }
+            v
+        };
+        train_epochs("dcrn", cfg, k, &mut params, [x], |t, bound, [xv]| {
+            // Two fresh views per epoch.
+            let x1v = t.constant(view(rng));
+            let x2v = t.constant(view(rng));
+            let z1 = t.add(ae.encode(bound, x1v), gcn.forward(bound, &adj, x1v));
+            let z2 = t.add(ae.encode(bound, x2v), gcn.forward(bound, &adj, x2v));
 
-        out.labels = final_q.argmax_rows();
-        let (health, convergence) = observer.finish();
-        out.health = health;
-        out.convergence = convergence;
-        out
+            // Cross-view feature-correlation matrix (latent × latent)
+            // over L2-normalized *columns*; target: identity.
+            let n1 = normalize_cols(t, z1);
+            let n2 = normalize_cols(t, z2);
+            let s_f = t.matmul(t.transpose(n1), n2);
+            let eye = t.constant(Matrix::identity(cfg.latent_dim));
+            let corr_loss = t.mean(t.square(t.sub(s_f, eye)));
+
+            // Clustering on the mean fused view.
+            let fused = t.scale(t.add(z1, z2), 0.5);
+            let q = student_t_assignments(t, fused, bound.var(centers), 1.0);
+            let p = t.with_value(q, target_distribution);
+            let kl = kl_div(t, &p, q);
+
+            let recon = ae.decode(bound, ae.encode(bound, xv));
+            let re = mse(t, xv, recon);
+            Objective {
+                loss: t.add(t.add(re, t.scale(kl, 0.1)), t.scale(corr_loss, 1.0)),
+                re,
+                kl_pq: t.with_value(q, |q| kl_div_value(&p, q)),
+                assign: q,
+                head: None,
+            }
+        })
     }
 }
 

@@ -7,18 +7,15 @@
 //! IGAE is simplified to a GCN encoder whose reconstruction target is the
 //! smoothed input `Â·X` (its graph-reconstruction surrogate).
 
-use std::rc::Rc;
-
-use graph::{gcn_adjacency, Csr, Gcn};
+use graph::Gcn;
 use nn::loss::{kl_div, kl_div_value, mse};
-use nn::{Activation, Adam, Autoencoder, Params};
+use nn::Activation;
 use rand::rngs::StdRng;
 use tabledc::target_distribution;
+use tabledc::train::Objective;
 use tensor::Matrix;
 
-use crate::common::{
-    kmeans_centers, student_t_assignments, train_step, ClusterOutput, DeepConfig, EpochObserver,
-};
+use crate::common::{kmeans_centers, student_t_assignments, train_epochs, ClusterOutput, DeepConfig};
 
 /// DFCN model configuration.
 #[derive(Debug, Clone, Default)]
@@ -35,18 +32,11 @@ impl Dfcn {
 
     /// Trains DFCN on the rows of `x` into `k` clusters.
     pub fn fit(&self, x: &Matrix, k: usize, rng: &mut StdRng) -> ClusterOutput {
-        // Standardize features in front of the encoder, matching TableDC's
-        // preprocessing so the comparison isolates the objectives.
-        let x = &x.standardize_cols();
         let cfg = &self.config;
-        let adj: Rc<Csr> = Rc::new(gcn_adjacency(x, cfg.knn_degree(x.rows())));
-
-        let mut params = Params::new();
-        let dims = cfg.encoder_dims(x.cols());
-        let ae = Autoencoder::new(&mut params, &dims, rng);
-        ae.pretrain(&mut params, x, cfg.pretrain_epochs, cfg.lr);
-
-        let gcn = Gcn::new(&mut params, &dims, Activation::Linear, rng);
+        let (x, mut params, ae) = cfg.pretrained_autoencoder(x, rng);
+        let x = &x;
+        let adj = cfg.adjacency(x);
+        let gcn = Gcn::new(&mut params, &cfg.encoder_dims(x.cols()), Activation::Linear, rng);
         // Learned fusion gate (1×latent), initialized at 0 → sigmoid 0.5,
         // i.e. an even AE/GCN blend that training can re-balance.
         let gate = params.register(Matrix::zeros(1, cfg.latent_dim));
@@ -54,63 +44,36 @@ impl Dfcn {
         let z0 = ae.embed(&params, x);
         let centers = params.register(kmeans_centers(&z0, k, rng));
 
-        let mut adam = Adam::new(cfg.lr);
-        let mut out = ClusterOutput::from_labels(vec![0; x.rows()]);
-        let smoothed = {
-            // Â·X — the IGAE reconstruction target.
-            adj.matmul_dense(x)
-        };
-        let mut final_q = Matrix::zeros(x.rows(), k);
+        // Â·X — the IGAE reconstruction target.
+        let smoothed = adj.matmul_dense(x);
+        train_epochs("dfcn", cfg, k, &mut params, [x, &smoothed], |t, bound, [xv, sm]| {
+            let z_ae = ae.encode(bound, xv);
+            let recon = ae.decode(bound, z_ae);
+            let z_gcn = gcn.forward(bound, &adj, xv);
 
-        let mut observer = EpochObserver::new("dfcn", k);
-        for epoch in 0..cfg.epochs {
-            let adj = adj.clone();
-            let ae_ref = &ae;
-            let gcn_ref = &gcn;
-            let mut q_val = Matrix::zeros(1, 1);
-            let mut re_val = 0.0;
-            let mut kl_val = 0.0;
-            let loss_val = train_step(&mut params, &mut adam, [x, &smoothed], |t, bound, [xv, sm]| {
-                let z_ae = ae_ref.encode(bound, xv);
-                let recon = ae_ref.decode(bound, z_ae);
-                let z_gcn = gcn_ref.forward(bound, &adj, xv);
+            // Gated fusion: z = g∘z_ae + (1−g)∘z_gcn with g = σ(gate)
+            // broadcast across rows.
+            let g_row = t.sigmoid(bound.var(gate));
+            let ones = t.constant(Matrix::ones(x.rows(), 1));
+            let g_full = t.matmul(ones, g_row);
+            let fused = t.add(t.mul(g_full, z_ae), t.mul(t.add_scalar(t.neg(g_full), 1.0), z_gcn));
 
-                // Gated fusion: z = g∘z_ae + (1−g)∘z_gcn with g = σ(gate)
-                // broadcast across rows.
-                let g_row = t.sigmoid(bound.var(gate));
-                let ones = t.constant(Matrix::ones(x.rows(), 1));
-                let g_full = t.matmul(ones, g_row);
-                let fused = t.add(
-                    t.mul(g_full, z_ae),
-                    t.mul(t.add_scalar(t.neg(g_full), 1.0), z_gcn),
-                );
-
-                let q = student_t_assignments(t, fused, bound.var(centers), 1.0);
-                q_val = t.value(q);
-                let p = target_distribution(&q_val);
-                let kl = kl_div(t, &p, q);
-                let re_ae = mse(t, xv, recon);
-                // GCN view reconstructs the smoothed input from its latent
-                // via the decoder (shared decoder, as in the fusion idea).
-                let recon_g = ae_ref.decode(bound, z_gcn);
-                let re_gcn = mse(t, sm, recon_g);
-                re_val = t.value(re_ae)[(0, 0)];
-                kl_val = kl_div_value(&p, &q_val);
-                t.add(t.add(re_ae, t.scale(re_gcn, 0.1)), t.scale(kl, 0.1))
-            });
-            if observer.observe(epoch, re_val, kl_val, loss_val, &q_val).should_abort() {
-                break;
+            let q = student_t_assignments(t, fused, bound.var(centers), 1.0);
+            let p = t.with_value(q, target_distribution);
+            let kl = kl_div(t, &p, q);
+            let re_ae = mse(t, xv, recon);
+            // GCN view reconstructs the smoothed input from its latent
+            // via the decoder (shared decoder, as in the fusion idea).
+            let recon_g = ae.decode(bound, z_gcn);
+            let re_gcn = mse(t, sm, recon_g);
+            Objective {
+                loss: t.add(t.add(re_ae, t.scale(re_gcn, 0.1)), t.scale(kl, 0.1)),
+                re: re_ae,
+                kl_pq: t.with_value(q, |q| kl_div_value(&p, q)),
+                assign: q,
+                head: None,
             }
-            out.re_loss.push(re_val);
-            out.kl_pq.push(kl_val);
-            final_q = q_val;
-        }
-
-        out.labels = final_q.argmax_rows();
-        let (health, convergence) = observer.finish();
-        out.health = health;
-        out.convergence = convergence;
-        out
+        })
     }
 }
 

@@ -10,13 +10,13 @@
 
 use autograd::{Tape, Var};
 use nn::loss::{kl_div, kl_div_value, mse};
-use nn::{Adam, Autoencoder, Params};
 use rand::rngs::StdRng;
 use tabledc::target_distribution;
+use tabledc::train::Objective;
 use tensor::random::xavier_uniform;
 use tensor::Matrix;
 
-use crate::common::{train_step, ClusterOutput, DeepConfig, EpochObserver};
+use crate::common::{train_epochs, ClusterOutput, DeepConfig};
 
 /// EDESC model configuration.
 #[derive(Debug, Clone)]
@@ -43,74 +43,44 @@ impl Edesc {
 
     /// Trains EDESC on the rows of `x` into `k` clusters.
     pub fn fit(&self, x: &Matrix, k: usize, rng: &mut StdRng) -> ClusterOutput {
-        // Standardize features in front of the encoder, matching TableDC's
-        // preprocessing so the comparison isolates the objectives.
-        let x = &x.standardize_cols();
         let cfg = &self.config;
         let r = self.subspace_dim;
-
-        let mut params = Params::new();
-        let dims = cfg.encoder_dims(x.cols());
-        let ae = Autoencoder::new(&mut params, &dims, rng);
-        ae.pretrain(&mut params, x, cfg.pretrain_epochs, cfg.lr);
+        let (x, mut params, ae) = cfg.pretrained_autoencoder(x, rng);
 
         // Subspace bases: latent × (k·r), block j = basis of cluster j.
         let bases = params.register(xavier_uniform(cfg.latent_dim, k * r, rng));
 
-        let mut adam = Adam::new(cfg.lr);
-        let mut out = ClusterOutput::from_labels(vec![0; x.rows()]);
-        let mut final_s = Matrix::zeros(x.rows(), k);
+        let eta = self.eta;
+        train_epochs("edesc", cfg, k, &mut params, [&x], |t, bound, [xv]| {
+            let z = ae.encode(bound, xv);
+            let recon = ae.decode(bound, z);
+            let d = bound.var(bases);
 
-        let mut observer = EpochObserver::new("edesc", k);
-        for epoch in 0..cfg.epochs {
-            let ae_ref = &ae;
-            let eta = self.eta;
-            let latent = cfg.latent_dim;
-            let mut s_val = Matrix::zeros(1, 1);
-            let mut re_val = 0.0;
-            let mut kl_val = 0.0;
-            let loss_val = train_step(&mut params, &mut adam, [x], |t, bound, [xv]| {
-                let z = ae_ref.encode(bound, xv);
-                let recon = ae_ref.decode(bound, z);
-                let d = bound.var(bases);
+            // Projections: P = z·D (n × k·r); per-cluster energy
+            // e_ij = Σ_{b in block j} P²; assignment
+            // s_ij ∝ (e_ij + η·r) (η-regularized, then normalized).
+            let proj = t.matmul(z, d);
+            let energy = block_sums(t, t.square(proj), k, r);
+            let s_raw = t.add_scalar(energy, eta * r as f64);
+            let sums = t.add_scalar(t.row_sums(s_raw), 1e-12);
+            let s = t.div_col_broadcast(s_raw, sums);
 
-                // Projections: P = z·D (n × k·r); per-cluster energy
-                // e_ij = Σ_{b in block j} P²; assignment
-                // s_ij ∝ (e_ij + η·r) (η-regularized, then normalized).
-                let proj = t.matmul(z, d);
-                let energy = block_sums(t, t.square(proj), k, r);
-                let s_raw = t.add_scalar(energy, eta * r as f64);
-                let sums = t.add_scalar(t.row_sums(s_raw), 1e-12);
-                let s = t.div_col_broadcast(s_raw, sums);
-                s_val = t.value(s);
+            let p = t.with_value(s, target_distribution);
+            let kl = kl_div(t, &p, s);
+            let re = mse(t, xv, recon);
 
-                let p = target_distribution(&s_val);
-                let kl = kl_div(t, &p, s);
-                let re = mse(t, xv, recon);
-
-                // Orthogonality of the stacked bases: DᵀD ≈ I.
-                let dtd = t.matmul(t.transpose(d), d);
-                let eye = t.constant(Matrix::identity(k * r));
-                let ortho = t.mean(t.square(t.sub(dtd, eye)));
-
-                re_val = t.value(re)[(0, 0)];
-                kl_val = kl_div_value(&p, &s_val);
-                let _ = latent;
-                t.add(t.add(re, t.scale(kl, 0.1)), t.scale(ortho, 1.0))
-            });
-            if observer.observe(epoch, re_val, kl_val, loss_val, &s_val).should_abort() {
-                break;
+            // Orthogonality of the stacked bases: DᵀD ≈ I.
+            let dtd = t.matmul(t.transpose(d), d);
+            let eye = t.constant(Matrix::identity(k * r));
+            let ortho = t.mean(t.square(t.sub(dtd, eye)));
+            Objective {
+                loss: t.add(t.add(re, t.scale(kl, 0.1)), t.scale(ortho, 1.0)),
+                re,
+                kl_pq: t.with_value(s, |s| kl_div_value(&p, s)),
+                assign: s,
+                head: None,
             }
-            out.re_loss.push(re_val);
-            out.kl_pq.push(kl_val);
-            final_s = s_val;
-        }
-
-        out.labels = final_s.argmax_rows();
-        let (health, convergence) = observer.finish();
-        out.health = health;
-        out.convergence = convergence;
-        out
+        })
     }
 }
 

@@ -21,7 +21,7 @@ pub mod sdcn;
 pub mod shgp;
 
 pub use bespoke::{D3l, D4, Jedai, JedaiMetric, Starmie};
-pub use common::{ClusterOutput, DeepConfig, EpochObserver};
+pub use common::{ClusterOutput, DeepConfig};
 pub use dcrn::Dcrn;
 pub use dfcn::Dfcn;
 pub use edesc::Edesc;

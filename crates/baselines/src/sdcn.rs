@@ -7,19 +7,14 @@
 //! self-supervised objective `KL(p‖q) + KL(p‖Z) + re_loss` where `q` is the
 //! Student-t assignment on the AE latent and `Z` the GCN's softmax output.
 
-use std::rc::Rc;
-
-use graph::gcn_adjacency;
-use graph::Csr;
 use nn::loss::{kl_div, kl_div_value, mse};
-use nn::{Activation, Adam, Autoencoder, Params};
+use nn::Activation;
 use rand::rngs::StdRng;
 use tabledc::target_distribution;
+use tabledc::train::Objective;
 use tensor::Matrix;
 
-use crate::common::{
-    kmeans_centers, student_t_assignments, train_step, ClusterOutput, DeepConfig, EpochObserver,
-};
+use crate::common::{kmeans_centers, student_t_assignments, train_epochs, ClusterOutput, DeepConfig};
 
 /// SDCN model configuration.
 #[derive(Debug, Clone, Default)]
@@ -36,21 +31,14 @@ impl Sdcn {
 
     /// Trains SDCN on the rows of `x` into `k` clusters.
     pub fn fit(&self, x: &Matrix, k: usize, rng: &mut StdRng) -> ClusterOutput {
-        // Standardize features in front of the encoder, matching TableDC's
-        // preprocessing so the comparison isolates the objectives.
-        let x = &x.standardize_cols();
         let cfg = &self.config;
-        let adj: Rc<Csr> = Rc::new(gcn_adjacency(x, cfg.knn_degree(x.rows())));
-
-        // Pretrained AE.
-        let mut params = Params::new();
-        let dims = cfg.encoder_dims(x.cols());
-        let ae = Autoencoder::new(&mut params, &dims, rng);
-        ae.pretrain(&mut params, x, cfg.pretrain_epochs, cfg.lr);
+        let (x, mut params, ae) = cfg.pretrained_autoencoder(x, rng);
+        let x = &x;
+        let adj = cfg.adjacency(x);
 
         // GCN layers mirroring the encoder widths, ending in k logits.
         let mut gcn_layers: Vec<graph::GcnLayer> = Vec::new();
-        let mut gcn_dims: Vec<usize> = dims.clone();
+        let mut gcn_dims = cfg.encoder_dims(x.cols());
         gcn_dims.push(k);
         for w in gcn_dims.windows(2) {
             gcn_layers.push(graph::GcnLayer::new(&mut params, w[0], w[1], Activation::Linear, rng));
@@ -60,76 +48,51 @@ impl Sdcn {
         let z0 = ae.embed(&params, x);
         let centers = params.register(kmeans_centers(&z0, k, rng));
 
-        let mut adam = Adam::new(cfg.lr);
-        let mut out = ClusterOutput::from_labels(vec![0; x.rows()]);
         let epsilon = 0.5; // AE-injection mixing weight of the original.
-        let mut final_z = Matrix::zeros(x.rows(), k);
-        // SDCN predicts from the GCN distribution Z, so the structural
-        // diagnostics watch Z rather than the Student-t q.
-        let mut observer = EpochObserver::new("sdcn", k);
-
-        for epoch in 0..cfg.epochs {
-            let adj = adj.clone();
-            let ae_ref = &ae;
-            let layers = &gcn_layers;
-            let mut q_val = Matrix::zeros(1, 1);
-            let mut z_val = Matrix::zeros(1, 1);
-            let mut re_val = 0.0;
-            let mut kl_val = 0.0;
-            let loss_val = train_step(&mut params, &mut adam, [x], |t, bound, [xv]| {
-                // AE forward, keeping every encoder layer's activations for
-                // injection into the GCN.
-                let mut h = xv;
-                let mut ae_activations = Vec::new();
-                for layer in ae_ref.encoder_layers() {
-                    h = layer.forward(bound, h);
-                    ae_activations.push(h);
-                }
-                let z_ae = h;
-                let recon = ae_ref.decode(bound, z_ae);
-
-                // GCN with AE injection: layer 0 consumes x, later layers
-                // mix in the matching AE activation.
-                let mut g = xv;
-                for (li, layer) in layers.iter().enumerate() {
-                    if li > 0 && li <= ae_activations.len() {
-                        let inject = ae_activations[li - 1];
-                        g = t.add(t.scale(g, 1.0 - epsilon), t.scale(inject, epsilon));
-                    }
-                    g = layer.forward(bound, &adj, g);
-                    if li + 1 < layers.len() {
-                        g = t.relu(g);
-                    }
-                }
-                let z_dist = t.softmax_rows(g);
-
-                // Dual self-supervision.
-                let q = student_t_assignments(t, z_ae, bound.var(centers), 1.0);
-                q_val = t.value(q);
-                z_val = t.value(z_dist);
-                let p = target_distribution(&q_val);
-                let kl_q = kl_div(t, &p, q);
-                let kl_z = kl_div(t, &p, z_dist);
-                let re = mse(t, xv, recon);
-                re_val = t.value(re)[(0, 0)];
-                kl_val = kl_div_value(&p, &q_val);
-                // Original weights: 0.1·KL(p‖q) + 0.01·KL(p‖Z) + re.
-                t.add(t.add(t.scale(kl_q, 0.1), t.scale(kl_z, 0.01)), re)
-            });
-            if observer.observe(epoch, re_val, kl_val, loss_val, &z_val).should_abort() {
-                break;
+        train_epochs("sdcn", cfg, k, &mut params, [x], |t, bound, [xv]| {
+            // AE forward, keeping every encoder layer's activations for
+            // injection into the GCN.
+            let mut h = xv;
+            let mut ae_activations = Vec::new();
+            for layer in ae.encoder_layers() {
+                h = layer.forward(bound, h);
+                ae_activations.push(h);
             }
-            out.re_loss.push(re_val);
-            out.kl_pq.push(kl_val);
-            final_z = z_val;
-        }
+            let z_ae = h;
+            let recon = ae.decode(bound, z_ae);
 
-        // SDCN predicts from the GCN distribution Z.
-        out.labels = final_z.argmax_rows();
-        let (health, convergence) = observer.finish();
-        out.health = health;
-        out.convergence = convergence;
-        out
+            // GCN with AE injection: layer 0 consumes x, later layers
+            // mix in the matching AE activation.
+            let mut g = xv;
+            for (li, layer) in gcn_layers.iter().enumerate() {
+                if li > 0 && li <= ae_activations.len() {
+                    let inject = ae_activations[li - 1];
+                    g = t.add(t.scale(g, 1.0 - epsilon), t.scale(inject, epsilon));
+                }
+                g = layer.forward(bound, &adj, g);
+                if li + 1 < gcn_layers.len() {
+                    g = t.relu(g);
+                }
+            }
+            let z_dist = t.softmax_rows(g);
+
+            // Dual self-supervision.
+            let q = student_t_assignments(t, z_ae, bound.var(centers), 1.0);
+            let p = t.with_value(q, target_distribution);
+            let kl_q = kl_div(t, &p, q);
+            let kl_z = kl_div(t, &p, z_dist);
+            let re = mse(t, xv, recon);
+            Objective {
+                // Original weights: 0.1·KL(p‖q) + 0.01·KL(p‖Z) + re.
+                loss: t.add(t.add(t.scale(kl_q, 0.1), t.scale(kl_z, 0.01)), re),
+                re,
+                kl_pq: t.with_value(q, |q| kl_div_value(&p, q)),
+                // SDCN predicts from the GCN distribution Z, so the
+                // structural diagnostics watch Z rather than the Student-t q.
+                assign: z_dist,
+                head: None,
+            }
+        })
     }
 }
 
@@ -151,29 +114,6 @@ mod tests {
         let ari = adjusted_rand_index(&out.labels, &g.labels);
         assert!(ari > 0.4, "ARI = {ari}");
         assert_eq!(out.re_loss.len(), 25);
-    }
-
-    #[test]
-    fn sdcn_emits_epoch_events_and_reports_health() {
-        let g = generate_mixture(
-            &MixtureConfig { n: 30, k: 2, dim: 6, ..Default::default() },
-            &mut rng(5),
-        );
-        let cfg = DeepConfig { latent_dim: 4, pretrain_epochs: 2, epochs: 4, ..Default::default() };
-        let (out, lines) = obs::test_support::with_memory_sink(|| {
-            Sdcn::new(cfg).fit(&g.x, 2, &mut rng(6))
-        });
-        assert_eq!(out.health.verdict, obs::health::Verdict::Healthy);
-        let epochs: Vec<_> = lines.iter().filter(|l| l.contains("\"baseline.epoch\"")).collect();
-        assert_eq!(epochs.len(), 4, "one baseline.epoch event per epoch");
-        for line in &epochs {
-            let v = obs::json::parse(line).expect("valid JSON line");
-            assert_eq!(v.get("method").unwrap().as_str().unwrap(), "sdcn");
-            for key in ["epoch", "re_loss", "kl_pq", "loss"] {
-                let value = v.get(key).and_then(|j| j.as_f64()).expect("numeric field");
-                assert!(value.is_finite(), "{key} must be finite, got {value}");
-            }
-        }
     }
 
     #[test]

@@ -1,0 +1,95 @@
+//! The per-epoch event contract every deep-clustering method keeps, since
+//! TableDC and the four self-supervised baselines train through one epoch
+//! driver: per epoch one epoch event, one diag event and one
+//! `nn.grad_norm` event; one fit id with strictly increasing epochs; the
+//! `method` field on baseline events; and one convergence event last.
+
+use baselines::{ClusterOutput, Dcrn, DeepConfig, Dfcn, Edesc, Sdcn};
+use datagen::{generate_mixture, MixtureConfig};
+use obs::health::{Policy, Verdict};
+use obs::json::{parse, Json};
+use tabledc::{HealthConfig, TableDc, TableDcConfig};
+use tensor::random::rng;
+use tensor::Matrix;
+
+const EPOCHS: usize = 4;
+
+/// A deep baseline's fit of a matrix into 2 clusters.
+type Fit = fn(DeepConfig, &Matrix) -> ClusterOutput;
+
+fn mixture() -> Matrix {
+    generate_mixture(&MixtureConfig { n: 40, k: 2, dim: 8, ..Default::default() }, &mut rng(5)).x
+}
+
+/// Checks one fit's trace: `family` is `tabledc` or `baseline`, `method`
+/// the name its baseline events carry.
+fn check_fit(lines: &[String], family: &str, method: Option<&str>) {
+    let [epoch, diag, convergence] = ["epoch", "diag", "convergence"].map(|kind| format!("{family}.{kind}"));
+    let events: Vec<(String, Json)> = lines
+        .iter()
+        .map(|l| parse(l).expect("valid JSON line"))
+        .filter_map(|v| {
+            let name = v.get("event")?.as_str()?.to_string();
+            [&epoch, &diag, &convergence, "nn.grad_norm"].contains(&name.as_str()).then_some((name, v))
+        })
+        .collect();
+    let what = method.unwrap_or(family);
+    assert_eq!(events.last().map(|(n, _)| n.as_str()), Some(convergence.as_str()), "{what}: convergence is last");
+    assert_eq!(events.iter().filter(|(n, _)| *n == convergence).count(), 1, "{what}: one convergence event");
+
+    let mut fit_ids = Vec::new();
+    for name in [&epoch, &diag, "nn.grad_norm"] {
+        let stream: Vec<&Json> = events.iter().filter(|(n, _)| n == name).map(|(_, v)| v).collect();
+        assert_eq!(stream.len(), EPOCHS, "{what}: one {name} event per epoch");
+        let epochs: Vec<f64> = stream.iter().map(|v| v.get("epoch").unwrap().as_f64().unwrap()).collect();
+        assert!(epochs.windows(2).all(|w| w[0] < w[1]), "{what}: {name} epochs {epochs:?} not increasing");
+        if name != "nn.grad_norm" {
+            fit_ids.extend(stream.iter().map(|v| v.get("fit").unwrap().as_f64().unwrap()));
+        }
+    }
+    let (_, last) = events.last().unwrap();
+    fit_ids.push(last.get("fit").unwrap().as_f64().unwrap());
+    assert!(fit_ids.windows(2).all(|w| w[0] == w[1]), "{what}: events span several fit ids");
+
+    for (name, v) in &events {
+        if name != "nn.grad_norm" {
+            assert_eq!(v.get("method").and_then(Json::as_str), method, "{what}: method field of {name}");
+        }
+        if *name == epoch {
+            for key in ["re_loss", "kl_pq", "loss", "grad_norm", "update_ratio", "epoch_ms"] {
+                let value = v.get(key).and_then(Json::as_f64).expect("numeric field");
+                assert!(value.is_finite(), "{what}: {key} must be finite, got {value}");
+            }
+        }
+    }
+}
+
+#[test]
+fn every_deep_method_emits_one_event_set_per_epoch() {
+    let x = mixture();
+    let config = TableDcConfig {
+        latent_dim: 4,
+        hidden_dims: vec![16],
+        pretrain_epochs: 2,
+        epochs: EPOCHS,
+        health: HealthConfig { policy: Some(Policy::Warn), ..HealthConfig::default() },
+        ..TableDcConfig::new(2)
+    };
+    let ((_, fit), lines) = obs::test_support::with_memory_sink(|| TableDc::fit(config, &x, &mut rng(6)));
+    assert_eq!(fit.health.verdict, Verdict::Healthy);
+    check_fit(&lines, "tabledc", None);
+
+    let cfg = DeepConfig { latent_dim: 4, pretrain_epochs: 2, epochs: EPOCHS, ..Default::default() };
+    let baselines: [(&str, Fit); 4] = [
+        ("sdcn", |c, x| Sdcn::new(c).fit(x, 2, &mut rng(6))),
+        ("dfcn", |c, x| Dfcn::new(c).fit(x, 2, &mut rng(6))),
+        ("dcrn", |c, x| Dcrn::new(c).fit(x, 2, &mut rng(6))),
+        ("edesc", |c, x| Edesc::new(c).fit(x, 2, &mut rng(6))),
+    ];
+    for (method, fit) in baselines {
+        let (out, lines) = obs::test_support::with_memory_sink(|| fit(cfg.clone(), &x));
+        assert_eq!(out.health.verdict, Verdict::Healthy, "{method}");
+        assert_eq!((out.labels.len(), out.re_loss.len(), out.kl_pq.len()), (x.rows(), EPOCHS, EPOCHS), "{method}");
+        check_fit(&lines, "baseline", Some(method));
+    }
+}

@@ -126,7 +126,7 @@ impl Autoencoder {
                 epoch_loss += tape.value(loss)[(0, 0)];
                 batches += 1;
                 let grads = bound.backward(loss);
-                adam.step_from_tape(params, &grads);
+                adam.step(params, &grads);
             }
             let mean_loss = epoch_loss / batches.max(1) as f64;
             trace.push(mean_loss);

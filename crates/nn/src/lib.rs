@@ -50,7 +50,7 @@ mod integration {
             let loss = mse(&tape, yv, pred);
             last = tape.value(loss)[(0, 0)];
             let grads = bound.backward(loss);
-            adam.step_from_tape(&mut params, &grads);
+            adam.step(&mut params, &grads);
         }
         assert!(last < 0.05, "final loss {last} too high");
     }

@@ -86,11 +86,30 @@ impl Adam {
         Self { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
     }
 
-    /// Applies one update step given `(id, gradient)` pairs, each id at
-    /// most once. Updates every parameter element by the same arithmetic,
-    /// over fixed chunks of `ADAM_CHUNK` values run in parallel on the
-    /// global pool: bit-identical for every thread count.
-    pub fn step(&mut self, params: &mut Params, grads: &[(ParamId, &Matrix)]) {
+    /// Applies one update step to every parameter that has a gradient in
+    /// a backward pass ([`crate::BoundParams::backward`]), reading the
+    /// gradients in place. Updates every parameter element by the same
+    /// arithmetic, over fixed chunks of `ADAM_CHUNK` values run in parallel
+    /// on the global pool: bit-identical for every thread count.
+    pub fn step(&mut self, params: &mut Params, grads: &ParamGrads) {
+        self.step_pairs(params, &grads.iter().collect::<Vec<_>>());
+    }
+
+    /// [`Adam::step`] while measuring per-parameter and global gradient L2
+    /// norms, the update-to-parameter-norm ratio, and whether any gradient
+    /// carried a non-finite entry.
+    ///
+    /// The measurement is three extra passes over the updated parameters
+    /// (gradient norms, pre-step parameter snapshot, post-step delta norm) —
+    /// negligible next to the backward pass that produced the gradients, so
+    /// callers run it unconditionally and the health policy only decides what
+    /// to *do* with the numbers.
+    pub fn step_instrumented(&mut self, params: &mut Params, grads: &ParamGrads) -> StepStats {
+        self.step_pairs_instrumented(params, &grads.iter().collect::<Vec<_>>())
+    }
+
+    /// [`Adam::step`] given `(id, gradient)` pairs, each id at most once.
+    fn step_pairs(&mut self, params: &mut Params, grads: &[(ParamId, &Matrix)]) {
         self.t += 1;
         let step = AdamStep {
             lr: self.lr,
@@ -129,31 +148,8 @@ impl Adam {
         }
     }
 
-    /// Applies the step to every parameter that has a gradient in a
-    /// backward pass ([`crate::BoundParams::backward`]), reading the
-    /// gradients in place.
-    pub fn step_from_tape(&mut self, params: &mut Params, grads: &ParamGrads) {
-        let pairs: Vec<(ParamId, &Matrix)> = grads.iter().collect();
-        self.step(params, &pairs);
-    }
-
-    /// [`Adam::step_from_tape`] with training-health telemetry: see
-    /// [`Adam::instrumented_step`].
-    pub fn step_from_tape_instrumented(&mut self, params: &mut Params, grads: &ParamGrads) -> StepStats {
-        let pairs: Vec<(ParamId, &Matrix)> = grads.iter().collect();
-        self.instrumented_step(params, &pairs)
-    }
-
-    /// [`Adam::step`] while measuring per-parameter and global gradient L2
-    /// norms, the update-to-parameter-norm ratio, and whether any gradient
-    /// carried a non-finite entry.
-    ///
-    /// The measurement is three extra passes over the updated parameters
-    /// (gradient norms, pre-step parameter snapshot, post-step delta norm) —
-    /// negligible next to the backward pass that produced the gradients, so
-    /// callers run it unconditionally and the health policy only decides what
-    /// to *do* with the numbers.
-    pub fn instrumented_step(&mut self, params: &mut Params, grads: &[(ParamId, &Matrix)]) -> StepStats {
+    /// [`Adam::step_instrumented`] given `(id, gradient)` pairs.
+    fn step_pairs_instrumented(&mut self, params: &mut Params, grads: &[(ParamId, &Matrix)]) -> StepStats {
         let mut grad_norms = Vec::with_capacity(grads.len());
         let mut global_sq = 0.0;
         let mut nonfinite_grad = None;
@@ -168,7 +164,7 @@ impl Adam {
         let before: Vec<(ParamId, Matrix)> =
             grads.iter().map(|(id, _)| (*id, params.get(*id).clone())).collect();
         let param_sq: f64 = before.iter().map(|(_, m)| m.frobenius_sq()).sum();
-        self.step(params, grads);
+        self.step_pairs(params, grads);
         let update_sq: f64 = before
             .iter()
             .map(|(id, old)| {
@@ -247,8 +243,7 @@ mod tests {
             let diff = tape.add_scalar(bound.var(w), -3.0);
             let loss = tape.sum(tape.square(diff));
             let grads = bound.backward(loss);
-            let pairs: Vec<(ParamId, &Matrix)> = grads.iter().collect();
-            opt.step(&mut params, &pairs);
+            opt.step(&mut params, &grads);
         }
         params.get(w)[(0, 0)]
     }
@@ -266,7 +261,7 @@ mod tests {
         let mut params = Params::new();
         let w = params.register(Matrix::zeros(1, 1));
         let mut adam = Adam::new(0.01);
-        adam.step(&mut params, &[(w, &Matrix::full(1, 1, 1000.0))]);
+        adam.step_pairs(&mut params, &[(w, &Matrix::full(1, 1, 1000.0))]);
         assert!((params.get(w)[(0, 0)] + 0.01).abs() < 1e-6);
     }
 
@@ -283,7 +278,7 @@ mod tests {
         let mut adam = Adam::new(0.01);
         let (mut want, mut m, mut v) = (w0.as_slice().to_vec(), vec![0.0; len], vec![0.0; len]);
         for (t, g) in grads.iter().enumerate() {
-            adam.step(&mut params, &[(w, g), (bias, &Matrix::ones(1, 3))]);
+            adam.step_pairs(&mut params, &[(w, g), (bias, &Matrix::ones(1, 3))]);
             let bc1 = 1.0 - adam.beta1.powi(t as i32 + 1);
             let bc2 = 1.0 - adam.beta2.powi(t as i32 + 1);
             for (((x, gi), mi), vi) in want.iter_mut().zip(g.as_slice()).zip(&mut m).zip(&mut v) {
@@ -307,14 +302,14 @@ mod tests {
         let mut adam = Adam::new(lr);
 
         // Step 1: m₁ = 0.1·1, v₁ = 0.001·1; bias-corrected m̂ = v̂ = 1.
-        adam.step(&mut params, &[(w, &Matrix::full(1, 1, 1.0))]);
+        adam.step_pairs(&mut params, &[(w, &Matrix::full(1, 1, 1.0))]);
         let expected1 = -lr * 1.0 / (1.0f64.sqrt() + eps);
         assert!((params.get(w)[(0, 0)] - expected1).abs() < 1e-12);
 
         // Step 2 with g = 0.5:
         //   m₂ = 0.9·0.1 + 0.1·0.5 = 0.14,     m̂ = 0.14 / (1 − 0.9²)
         //   v₂ = 0.999·0.001 + 0.001·0.25,     v̂ = v₂ / (1 − 0.999²)
-        adam.step(&mut params, &[(w, &Matrix::full(1, 1, 0.5))]);
+        adam.step_pairs(&mut params, &[(w, &Matrix::full(1, 1, 0.5))]);
         let m_hat = 0.14 / (1.0 - 0.9f64.powi(2));
         let v_hat = (0.999 * 0.001 + 0.001 * 0.25) / (1.0 - 0.999f64.powi(2));
         let expected2 = expected1 - lr * m_hat / (v_hat.sqrt() + eps);
@@ -330,7 +325,7 @@ mod tests {
         let mut params = Params::new();
         let w = params.register_named("w", Matrix::zeros(1, 2));
         let mut adam = Adam::new(0.5);
-        let stats = adam.instrumented_step(&mut params, &[(w, &Matrix::from_rows(&[&[3.0, 4.0]]))]);
+        let stats = adam.step_pairs_instrumented(&mut params, &[(w, &Matrix::from_rows(&[&[3.0, 4.0]]))]);
         assert_eq!(stats.global_grad_norm, 5.0);
         assert_eq!(stats.grad_norms, vec![(w, 5.0)]);
         assert_eq!(stats.param_norm, 0.0);
@@ -349,7 +344,7 @@ mod tests {
         let b = params.register(Matrix::ones(1, 1));
         let mut adam = Adam::new(0.1);
         let stats =
-            adam.instrumented_step(&mut params, &[(a, &Matrix::full(1, 1, 1.0)), (b, &Matrix::full(1, 1, f64::NAN))]);
+            adam.step_pairs_instrumented(&mut params, &[(a, &Matrix::full(1, 1, 1.0)), (b, &Matrix::full(1, 1, f64::NAN))]);
         assert_eq!(stats.nonfinite_grad, Some(b));
         assert!(stats.global_grad_norm.is_nan());
     }
@@ -385,11 +380,11 @@ mod proptests {
                 let ga = if step == poison_step { f64::NAN } else { 0.5 };
                 // The poisoned optimizer updates both parameters; the
                 // control updates only the healthy one.
-                poisoned.step(
+                poisoned.step_pairs(
                     &mut poisoned_params,
                     &[(pa, &Matrix::full(1, 1, ga)), (pb, &gb)],
                 );
-                control.step(&mut control_params, &[(cb, &gb)]);
+                control.step_pairs(&mut control_params, &[(cb, &gb)]);
             }
             // Both optimizers stepped 4 times, so bias correction agrees;
             // b's trajectory must be identical despite a's NaN gradient.

@@ -127,7 +127,7 @@ impl<'t> BoundParams<'t> {
 }
 
 /// The gradients of one backward pass, keyed by parameter: what an
-/// optimizer step reads ([`crate::Adam::step_from_tape`]).
+/// optimizer step reads ([`crate::Adam::step`]).
 pub struct ParamGrads {
     grads: Gradients,
     vars: Vec<Var>,

@@ -182,11 +182,6 @@ impl HealthMonitor {
         Self { policy, violations: Vec::new(), total: 0, aborted: false, dump_path: None }
     }
 
-    /// Monitor with the policy from `TABLEDC_HEALTH`.
-    pub fn from_env() -> Self {
-        Self::new(Policy::from_env())
-    }
-
     /// The monitor's policy.
     pub fn policy(&self) -> Policy {
         self.policy

@@ -21,11 +21,11 @@
 //! Everything here is *pure observation*: nothing feeds back into
 //! training, so diagnostics on/off cannot perturb labels or metrics.
 //!
-//! The same tracker serves TableDC's training loop and the deep baselines
-//! (via `baselines::common`); both stamp their per-epoch trace events with
-//! a process-wide **fit id** ([`next_fit_id`]) so `trace_check` can verify
-//! per-fit epoch monotonicity even when one process runs many fits
-//! (restarts, benchmark sweeps).
+//! The same tracker serves TableDC and the deep baselines through the one
+//! epoch driver ([`crate::train`]), which stamps every per-epoch trace
+//! event with a process-wide **fit id** ([`next_fit_id`]) so
+//! `trace_check` can verify per-fit epoch monotonicity even when one
+//! process runs many fits (restarts, benchmark sweeps).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -43,14 +43,17 @@
 //! ```
 //!
 //! The [`distance`], [`kernel`], and [`init`] modules expose the Table 5
-//! and Figure 4 ablation axes; `crates/baselines` holds the methods TableDC
-//! is compared against; `crates/bench` regenerates every table and figure.
+//! and Figure 4 ablation axes; [`train`] is the epoch driver TableDC and
+//! the deep baselines train through; `crates/baselines` holds the methods
+//! TableDC is compared against; `crates/bench` regenerates every table and
+//! figure.
 
 pub mod diagnostics;
 pub mod distance;
 pub mod init;
 pub mod kernel;
 pub mod model;
+pub mod train;
 
 pub use diagnostics::{
     ConvergenceStatus, ConvergenceVerdict, DiagnosticsTracker, EpochDiagnostics, VerdictRules,
@@ -58,7 +61,8 @@ pub use diagnostics::{
 pub use distance::{Covariance, Distance};
 pub use init::Init;
 pub use kernel::Kernel;
-pub use model::{target_distribution, HealthConfig, History, TableDc, TableDcConfig, TableDcFit};
+pub use model::{target_distribution, TableDc, TableDcConfig, TableDcFit};
+pub use train::{HealthConfig, History};
 
 #[cfg(test)]
 mod proptests {

@@ -5,22 +5,21 @@
 
 mod frozen;
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use autograd::{Tape, Var};
 use clustering::metrics::num_clusters;
 use nn::loss::{kl_div, kl_div_value, mse};
 use nn::{Adam, Autoencoder, ParamId, Params};
-use obs::health::{HealthMonitor, HealthReport, Policy, Verdict};
+use obs::health::{HealthReport, Verdict};
 use obs::json::Json;
 use rand::rngs::StdRng;
 use tensor::head::rows_per_block;
 use tensor::Matrix;
 
-use crate::diagnostics::{self, ConvergenceVerdict, DiagnosticsTracker, VerdictRules};
+use crate::diagnostics::ConvergenceVerdict;
 use crate::distance::Distance;
 use crate::init::Init;
 use crate::kernel::Kernel;
+use crate::train::{Driver, HealthConfig, History, Method, Objective};
 
 pub use frozen::TableDc;
 
@@ -62,29 +61,6 @@ pub struct TableDcConfig {
     pub health: HealthConfig,
 }
 
-/// Health-monitoring knobs of a TableDC run.
-#[derive(Debug, Clone)]
-pub struct HealthConfig {
-    /// Explicit policy override; `None` reads `TABLEDC_HEALTH`
-    /// (off/warn/strict, defaulting to warn).
-    pub policy: Option<Policy>,
-    /// Directory diagnostic dumps are written to on a strict-policy abort.
-    pub dump_dir: String,
-    /// The run's base RNG seed, recorded in dumps so an abort is
-    /// reproducible. Metadata only — it never feeds the RNG.
-    pub run_seed: Option<u64>,
-    /// Fault injection: at the start of this epoch, poison the first
-    /// cluster-center entry with NaN. In [`TableDc::fit_best_of`] only the
-    /// *first* restart is poisoned, so best-of-N recovery is testable.
-    pub nan_epoch: Option<usize>,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        Self { policy: None, dump_dir: "results/dumps".to_string(), run_seed: None, nan_epoch: None }
-    }
-}
-
 impl TableDcConfig {
     /// Scaled-down defaults suitable for CPU experiments.
     pub fn new(k: usize) -> Self {
@@ -110,79 +86,6 @@ impl TableDcConfig {
         self.latent_dim = 100;
         self.hidden_dims = vec![500, 500, 2000];
         self
-    }
-}
-
-/// Declares [`History`] from one ordered list of per-epoch series, so the
-/// struct and its name/value view ([`History::series`]) cannot drift apart.
-macro_rules! history {
-    ($($(#[$doc:meta])+ $name:ident,)+) => {
-        /// Per-epoch training history — the raw series behind Figure 5.
-        ///
-        /// The field order is the run manifest's: the run ledger's writer and
-        /// reader, the HTML report's sparklines and the strict-abort dump's
-        /// tail all walk [`History::series`].
-        #[derive(Debug, Clone, Default, PartialEq)]
-        pub struct History {
-            $($(#[$doc])+ pub $name: Vec<f64>,)+
-        }
-
-        impl History {
-            /// Every series with its name, in manifest order.
-            pub fn series(&self) -> [(&'static str, &[f64]); 12] {
-                [$((stringify!($name), self.$name.as_slice())),+]
-            }
-
-            /// [`History::series`] with mutable access, for readers that
-            /// fill a history by name.
-            pub fn series_mut(&mut self) -> [(&'static str, &mut Vec<f64>); 12] {
-                [$((stringify!($name), &mut self.$name)),+]
-            }
-        }
-    };
-}
-
-history! {
-    /// Reconstruction loss `re_loss` per epoch (Eq. 12).
-    re_loss,
-    /// Clustering loss `KL(p‖m)` per epoch (Eq. 10).
-    ce_loss,
-    /// Reported divergence `KL(p‖q)` per epoch (the quantity plotted in
-    /// Figure 5's right panel).
-    kl_pq,
-    /// Global gradient L2 norm per epoch (across all parameters).
-    grad_norm,
-    /// Update-to-parameter-norm ratio `‖Δθ‖/‖θ‖` per epoch.
-    update_ratio,
-    /// Wall-clock milliseconds per joint-training epoch. Always recorded
-    /// (a monotonic-clock read per epoch), independent of whether the
-    /// `TABLEDC_TRACE` event sink is active.
-    epoch_ms,
-    /// Normalized entropy of the hard-label cluster shares per epoch
-    /// (see [`crate::diagnostics::EpochDiagnostics::share_entropy`]).
-    share_entropy,
-    /// Smallest cluster share per epoch.
-    min_share,
-    /// Largest cluster share per epoch (collapse detector).
-    max_share,
-    /// Fraction of rows whose hard label changed vs the previous epoch.
-    delta_label_frac,
-    /// Mean `top1 − top2` assignment margin per epoch.
-    mean_margin,
-    /// Mean L2 centroid step vs the previous epoch.
-    centroid_drift,
-}
-
-impl History {
-    /// Pushes one epoch of structural diagnostics (the loss/gradient
-    /// series are pushed individually by the training loop).
-    pub fn push_diagnostics(&mut self, d: &diagnostics::EpochDiagnostics) {
-        self.share_entropy.push(d.share_entropy);
-        self.min_share.push(d.min_share);
-        self.max_share.push(d.max_share);
-        self.delta_label_frac.push(d.delta_label_frac);
-        self.mean_margin.push(d.mean_margin);
-        self.centroid_drift.push(d.centroid_drift);
     }
 }
 
@@ -320,12 +223,55 @@ impl Net {
         let c0 = config.init.centers(&z0, config.k, rng);
         let centers = params.register_named("centers", c0);
 
-        let mut net = Net { config, params, ae, centers };
-        let (last, history, health, convergence) = net.train(x_std);
+        // Lines 3–12: the joint optimization of `α·KL(p‖m) + re_loss`,
+        // run by the shared epoch driver.
+        let driver = Driver {
+            method: Method::TableDc,
+            k: config.k,
+            epochs: config.epochs,
+            health: config.health.clone(),
+            centers: Some(centers),
+            config: Json::obj([
+                ("k", config.k.into()),
+                ("latent_dim", config.latent_dim.into()),
+                ("alpha", config.alpha.into()),
+                ("lr", config.lr.into()),
+                ("pretrain_epochs", config.pretrain_epochs.into()),
+                ("epochs", config.epochs.into()),
+            ]),
+        };
+        let train_timer = obs::span!("tabledc.train");
+        let trained = driver.run(&mut params, &mut Adam::new(config.lr), [x_std], |tape, bound, [xv]| {
+            // Line 4: latent representation z.
+            let z = ae.encode(bound, xv);
+            let recon = ae.decode(bound, z);
+            // Lines 5–8: soft assignments q and probabilities m (Eq. 3–9).
+            let (q, m) = cluster_head(&config, tape, z, bound.var(centers));
+            // Line 9: target distribution p from q (Eq. 11).
+            let p = tape.with_value(q, target_distribution);
+            // Line 10: losses (Eq. 10, 12, 13).
+            let ce = kl_div(tape, &p, m);
+            let re = mse(tape, xv, recon);
+            Objective {
+                loss: tape.add(tape.scale(ce, config.alpha), re),
+                re,
+                kl_pq: tape.with_value(q, |q| kl_div_value(&p, q)),
+                assign: q,
+                head: Some((ce, m)),
+            }
+        });
+        drop(train_timer);
+        let net = Net { config, params, ae, centers };
         let model = net.freeze(x_std, x_mean, x_inv_std);
-        // With no epoch to run, the assignments are the initialized model's.
-        let (q, m) = last.unwrap_or_else(|| model.soft_assignments(x));
+        let (q, m) = match (trained.assign, trained.m) {
+            (Some(q), Some(m)) => (q, m),
+            // With no epoch to run, the assignments are the initialized model's.
+            _ if net.config.epochs == 0 => model.soft_assignments(x),
+            // An abort in the first epoch leaves no assignment.
+            _ => (Matrix::zeros(x.rows(), net.config.k), Matrix::zeros(x.rows(), net.config.k)),
+        };
         let labels = q.argmax_rows();
+        let (history, health, convergence) = (trained.history, trained.health, trained.convergence);
         let fit = TableDcFit { clusters_used: num_clusters(&labels), labels, q, m, history, health, convergence };
         (model, fit, net)
     }
@@ -338,166 +284,6 @@ impl Net {
         let encoder = self.ae.frozen_encoder(&self.params);
         let centers = self.params.get(self.centers).clone();
         TableDc::freeze(self.config.clone(), encoder, centers, x_std, x_mean, x_inv_std)
-    }
-
-    /// Lines 3–12 of Algorithm 1: the joint optimization loop over the
-    /// standardized training matrix `x`. Returns the last completed
-    /// epoch's `(q, m)` (zeros if none completed; `None` if no epoch was
-    /// to run), the history, the health report and the convergence
-    /// verdict.
-    fn train(&mut self, x: &Matrix) -> (Option<(Matrix, Matrix)>, History, HealthReport, ConvergenceVerdict) {
-        let _train_timer = obs::span!("tabledc.train");
-        let cfg = self.config.clone();
-        let mut adam = Adam::new(cfg.lr);
-        let mut history = History::default();
-        let mut last = (cfg.epochs > 0).then(|| (Matrix::zeros(x.rows(), cfg.k), Matrix::zeros(x.rows(), cfg.k)));
-        let mut tracker = DiagnosticsTracker::new();
-        let fit_id = diagnostics::next_fit_id();
-        let epoch_hist = obs::registry().histogram("tabledc.epoch_ms");
-        let re_series = obs::registry().series("tabledc.re_loss");
-        let kl_series = obs::registry().series("tabledc.kl_pq");
-        let grad_series = obs::registry().series("tabledc.grad_norm");
-        let mut monitor = match cfg.health.policy {
-            Some(p) => HealthMonitor::new(p),
-            None => HealthMonitor::from_env(),
-        };
-
-        for epoch in 0..cfg.epochs {
-            let epoch_start = std::time::Instant::now();
-            if cfg.health.nan_epoch == Some(epoch) {
-                // Fault injection (tests/diagnostics): poison one center
-                // entry; the NaN propagates through d², q, and the losses
-                // exactly like a real divergence would.
-                self.params.get_mut(self.centers)[(0, 0)] = f64::NAN;
-            }
-            // The tape borrows the parameters and the training matrix; the
-            // parameters are updated once the tape is done (line 11).
-            let tape = Tape::new();
-            let bound = self.params.bind(&tape);
-            let xv = tape.constant_ref(x);
-
-            // Line 4: latent representation z.
-            let z = self.ae.encode(&bound, xv);
-            let recon = self.ae.decode(&bound, z);
-
-            // Lines 5–8: soft assignments q and probabilities m (Eq. 3–9).
-            let (q, m) = cluster_head(&cfg, &tape, z, bound.var(self.centers));
-
-            // Line 9: target distribution p from q (Eq. 11).
-            let p = tape.with_value(q, target_distribution);
-
-            // Line 10: losses (Eq. 10, 12, 13).
-            let ce = kl_div(&tape, &p, m);
-            let re = mse(&tape, xv, recon);
-            let loss = tape.add(tape.scale(ce, cfg.alpha), re);
-
-            let ce_val = tape.value(ce)[(0, 0)];
-            let re_val = tape.value(re)[(0, 0)];
-            let kl_pq_val = tape.with_value(q, |q| kl_div_value(&p, q));
-
-            // Health checks run before the history pushes and the update so
-            // a strict-policy abort leaves neither a poisoned history entry
-            // nor a poisoned optimizer state behind.
-            let mut abort_tensor: Option<String> = None;
-            for (name, v) in [("re_loss", re_val), ("ce_loss", ce_val), ("kl_pq", kl_pq_val)] {
-                if monitor.check_scalar(name, v, epoch as u64).should_abort() {
-                    abort_tensor = Some(name.to_string());
-                    break;
-                }
-            }
-            if abort_tensor.is_none()
-                && tape.with_value(q, |q| monitor.check_slice("q", q.as_slice(), epoch as u64)).should_abort()
-            {
-                abort_tensor = Some("q".to_string());
-            }
-            if let Some(tensor) = abort_tensor {
-                self.abort_epoch(&mut monitor, &history, &tensor, epoch);
-                break;
-            }
-
-            // Line 11: backprop and update, instrumented with gradient and
-            // update-norm telemetry.
-            let grads = bound.backward(loss);
-            // The epoch's q and m leave the tape (moved, not copied) before
-            // the update ends its borrow of the parameters.
-            let (q_val, m_val) = (tape.take_value(q), tape.take_value(m));
-            let stats = adam.step_from_tape_instrumented(&mut self.params, &grads);
-            if let Some(id) = stats.nonfinite_grad {
-                let tensor = format!("grad.{}", self.params.name(id));
-                let norm = stats
-                    .grad_norms
-                    .iter()
-                    .find(|(i, _)| *i == id)
-                    .map_or(f64::NAN, |&(_, n)| n);
-                if monitor.check_scalar(&tensor, norm, epoch as u64).should_abort() {
-                    self.abort_epoch(&mut monitor, &history, &tensor, epoch);
-                    break;
-                }
-            }
-            stats.record(&self.params);
-            stats.emit_event(epoch as u64);
-
-            history.ce_loss.push(ce_val);
-            history.re_loss.push(re_val);
-            history.kl_pq.push(kl_pq_val);
-            history.grad_norm.push(stats.global_grad_norm);
-            history.update_ratio.push(stats.update_ratio());
-
-            // Per-epoch telemetry: the convergence signal behind Figure 5
-            // plus the structural diagnostics (cluster shares, churn,
-            // margin, centroid drift). Pure observation — nothing here
-            // feeds back into training.
-            let diag = tracker.observe(&q_val, Some(self.params.get(self.centers)));
-            history.push_diagnostics(&diag);
-            re_series.record(re_val);
-            kl_series.record(kl_pq_val);
-            grad_series.record(stats.global_grad_norm);
-            diagnostics::record_series("tabledc.diag", &diag);
-
-            let epoch_ms = epoch_start.elapsed().as_secs_f64() * 1e3;
-            history.epoch_ms.push(epoch_ms);
-            epoch_hist.record(epoch_ms);
-            obs::event("tabledc.epoch")
-                .u64("fit", fit_id)
-                .u64("epoch", epoch as u64)
-                .f64("re_loss", re_val)
-                .f64("ce_loss", ce_val)
-                .f64("kl_pq", kl_pq_val)
-                .f64("delta_label_frac", diag.delta_label_frac)
-                .f64("grad_norm", stats.global_grad_norm)
-                .f64("update_ratio", stats.update_ratio())
-                .f64("epoch_ms", epoch_ms)
-                .emit();
-            diagnostics::emit_diag_event("tabledc.diag", None, fit_id, &diag);
-
-            last = Some((q_val, m_val));
-        }
-
-        let convergence = tracker.verdict(cfg.k, &VerdictRules::default());
-        obs::event("tabledc.convergence")
-            .u64("fit", fit_id)
-            .str("status", convergence.status.as_str())
-            .i64("epoch", convergence.epoch.map_or(-1, |e| e as i64))
-            .str("rule", &convergence.rule)
-            .emit();
-        (last, history, monitor.report(), convergence)
-    }
-
-    /// Strict-policy abort path: writes the diagnostic dump, emits the
-    /// `health.abort` event followed by the `health.dump` event naming the
-    /// dump file (an invariant `trace_check` enforces), and marks the
-    /// monitor aborted. The caller breaks out of the epoch loop.
-    fn abort_epoch(&self, monitor: &mut HealthMonitor, history: &History, tensor: &str, epoch: usize) {
-        let path = write_health_dump(&self.config, &self.params, monitor, history, tensor, epoch);
-        if let Some(p) = &path {
-            obs::event("health.abort")
-                .str("tensor", tensor)
-                .u64("epoch", epoch as u64)
-                .str("policy", monitor.policy().as_str())
-                .emit();
-            obs::event("health.dump").str("path", p).emit();
-        }
-        monitor.mark_aborted(path);
     }
 }
 
@@ -513,75 +299,6 @@ fn cluster_head(cfg: &TableDcConfig, tape: &Tape, z: Var, c: Var) -> (Var, Var) 
         .expect("distance computation failed (non-SPD covariance)");
     let q = cfg.kernel.apply(tape, d2, cfg.eps);
     (q, tape.softmax_rows(q))
-}
-
-/// Monotone counter making dump filenames unique within a process even
-/// when two aborts land in the same millisecond.
-static DUMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// Writes a strict-abort diagnostic dump: offending tensor, policy, seed,
-/// config summary, recorded violations, per-parameter L2 norms, and the
-/// last 8 epochs of every [`History`] series. Returns the path, or `None` if neither
-/// the configured dump dir nor the system temp dir is writable.
-fn write_health_dump(
-    config: &TableDcConfig,
-    params: &Params,
-    monitor: &HealthMonitor,
-    history: &History,
-    tensor: &str,
-    epoch: usize,
-) -> Option<String> {
-    let violations = monitor.violations().iter().map(|v| {
-        Json::obj([
-            ("tensor", v.tensor.as_str().into()),
-            ("kind", v.kind.into()),
-            ("index", v.index.into()),
-            ("epoch", v.epoch.into()),
-        ])
-    });
-    let param_norms = params
-        .ids()
-        .map(|id| (params.name(id).to_string(), params.get(id).frobenius_sq().sqrt().into()));
-    let recent = history
-        .series()
-        .map(|(name, values)| (name.to_string(), values[values.len().saturating_sub(8)..].into()));
-    let dump = Json::obj([
-        ("tensor", tensor.into()),
-        ("epoch", epoch.into()),
-        ("policy", monitor.policy().as_str().into()),
-        ("seed", config.health.run_seed.into()),
-        (
-            "config",
-            Json::obj([
-                ("k", config.k.into()),
-                ("latent_dim", config.latent_dim.into()),
-                ("alpha", config.alpha.into()),
-                ("lr", config.lr.into()),
-                ("pretrain_epochs", config.pretrain_epochs.into()),
-                ("epochs", config.epochs.into()),
-            ]),
-        ),
-        ("violations", Json::Arr(violations.collect())),
-        ("param_norms", Json::Obj(param_norms.collect())),
-        ("recent", Json::Obj(recent.into())),
-    ]);
-    let out = dump.render(2) + "\n";
-
-    let ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_millis() as u64);
-    let seq = DUMP_COUNTER.fetch_add(1, Ordering::Relaxed);
-    let file = format!("dump-{ms}-{seq}.json");
-    for dir in [std::path::PathBuf::from(&config.health.dump_dir), std::env::temp_dir()] {
-        if std::fs::create_dir_all(&dir).is_err() {
-            continue;
-        }
-        let path = dir.join(&file);
-        if std::fs::write(&path, &out).is_ok() {
-            return Some(path.to_string_lossy().into_owned());
-        }
-    }
-    None
 }
 
 /// The target distribution `p` (Eq. 11 with the standard DEC row
@@ -641,6 +358,7 @@ mod tests {
     use super::*;
     use clustering::metrics::{accuracy, adjusted_rand_index};
     use datagen::{generate_mixture, MixtureConfig};
+    use obs::health::Policy;
     use runtime::ThreadPool;
     use tensor::random::rng;
 

@@ -1,7 +1,7 @@
 #!/bin/bash
 # Tier-1 verification gate plus a serial-vs-parallel runtime smoke, a
-# traced-run observability smoke, a training-health/ledger gate, and a
-# perf-regression gate.
+# traced-run observability smoke for TableDC and for the deep baselines, a
+# training-health/ledger gate, and a perf-regression gate.
 #
 #   1. cargo build --release && cargo test -q   (the repo's tier-1 gate),
 #      then cargo clippy --workspace --all-targets --release with
@@ -29,12 +29,20 @@
 #      enforces the health.abort -> health.dump contract); the run must be
 #      violation-free under the strict policy; the folded-stack export
 #      must be non-empty and rooted at tabledc.fit.
-#   4. run-ledger gate: the quickstart run must write a well-formed
+#   4. baseline trace gate: repro fig5 --epoch-factor 0.1 (TableDC, SDCN,
+#      DFCN and EDESC, about 7 s) under TABLEDC_TRACE=<file> +
+#      TABLEDC_HEALTH=strict. All four methods train through one epoch
+#      driver, so trace_check must find tabledc.epoch, baseline.epoch,
+#      baseline.diag, baseline.convergence and nn.grad_norm events (the
+#      last from every method), per-fit monotone epochs and the
+#      health.abort -> health.dump contract; the run's manifest must be
+#      healthy under the strict policy.
+#   5. run-ledger gate: the quickstart run must write a well-formed
 #      manifest (healthy verdict, zero violations); `runs diff` of that
 #      manifest against itself must pass (exit 0) and the committed
 #      fixture pair (baseline vs doctored metric drop + aborted verdict)
 #      must fail (exit 1).
-#   5. report gate: the committed fixture manifest must render to HTML
+#   6. report gate: the committed fixture manifest must render to HTML
 #      byte-identically across two separate processes and match the
 #      committed golden page; the page must carry the expected section
 #      ids and sparklines and never the literal NaN; the diff render of
@@ -42,7 +50,7 @@
 #      manifest + trace must render with convergence verdict, diag
 #      sparklines, and a span-tree profile; `runs list --json` must
 #      emit the quickstart run.
-#   6. repro table2 compared against the committed
+#   7. repro table2 compared against the committed
 #      results/BENCH_baseline.json with perfdiff: per-experiment and
 #      per-method wall times and per-phase profile self-times must stay
 #      within TABLEDC_PERF_TOL (default 1.5x, plus absolute floors so
@@ -72,8 +80,10 @@ echo "== observability smoke: traced + profiled quickstart under strict health =
 trace_file=$(mktemp /tmp/tabledc_trace.XXXXXX.jsonl)
 folded_file=$(mktemp /tmp/tabledc_folded.XXXXXX.txt)
 perf_file=$(mktemp /tmp/tabledc_perf.XXXXXX.json)
+fig5_trace=$(mktemp /tmp/tabledc_fig5_trace.XXXXXX.jsonl)
+fig5_report=$(mktemp /tmp/tabledc_fig5.XXXXXX.json)
 runs_dir=$(mktemp -d /tmp/tabledc_runs.XXXXXX)
-trap 'rm -f "$trace_file" "$folded_file" "$perf_file"; rm -rf "$runs_dir"' EXIT
+trap 'rm -f "$trace_file" "$folded_file" "$perf_file" "$fig5_trace" "$fig5_report"; rm -rf "$runs_dir"' EXIT
 quickstart_out=$(TABLEDC_TRACE="$trace_file" TABLEDC_PROFILE=alloc TABLEDC_FOLDED="$folded_file" \
     TABLEDC_HEALTH=strict TABLEDC_RUNS_DIR="$runs_dir" \
     cargo run --release -q -p bench --example quickstart)
@@ -85,6 +95,14 @@ grep -q '^tabledc\.fit;' "$folded_file" \
     || { echo "folded export has no tabledc.fit subtree"; cat "$folded_file"; exit 1; }
 echo "$quickstart_out" | grep -q 'health: healthy (0 violations)' \
     || { echo "quickstart was not violation-free under strict health"; echo "$quickstart_out"; exit 1; }
+
+echo "== baseline trace gate: traced fig5 (TableDC, SDCN, DFCN, EDESC) under strict health =="
+TABLEDC_TRACE="$fig5_trace" TABLEDC_HEALTH=strict TABLEDC_RUNS_DIR="$runs_dir" \
+    cargo run --release -q -p bench --bin repro -- fig5 --epoch-factor 0.1 --out "$fig5_report" > /dev/null
+cargo run --release -q -p bench --bin trace_check -- "$fig5_trace" \
+    tabledc.epoch baseline.epoch baseline.diag baseline.convergence nn.grad_norm
+grep -q '"verdict": "healthy"' "$runs_dir"/repro-fig5-*.json \
+    || { echo "fig5 was not violation-free under strict health"; cat "$runs_dir"/repro-fig5-*.json; exit 1; }
 
 echo "== run-ledger gate: manifest + runs diff =="
 manifest=$(ls "$runs_dir"/quickstart-*.json 2>/dev/null | head -1)
@@ -109,7 +127,7 @@ test "$fixture_rc" -eq 1 \
 echo "== report gate: deterministic HTML run reports =="
 html_a=$(mktemp /tmp/tabledc_report_a.XXXXXX.html)
 html_b=$(mktemp /tmp/tabledc_report_b.XXXXXX.html)
-trap 'rm -f "$trace_file" "$folded_file" "$perf_file" "$html_a" "$html_b"; rm -rf "$runs_dir"' EXIT
+trap 'rm -f "$trace_file" "$folded_file" "$perf_file" "$fig5_trace" "$fig5_report" "$html_a" "$html_b"; rm -rf "$runs_dir"' EXIT
 cargo run --release -q -p bench --bin report -- results/runs/fixture-baseline.json --out "$html_a"
 cargo run --release -q -p bench --bin report -- results/runs/fixture-baseline.json --out "$html_b"
 cmp -s "$html_a" "$html_b" \
