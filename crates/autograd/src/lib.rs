@@ -40,7 +40,9 @@
 //!   chains they replace and row-parallel on the global pool
 //!   ([`tensor::head`]): `soft_assign` (kernel of Eq. 7 plus the row
 //!   normalization of Eq. 8), `cross_entropy` and `kl_div` against a
-//!   constant target (Eq. 10).
+//!   constant target node (Eq. 10), and TableDC's whole head,
+//!   `cluster_head` (Eq. 7–11 with the `KL(p‖m)` loss, the target `p`
+//!   recomputed from `q` instead of stored).
 //! * Fused layer stack, one node each, bit-identical to the composed
 //!   chains they replace ([`tensor::layer`]): `linear` (`act(x·W + b)`,
 //!   Eq. 1–2) and `mse` (Eq. 12).
@@ -50,5 +52,5 @@ pub mod ops;
 mod tape;
 
 pub use ops::LinearOperator;
-pub use tape::{Gradients, Tape, Var};
+pub use tape::{ClusterHead, Gradients, Tape, Var};
 pub use tensor::layer::Activation;

@@ -7,7 +7,7 @@
 
 use std::rc::Rc;
 
-use tensor::head::{Head, SoftKernel};
+use tensor::head::{Head, HeadSaved, HeadSpec, SoftKernel};
 use tensor::layer::{Activation, Dense};
 use tensor::Matrix;
 
@@ -88,9 +88,14 @@ pub(crate) enum Op {
     /// `+ε`, row division). `raw` and `denom` are the forward's kernel
     /// values and row normalizers, kept for the backward.
     SoftAssign { d2: usize, kernel: SoftKernel, raw: Matrix, denom: Vec<f64> },
-    /// Fused `−(1/n)·Σ p·ln(m + ε)` (plus a constant) for a constant
-    /// target `p`, with `inv_n = 1/n`.
-    CrossEntropy { m: usize, p: Matrix, eps: f64, inv_n: f64 },
+    /// Fused `−(1/n)·Σ p·ln(m + ε)` (plus a constant) for the constant
+    /// target node `p`, with `inv_n = 1/n`.
+    CrossEntropy { m: usize, p: usize, eps: f64, inv_n: f64 },
+    /// TableDC's fused clustering head and loss `KL(p‖m)` on the squared
+    /// distances `d2`, with `m` and the target `p` recomputed from `q`,
+    /// the head's no-gradient output node; `saved` is the rest of the
+    /// forward state the backward reads.
+    ClusterHead { d2: usize, q: usize, spec: HeadSpec, saved: HeadSaved },
     /// Fused dense layer `act(x·w + b)`; the node stores only its output.
     Linear { x: usize, w: usize, b: usize, act: Activation },
     /// Fused `mean((target − pred)²)`.
@@ -144,6 +149,7 @@ impl Op {
             | Op::MatMul(a, b)
             | Op::DivColBroadcast(a, b)
             | Op::SqDistCdist(a, b)
+            | Op::CrossEntropy { m: a, p: b, .. }
             | Op::Mse { target: a, pred: b } => [Some(*a), Some(*b), None],
             Op::Scale(a, _)
             | Op::AddScalar(a)
@@ -162,7 +168,7 @@ impl Op {
             | Op::RowSums(a)
             | Op::ApplyLeft(_, a)
             | Op::SoftAssign { d2: a, .. }
-            | Op::CrossEntropy { m: a, .. } => [Some(*a), None, None],
+            | Op::ClusterHead { d2: a, .. } => [Some(*a), None, None],
             Op::Linear { x, w, b, .. } => [Some(*x), Some(*w), Some(*b)],
             #[cfg(test)]
             Op::AddRowBroadcast(a, b) => [Some(*a), Some(*b), None],
@@ -311,7 +317,11 @@ impl Op {
             }
             Op::CrossEntropy { m, p, eps, inv_n } => {
                 let scale = -(g[(0, 0)] * inv_n);
-                acc.add(*m, || Head::global().cross_backward(p, values[*m], *eps, scale));
+                acc.add(*m, || Head::global().cross_backward(values[*p], values[*m], *eps, scale));
+            }
+            Op::ClusterHead { d2, q, spec, saved } => {
+                let (vd, vq) = (values[*d2], values[*q]);
+                acc.add(*d2, || Head::global().cluster_head_backward(*spec, vd, vq, saved, g[(0, 0)]));
             }
             Op::Linear { x, w, b, act } => {
                 let need = (acc.needs(*x), acc.needs(*w), acc.needs(*b));

@@ -5,7 +5,7 @@ use std::ops::Deref;
 use std::rc::Rc;
 
 use tensor::distance::sq_euclidean_cdist;
-use tensor::head::{Head, SoftKernel};
+use tensor::head::{Head, HeadSpec, SoftKernel};
 use tensor::layer::{Activation, Dense};
 use tensor::Matrix;
 
@@ -394,28 +394,59 @@ impl<'p> Tape<'p> {
     }
 
     /// Cross-entropy `−1/n · Σ p·ln(m + eps)` of `m` (n×k) against the
-    /// constant target `p`, n = `p.rows()`: one node, bit-identical to
-    /// `scale(neg(sum(mul(p, ln(add_scalar(m, eps))))), 1/n)`.
-    pub fn cross_entropy(&self, p: &Matrix, m: Var, eps: f64) -> Var {
+    /// constant target node `p`, n = `p`'s row count: one node,
+    /// bit-identical to `scale(neg(sum(mul(p, ln(add_scalar(m, eps))))), 1/n)`.
+    ///
+    /// # Panics
+    /// Panics if `p` needs a gradient (the node forms none for it).
+    pub fn cross_entropy(&self, p: Var, m: Var, eps: f64) -> Var {
         self.cross_entropy_node(p, m, eps, false)
     }
 
     /// `KL(p ‖ m) = 1/n · Σ p·ln(p/(m + eps))`: [`Tape::cross_entropy`]
     /// plus the constant `1/n · Σ p·ln p` over positive `p`, in one node.
-    pub fn kl_div(&self, p: &Matrix, m: Var, eps: f64) -> Var {
+    ///
+    /// # Panics
+    /// Panics if `p` needs a gradient.
+    pub fn kl_div(&self, p: Var, m: Var, eps: f64) -> Var {
         self.cross_entropy_node(p, m, eps, true)
     }
 
-    fn cross_entropy_node(&self, p: &Matrix, m: Var, eps: f64, with_entropy: bool) -> Var {
-        let head = Head::global();
-        let n = p.rows().max(1) as f64;
-        let inv_n = 1.0 / n;
-        let cross = { head.cross_sum(p, &self.nodes.borrow()[m.0].value, eps) };
-        let mut v = -cross * inv_n;
-        if with_entropy {
-            v += head.neg_entropy_sum(p) / n;
-        }
-        self.push(Matrix::full(1, 1, v), Op::CrossEntropy { m: m.0, p: p.clone(), eps, inv_n })
+    fn cross_entropy_node(&self, p: Var, m: Var, eps: f64, with_entropy: bool) -> Var {
+        let (v, inv_n) = {
+            let nodes = self.nodes.borrow();
+            assert!(!nodes[p.0].needs_grad, "cross_entropy: the target must be a constant");
+            let (head, pv) = (Head::global(), &*nodes[p.0].value);
+            let n = pv.rows().max(1) as f64;
+            let inv_n = 1.0 / n;
+            let mut v = -head.cross_sum(pv, &nodes[m.0].value, eps) * inv_n;
+            if with_entropy {
+                v += head.neg_entropy_sum(pv) / n;
+            }
+            (v, inv_n)
+        };
+        self.push(Matrix::full(1, 1, v), Op::CrossEntropy { m: m.0, p: p.0, eps, inv_n })
+    }
+
+    /// TableDC's clustering head and loss (paper Eq. 7–11 and Eq. 10's
+    /// `KL(p‖m)`) on the squared distances `d2` (n×k), in one node
+    /// ([`Head::cluster_head`] on the global pool). The kernel reads
+    /// `d2·spec.scale` when a scale is set. Of the head's `n×k` matrices
+    /// only `q` and the kernel values are kept: `m = softmax(q)` and the
+    /// target `p` are recomputed from `q` row by row, forward and
+    /// backward.
+    ///
+    /// Bit-identical in `q`, the loss, `KL(p‖q)` and the gradient at `d2`
+    /// to the composed chain `scale`, [`Tape::soft_assign`],
+    /// [`Tape::softmax_rows`], [`Tape::kl_div`] against the target of `q`,
+    /// and the plain `KL(p‖q)` sum. `q` is a no-gradient node: the
+    /// gradient reaches `d2` through the loss only.
+    pub fn cluster_head(&self, d2: Var, spec: HeadSpec) -> ClusterHead {
+        let out = { Head::global().cluster_head(&self.nodes.borrow()[d2.0].value, spec) };
+        let q = self.constant(out.q);
+        let op = Op::ClusterHead { d2: d2.0, q: q.0, spec, saved: out.saved };
+        let kl = self.push(Matrix::full(1, 1, out.loss), op);
+        ClusterHead { q, kl, kl_pq: out.kl_pq }
     }
 
     // ---- fused reconstruction loss ------------------------------------------
@@ -464,6 +495,18 @@ impl<'p> Tape<'p> {
 
         Gradients { grads, shapes: values.iter().map(|v| v.shape()).collect() }
     }
+}
+
+/// The outputs of [`Tape::cluster_head`].
+#[derive(Debug, Clone, Copy)]
+pub struct ClusterHead {
+    /// Soft assignments `q` (Eq. 8), a no-gradient node. The clustering
+    /// probabilities are its row softmax (Eq. 9).
+    pub q: Var,
+    /// The loss `KL(p‖m)` (Eq. 10), 1×1.
+    pub kl: Var,
+    /// The reported divergence `KL(p‖q)` (Figure 5).
+    pub kl_pq: f64,
 }
 
 /// The result of a backward pass: per-leaf gradients.

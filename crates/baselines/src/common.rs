@@ -15,12 +15,13 @@ use std::rc::Rc;
 
 use autograd::{Tape, Var};
 use graph::Csr;
+use nn::loss::kl_div_value;
 use nn::{Autoencoder, Params};
 use rand::rngs::StdRng;
 use obs::json::Json;
 use tabledc::diagnostics::ConvergenceVerdict;
 use tabledc::train::{Driver, Method, Objective};
-use tabledc::HealthConfig;
+use tabledc::{target_distribution, HealthConfig};
 use tensor::head::SoftKernel;
 use tensor::Matrix;
 
@@ -154,6 +155,16 @@ pub fn train_epochs<const N: usize>(
 pub fn student_t_assignments(t: &Tape, z: Var, c: Var, nu: f64) -> Var {
     let d2 = t.sq_dist_cdist(z, c);
     t.soft_assign(d2, SoftKernel::Power { scale: 1.0 / nu, exponent: -(nu + 1.0) / 2.0 }, 1e-12)
+}
+
+/// The self-supervision target of the assignment node `q` (DEC's
+/// sharpened distribution, Eq. 11) as a constant node, with the reported
+/// divergence `KL(p‖q)` (Figure 5). Every KL term of the objective reads
+/// this one node.
+pub fn target_node(t: &Tape, q: Var) -> (Var, f64) {
+    let p = t.with_value(q, target_distribution);
+    let kl_pq = t.with_value(q, |q| kl_div_value(&p, q));
+    (t.constant(p), kl_pq)
 }
 
 /// K-means cluster-center initialization on a latent matrix — the

@@ -8,15 +8,14 @@
 //! Clustering is Student-t self-supervision on the mean fused view.
 
 use graph::Gcn;
-use nn::loss::{kl_div, kl_div_value, mse};
+use nn::loss::{kl_div, mse};
 use nn::Activation;
 use rand::rngs::StdRng;
 use rand::Rng;
-use tabledc::target_distribution;
 use tabledc::train::Objective;
 use tensor::Matrix;
 
-use crate::common::{kmeans_centers, student_t_assignments, train_epochs, ClusterOutput, DeepConfig};
+use crate::common::{kmeans_centers, student_t_assignments, target_node, train_epochs, ClusterOutput, DeepConfig};
 
 /// DCRN model configuration.
 #[derive(Debug, Clone)]
@@ -78,17 +77,17 @@ impl Dcrn {
             // Clustering on the mean fused view.
             let fused = t.scale(t.add(z1, z2), 0.5);
             let q = student_t_assignments(t, fused, bound.var(centers), 1.0);
-            let p = t.with_value(q, target_distribution);
-            let kl = kl_div(t, &p, q);
+            let (p, kl_pq) = target_node(t, q);
+            let kl = kl_div(t, p, q);
 
             let recon = ae.decode(bound, ae.encode(bound, xv));
             let re = mse(t, xv, recon);
             Objective {
                 loss: t.add(t.add(re, t.scale(kl, 0.1)), t.scale(corr_loss, 1.0)),
                 re,
-                kl_pq: t.with_value(q, |q| kl_div_value(&p, q)),
+                kl_pq,
                 assign: q,
-                head: None,
+                ce: None,
             }
         })
     }

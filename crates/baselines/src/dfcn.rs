@@ -8,14 +8,13 @@
 //! smoothed input `Â·X` (its graph-reconstruction surrogate).
 
 use graph::Gcn;
-use nn::loss::{kl_div, kl_div_value, mse};
+use nn::loss::{kl_div, mse};
 use nn::Activation;
 use rand::rngs::StdRng;
-use tabledc::target_distribution;
 use tabledc::train::Objective;
 use tensor::Matrix;
 
-use crate::common::{kmeans_centers, student_t_assignments, train_epochs, ClusterOutput, DeepConfig};
+use crate::common::{kmeans_centers, student_t_assignments, target_node, train_epochs, ClusterOutput, DeepConfig};
 
 /// DFCN model configuration.
 #[derive(Debug, Clone, Default)]
@@ -59,8 +58,8 @@ impl Dfcn {
             let fused = t.add(t.mul(g_full, z_ae), t.mul(t.add_scalar(t.neg(g_full), 1.0), z_gcn));
 
             let q = student_t_assignments(t, fused, bound.var(centers), 1.0);
-            let p = t.with_value(q, target_distribution);
-            let kl = kl_div(t, &p, q);
+            let (p, kl_pq) = target_node(t, q);
+            let kl = kl_div(t, p, q);
             let re_ae = mse(t, xv, recon);
             // GCN view reconstructs the smoothed input from its latent
             // via the decoder (shared decoder, as in the fusion idea).
@@ -69,9 +68,9 @@ impl Dfcn {
             Objective {
                 loss: t.add(t.add(re_ae, t.scale(re_gcn, 0.1)), t.scale(kl, 0.1)),
                 re: re_ae,
-                kl_pq: t.with_value(q, |q| kl_div_value(&p, q)),
+                kl_pq,
                 assign: q,
-                head: None,
+                ce: None,
             }
         })
     }

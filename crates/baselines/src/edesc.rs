@@ -9,14 +9,13 @@
 //! basis-orthogonality penalty `‖DᵀD − I‖²`.
 
 use autograd::{Tape, Var};
-use nn::loss::{kl_div, kl_div_value, mse};
+use nn::loss::{kl_div, mse};
 use rand::rngs::StdRng;
-use tabledc::target_distribution;
 use tabledc::train::Objective;
 use tensor::random::xavier_uniform;
 use tensor::Matrix;
 
-use crate::common::{train_epochs, ClusterOutput, DeepConfig};
+use crate::common::{target_node, train_epochs, ClusterOutput, DeepConfig};
 
 /// EDESC model configuration.
 #[derive(Debug, Clone)]
@@ -65,8 +64,8 @@ impl Edesc {
             let sums = t.add_scalar(t.row_sums(s_raw), 1e-12);
             let s = t.div_col_broadcast(s_raw, sums);
 
-            let p = t.with_value(s, target_distribution);
-            let kl = kl_div(t, &p, s);
+            let (p, kl_pq) = target_node(t, s);
+            let kl = kl_div(t, p, s);
             let re = mse(t, xv, recon);
 
             // Orthogonality of the stacked bases: DᵀD ≈ I.
@@ -76,9 +75,9 @@ impl Edesc {
             Objective {
                 loss: t.add(t.add(re, t.scale(kl, 0.1)), t.scale(ortho, 1.0)),
                 re,
-                kl_pq: t.with_value(s, |s| kl_div_value(&p, s)),
+                kl_pq,
                 assign: s,
-                head: None,
+                ce: None,
             }
         })
     }

@@ -7,14 +7,13 @@
 //! self-supervised objective `KL(p‖q) + KL(p‖Z) + re_loss` where `q` is the
 //! Student-t assignment on the AE latent and `Z` the GCN's softmax output.
 
-use nn::loss::{kl_div, kl_div_value, mse};
+use nn::loss::{kl_div, mse};
 use nn::Activation;
 use rand::rngs::StdRng;
-use tabledc::target_distribution;
 use tabledc::train::Objective;
 use tensor::Matrix;
 
-use crate::common::{kmeans_centers, student_t_assignments, train_epochs, ClusterOutput, DeepConfig};
+use crate::common::{kmeans_centers, student_t_assignments, target_node, train_epochs, ClusterOutput, DeepConfig};
 
 /// SDCN model configuration.
 #[derive(Debug, Clone, Default)]
@@ -78,19 +77,19 @@ impl Sdcn {
 
             // Dual self-supervision.
             let q = student_t_assignments(t, z_ae, bound.var(centers), 1.0);
-            let p = t.with_value(q, target_distribution);
-            let kl_q = kl_div(t, &p, q);
-            let kl_z = kl_div(t, &p, z_dist);
+            let (p, kl_pq) = target_node(t, q);
+            let kl_q = kl_div(t, p, q);
+            let kl_z = kl_div(t, p, z_dist);
             let re = mse(t, xv, recon);
             Objective {
                 // Original weights: 0.1·KL(p‖q) + 0.01·KL(p‖Z) + re.
                 loss: t.add(t.add(t.scale(kl_q, 0.1), t.scale(kl_z, 0.01)), re),
                 re,
-                kl_pq: t.with_value(q, |q| kl_div_value(&p, q)),
+                kl_pq,
                 // SDCN predicts from the GCN distribution Z, so the
                 // structural diagnostics watch Z rather than the Student-t q.
                 assign: z_dist,
-                head: None,
+                ce: None,
             }
         })
     }

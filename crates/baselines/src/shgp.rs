@@ -102,11 +102,11 @@ impl Shgp {
             for _ in 0..steps_per_round {
                 let enc = &encoder;
                 let head_ref = &head;
-                let _ = train_step(&mut params, &mut adam, [x], |t, bound, [xv]| {
+                let _ = train_step(&mut params, &mut adam, [x, &targets], |t, bound, [xv, pv]| {
                     let z = enc.forward(bound, xv);
                     let logits = head_ref.forward(bound, z);
                     let probs = t.softmax_rows(logits);
-                    cross_entropy(t, &targets, probs)
+                    cross_entropy(t, pv, probs)
                 });
             }
             embedding = encoder.infer(&params, x);

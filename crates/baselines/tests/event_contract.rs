@@ -1,8 +1,10 @@
 //! The per-epoch event contract every deep-clustering method keeps, since
 //! TableDC and the four self-supervised baselines train through one epoch
 //! driver: per epoch one epoch event, one diag event and one
-//! `nn.grad_norm` event; one fit id with strictly increasing epochs; the
-//! `method` field on baseline events; and one convergence event last.
+//! `nn.grad_norm` event; one fit id on all of them, with strictly
+//! increasing epochs; the `method` field on baseline events; one
+//! convergence event last; and step statistics in histograms of the
+//! method's own metric prefix.
 
 use baselines::{ClusterOutput, Dcrn, DeepConfig, Dfcn, Edesc, Sdcn};
 use datagen::{generate_mixture, MixtureConfig};
@@ -19,6 +21,12 @@ type Fit = fn(DeepConfig, &Matrix) -> ClusterOutput;
 
 fn mixture() -> Matrix {
     generate_mixture(&MixtureConfig { n: 40, k: 2, dim: 8, ..Default::default() }, &mut rng(5)).x
+}
+
+/// Samples in the global gradient-norm histogram of metric prefix
+/// `prefix`.
+fn grad_norm_samples(prefix: &str) -> u64 {
+    obs::registry().histogram(&format!("{prefix}.nn.grad_norm")).snapshot().count()
 }
 
 /// Checks one fit's trace: `family` is `tabledc` or `baseline`, `method`
@@ -43,18 +51,14 @@ fn check_fit(lines: &[String], family: &str, method: Option<&str>) {
         assert_eq!(stream.len(), EPOCHS, "{what}: one {name} event per epoch");
         let epochs: Vec<f64> = stream.iter().map(|v| v.get("epoch").unwrap().as_f64().unwrap()).collect();
         assert!(epochs.windows(2).all(|w| w[0] < w[1]), "{what}: {name} epochs {epochs:?} not increasing");
-        if name != "nn.grad_norm" {
-            fit_ids.extend(stream.iter().map(|v| v.get("fit").unwrap().as_f64().unwrap()));
-        }
+        fit_ids.extend(stream.iter().map(|v| v.get("fit").and_then(Json::as_f64).expect("numeric fit id")));
     }
     let (_, last) = events.last().unwrap();
     fit_ids.push(last.get("fit").unwrap().as_f64().unwrap());
     assert!(fit_ids.windows(2).all(|w| w[0] == w[1]), "{what}: events span several fit ids");
 
     for (name, v) in &events {
-        if name != "nn.grad_norm" {
-            assert_eq!(v.get("method").and_then(Json::as_str), method, "{what}: method field of {name}");
-        }
+        assert_eq!(v.get("method").and_then(Json::as_str), method, "{what}: method field of {name}");
         if *name == epoch {
             for key in ["re_loss", "kl_pq", "loss", "grad_norm", "update_ratio", "epoch_ms"] {
                 let value = v.get(key).and_then(Json::as_f64).expect("numeric field");
@@ -75,9 +79,11 @@ fn every_deep_method_emits_one_event_set_per_epoch() {
         health: HealthConfig { policy: Some(Policy::Warn), ..HealthConfig::default() },
         ..TableDcConfig::new(2)
     };
+    let before = grad_norm_samples("tabledc");
     let ((_, fit), lines) = obs::test_support::with_memory_sink(|| TableDc::fit(config, &x, &mut rng(6)));
     assert_eq!(fit.health.verdict, Verdict::Healthy);
     check_fit(&lines, "tabledc", None);
+    assert_eq!(grad_norm_samples("tabledc") - before, EPOCHS as u64, "tabledc: one grad-norm sample per epoch");
 
     let cfg = DeepConfig { latent_dim: 4, pretrain_epochs: 2, epochs: EPOCHS, ..Default::default() };
     let baselines: [(&str, Fit); 4] = [
@@ -87,9 +93,12 @@ fn every_deep_method_emits_one_event_set_per_epoch() {
         ("edesc", |c, x| Edesc::new(c).fit(x, 2, &mut rng(6))),
     ];
     for (method, fit) in baselines {
+        let before = grad_norm_samples(method);
         let (out, lines) = obs::test_support::with_memory_sink(|| fit(cfg.clone(), &x));
         assert_eq!(out.health.verdict, Verdict::Healthy, "{method}");
         assert_eq!((out.labels.len(), out.re_loss.len(), out.kl_pq.len()), (x.rows(), EPOCHS, EPOCHS), "{method}");
         check_fit(&lines, "baseline", Some(method));
+        // Only this fit's steps land in the method's histogram.
+        assert_eq!(grad_norm_samples(method) - before, EPOCHS as u64, "{method}: one grad-norm sample per epoch");
     }
 }

@@ -1,7 +1,7 @@
 //! Loss functions used across TableDC and the deep baselines.
 
 use autograd::{Tape, Var};
-use tensor::head::Head;
+use tensor::head::{kl_term, Head};
 use tensor::Matrix;
 
 /// Numerical floor inside logarithms.
@@ -16,15 +16,17 @@ pub fn mse(t: &Tape, target: Var, pred: Var) -> Var {
 }
 
 /// KL divergence `KL(p ‖ m) = 1/n · Σ p·log(p/m)` with a constant target
-/// `p` (paper Eq. 10), normalized per row ("batchmean", the convention of
-/// the reference DEC/SDCN implementations — an unnormalized sum would make
-/// the clustering gradient grow with n·k and swamp the mean-reduced
-/// reconstruction loss in Eq. 13). `p` does not require gradients; the
+/// node `p` (paper Eq. 10; [`Tape::constant`]), normalized per row
+/// ("batchmean", the convention of the reference DEC/SDCN implementations
+/// — an unnormalized sum would make the clustering gradient grow with n·k
+/// and swamp the mean-reduced reconstruction loss in Eq. 13). The node
+/// reads `p` in place, so several KL terms can share one target. `p` does
+/// not require gradients; the
 /// `p·log p` term is still included so the node's *value* is a true mean
 /// KL divergence (useful for the Figure 5 loss curves), while the gradient
 /// only flows through `−Σ p·log m`. One fused tape node
 /// ([`Tape::kl_div`]).
-pub fn kl_div(t: &Tape, p: &Matrix, m: Var) -> Var {
+pub fn kl_div(t: &Tape, p: Var, m: Var) -> Var {
     t.kl_div(p, m, LOG_EPS)
 }
 
@@ -35,20 +37,13 @@ pub fn kl_div(t: &Tape, p: &Matrix, m: Var) -> Var {
 pub fn kl_div_value(p: &Matrix, q: &Matrix) -> f64 {
     assert_eq!(p.shape(), q.shape(), "kl_div_value: shape mismatch");
     let n = p.rows().max(1) as f64;
-    Head::global().sum_terms(p.shape(), |i, j| {
-        let (pi, qi) = (p[(i, j)], q[(i, j)]);
-        if pi > 0.0 {
-            pi * (pi / qi.max(LOG_EPS)).ln()
-        } else {
-            0.0
-        }
-    }) / n
+    Head::global().sum_terms(p.shape(), |i, j| kl_term(p[(i, j)], q[(i, j)], LOG_EPS)) / n
 }
 
-/// Cross-entropy of row-stochastic predictions `m` against constant hard or
-/// soft targets `p`: `−1/n Σ p·log m`, one fused tape node
+/// Cross-entropy of row-stochastic predictions `m` against a constant node
+/// `p` of hard or soft targets: `−1/n Σ p·log m`, one fused tape node
 /// ([`Tape::cross_entropy`]). Used by SHGP's pseudo-label loss.
-pub fn cross_entropy(t: &Tape, p: &Matrix, m: Var) -> Var {
+pub fn cross_entropy(t: &Tape, p: Var, m: Var) -> Var {
     t.cross_entropy(p, m, LOG_EPS)
 }
 
@@ -65,7 +60,7 @@ pub fn nt_xent(t: &Tape, za: Var, zb: Var, tau: f64) -> Var {
     let logits = t.scale(t.matmul(za, t.transpose(zb)), 1.0 / tau);
     let probs = t.softmax_rows(logits);
     // Positives are the diagonal; maximize their log-probability.
-    cross_entropy(t, &Matrix::identity(t.shape(za).0), probs)
+    cross_entropy(t, t.constant(Matrix::identity(t.shape(za).0)), probs)
 }
 
 #[cfg(test)]
@@ -75,25 +70,25 @@ mod tests {
 
     /// `−1/n · Σ p·log(m + ε)` as the chain of elementwise tape ops the
     /// fused node replaces.
-    fn composed_cross_entropy(t: &Tape, p: &Matrix, m: Var) -> Var {
-        let n = p.rows().max(1) as f64;
-        let pv = t.constant(p.clone());
+    fn composed_cross_entropy(t: &Tape, p: Var, m: Var) -> Var {
+        let n = t.shape(p).0.max(1) as f64;
         let log_m = t.ln(t.add_scalar(m, LOG_EPS));
-        t.scale(t.neg(t.sum(t.mul(pv, log_m))), 1.0 / n)
+        t.scale(t.neg(t.sum(t.mul(p, log_m))), 1.0 / n)
     }
 
-    fn composed_kl_div(t: &Tape, p: &Matrix, m: Var) -> Var {
-        let n = p.rows().max(1) as f64;
-        let ent: f64 =
-            p.as_slice().iter().map(|&x| if x > 0.0 { x * x.ln() } else { 0.0 }).sum::<f64>() / n;
+    fn composed_kl_div(t: &Tape, p: Var, m: Var) -> Var {
+        let n = t.shape(p).0.max(1) as f64;
+        let ent: f64 = t.with_value(p, |p| {
+            p.as_slice().iter().map(|&x| if x > 0.0 { x * x.ln() } else { 0.0 }).sum::<f64>()
+        }) / n;
         t.add_scalar(composed_cross_entropy(t, p, m), ent)
     }
 
     /// Value and gradient w.r.t. `m` of `α·loss(p, m)`.
-    fn value_and_grad(loss: fn(&Tape, &Matrix, Var) -> Var, p: &Matrix, m: &Matrix) -> (u64, Vec<u64>) {
+    fn value_and_grad(loss: fn(&Tape, Var, Var) -> Var, p: &Matrix, m: &Matrix) -> (u64, Vec<u64>) {
         let t = Tape::new();
         let mv = t.leaf(m.clone());
-        let l = t.scale(loss(&t, p, mv), 0.9);
+        let l = t.scale(loss(&t, t.constant_ref(p), mv), 0.9);
         let g = t.backward(l).grad(mv);
         (t.value(l)[(0, 0)].to_bits(), g.as_slice().iter().map(|v| v.to_bits()).collect())
     }
@@ -117,8 +112,8 @@ mod tests {
     fn fused_kl_gradient_matches_finite_differences() {
         let p = randn(4, 3, &mut rng(1)).softmax_rows();
         let m = randn(4, 3, &mut rng(2)).softmax_rows();
-        autograd::check::assert_grad_close(&m, |t, v| kl_div(t, &p, v), 1e-6, 1e-5);
-        autograd::check::assert_grad_close(&m, |t, v| cross_entropy(t, &p, v), 1e-6, 1e-5);
+        autograd::check::assert_grad_close(&m, |t, v| kl_div(t, t.constant(p.clone()), v), 1e-6, 1e-5);
+        autograd::check::assert_grad_close(&m, |t, v| cross_entropy(t, t.constant(p.clone()), v), 1e-6, 1e-5);
     }
 
     #[test]
@@ -142,8 +137,8 @@ mod tests {
     fn kl_zero_when_distributions_match() {
         let p = Matrix::from_rows(&[&[0.25, 0.75], &[0.5, 0.5]]);
         let t = Tape::new();
-        let m = t.constant(p.clone());
-        let l = kl_div(&t, &p, m);
+        let (pv, m) = (t.constant(p.clone()), t.constant(p.clone()));
+        let l = kl_div(&t, pv, m);
         assert!(t.value(l)[(0, 0)].abs() < 1e-9);
         assert!(kl_div_value(&p, &p).abs() < 1e-12);
     }
@@ -178,7 +173,7 @@ mod tests {
         // Tape version agrees.
         let t = Tape::new();
         let m = t.constant(q);
-        assert!((t.value(kl_div(&t, &p, m))[(0, 0)] - expect).abs() < 1e-6);
+        assert!((t.value(kl_div(&t, t.constant(p), m))[(0, 0)] - expect).abs() < 1e-6);
     }
 
     #[test]
@@ -187,7 +182,7 @@ mod tests {
         let p = Matrix::from_rows(&[&[0.9, 0.1]]);
         let t = Tape::new();
         let m = t.leaf(Matrix::from_rows(&[&[0.5, 0.5]]));
-        let l = kl_div(&t, &p, m);
+        let l = kl_div(&t, t.constant(p), m);
         let g = t.backward(l).grad(m);
         assert!(g[(0, 0)] < 0.0, "gradient should increase m where p is larger");
         assert!(g[(0, 1)] > g[(0, 0)]);
@@ -199,8 +194,9 @@ mod tests {
         let good = Matrix::from_rows(&[&[0.9, 0.1]]);
         let bad = Matrix::from_rows(&[&[0.1, 0.9]]);
         let t = Tape::new();
-        let lg = t.value(cross_entropy(&t, &p, t.constant(good)))[(0, 0)];
-        let lb = t.value(cross_entropy(&t, &p, t.constant(bad)))[(0, 0)];
+        let pv = t.constant(p);
+        let lg = t.value(cross_entropy(&t, pv, t.constant(good)))[(0, 0)];
+        let lb = t.value(cross_entropy(&t, pv, t.constant(bad)))[(0, 0)];
         assert!(lg < lb);
     }
 

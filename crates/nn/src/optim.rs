@@ -28,38 +28,43 @@ impl StepStats {
         self.update_norm / (self.param_norm + 1e-12)
     }
 
-    /// Records the finite stats into the metrics registry: one
-    /// `nn.grad_norm.<name>` histogram per parameter, plus the global
-    /// `nn.grad_norm` and `nn.update_ratio` histograms. Non-finite values
-    /// are skipped — they are the health monitor's story, not a sample.
-    pub fn record(&self, params: &Params) {
+    /// Records the finite stats into the metrics registry under the
+    /// training method's metric prefix (`tabledc`, `sdcn`, …), so fits of
+    /// several methods in one process keep separate histograms: one
+    /// `<prefix>.nn.grad_norm.<name>` histogram per parameter, plus
+    /// `<prefix>.nn.grad_norm` (global norm) and `<prefix>.nn.update_ratio`.
+    /// Non-finite values are skipped — they are the health monitor's
+    /// story, not a sample.
+    pub fn record(&self, prefix: &str, params: &Params) {
         let reg = obs::registry();
         for (id, norm) in &self.grad_norms {
             if norm.is_finite() {
-                reg.histogram(&format!("nn.grad_norm.{}", params.name(*id))).record(*norm);
+                reg.histogram(&format!("{prefix}.nn.grad_norm.{}", params.name(*id))).record(*norm);
             }
         }
         if self.global_grad_norm.is_finite() {
-            reg.histogram("nn.grad_norm").record(self.global_grad_norm);
+            reg.histogram(&format!("{prefix}.nn.grad_norm")).record(self.global_grad_norm);
         }
         let ratio = self.update_ratio();
         if ratio.is_finite() {
-            reg.histogram("nn.update_ratio").record(ratio);
+            reg.histogram(&format!("{prefix}.nn.update_ratio")).record(ratio);
         }
     }
 
-    /// Emits one `nn.grad_norm` trace event for this step, carrying the
-    /// global norm and update ratio. Skipped when either value is
+    /// Emits one `nn.grad_norm` trace event for this step of fit `fit`,
+    /// carrying the global norm and update ratio, and the baseline's name
+    /// as `method` when one is given. Skipped when either value is
     /// non-finite so every emitted `nn.grad_norm` event has finite numeric
     /// fields (`trace_check` enforces this).
-    pub fn emit_event(&self, epoch: u64) {
+    pub fn emit_event(&self, epoch: u64, fit: u64, method: Option<&str>) {
         let ratio = self.update_ratio();
         if self.global_grad_norm.is_finite() && ratio.is_finite() {
-            obs::event("nn.grad_norm")
-                .u64("epoch", epoch)
-                .f64("global", self.global_grad_norm)
-                .f64("update_ratio", ratio)
-                .emit();
+            let ev = obs::event("nn.grad_norm").u64("fit", fit);
+            let ev = match method {
+                Some(m) => ev.str("method", m),
+                None => ev,
+            };
+            ev.u64("epoch", epoch).f64("global", self.global_grad_norm).f64("update_ratio", ratio).emit();
         }
     }
 }

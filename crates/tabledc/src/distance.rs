@@ -51,15 +51,31 @@ impl Distance {
     /// *current values* of `z` and enters the graph as a constant whitening
     /// transform ([`whitening`]; gradients do not flow through Σ itself,
     /// matching how such losses are trained in practice). This is the
-    /// training path; inference whitens with the transform frozen from the
-    /// training latent when the fit ends ([`crate::TableDc`]).
+    /// training path (TableDC's head takes it through
+    /// [`Distance::sq_cdist_unscaled`]); inference whitens with the
+    /// transform frozen from the training latent when the fit ends
+    /// ([`crate::TableDc`]).
     ///
     /// # Errors
     /// [`LinalgError`] if an empirical covariance is not positive definite
     /// even after shrinkage.
     pub fn sq_cdist(self, t: &Tape, z: Var, c: Var) -> Result<Var, LinalgError> {
+        let (d2, scale) = self.sq_cdist_unscaled(t, z, c)?;
+        Ok(scale.map_or(d2, |s| t.scale(d2, s)))
+    }
+
+    /// [`Distance::sq_cdist`] split into squared distances and a constant
+    /// factor still to be applied to them: the scaled-identity Mahalanobis
+    /// distance's `1/δ` (`None` for every other distance). TableDC's
+    /// clustering head applies the factor itself
+    /// ([`tensor::head::HeadSpec::scale`]), so no scaled `n×k` copy is
+    /// recorded.
+    ///
+    /// # Errors
+    /// As [`Distance::sq_cdist`].
+    pub fn sq_cdist_unscaled(self, t: &Tape, z: Var, c: Var) -> Result<(Var, Option<f64>), LinalgError> {
         match self {
-            Distance::Euclidean => Ok(t.sq_dist_cdist(z, c)),
+            Distance::Euclidean => Ok((t.sq_dist_cdist(z, c), None)),
             Distance::Cosine => {
                 // 1 − ẑ·ĉᵀ, squared: normalize rows on-tape so gradients
                 // account for the normalization.
@@ -67,19 +83,19 @@ impl Distance {
                 let cn = normalize_rows_on_tape(t, c);
                 let sim = t.matmul(zn, t.transpose(cn));
                 let dist = t.add_scalar(t.neg(sim), 1.0);
-                Ok(t.square(dist))
+                Ok((t.square(dist), None))
             }
             Distance::Mahalanobis(cov) => match cov {
                 Covariance::ScaledIdentity(delta) => {
                     assert!(delta > 0.0, "Mahalanobis: delta must be positive, got {delta}");
                     // (z−c)ᵀ(δI)⁻¹(z−c) = ‖z−c‖²/δ.
-                    Ok(t.scale(t.sq_dist_cdist(z, c), 1.0 / delta))
+                    Ok((t.sq_dist_cdist(z, c), Some(1.0 / delta)))
                 }
                 Covariance::Empirical { shrinkage } => {
                     let w = t.constant(t.with_value(z, |zv| whitening(zv, shrinkage))?);
                     let zw = t.matmul(z, w);
                     let cw = t.matmul(c, w);
-                    Ok(t.sq_dist_cdist(zw, cw))
+                    Ok((t.sq_dist_cdist(zw, cw), None))
                 }
             },
         }

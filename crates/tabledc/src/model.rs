@@ -5,14 +5,14 @@
 
 mod frozen;
 
-use autograd::{Tape, Var};
+use autograd::{ClusterHead, Tape, Var};
 use clustering::metrics::num_clusters;
-use nn::loss::{kl_div, kl_div_value, mse};
+use nn::loss::{mse, LOG_EPS};
 use nn::{Adam, Autoencoder, ParamId, Params};
 use obs::health::{HealthReport, Verdict};
 use obs::json::Json;
 use rand::rngs::StdRng;
-use tensor::head::rows_per_block;
+use tensor::head::{rows_per_block, target_row, HeadSpec};
 use tensor::Matrix;
 
 use crate::diagnostics::ConvergenceVerdict;
@@ -245,26 +245,29 @@ impl Net {
             // Line 4: latent representation z.
             let z = ae.encode(bound, xv);
             let recon = ae.decode(bound, z);
-            // Lines 5–8: soft assignments q and probabilities m (Eq. 3–9).
-            let (q, m) = cluster_head(&config, tape, z, bound.var(centers));
-            // Line 9: target distribution p from q (Eq. 11).
-            let p = tape.with_value(q, target_distribution);
-            // Line 10: losses (Eq. 10, 12, 13).
-            let ce = kl_div(tape, &p, m);
+            // Lines 5–10: distances, then soft assignments q,
+            // probabilities m, the target p and the clustering loss
+            // KL(p‖m) in one node (Eq. 3–11).
+            let head = cluster_head(&config, tape, z, bound.var(centers));
+            // Line 10: the reconstruction loss and the total (Eq. 12–13).
             let re = mse(tape, xv, recon);
             Objective {
-                loss: tape.add(tape.scale(ce, config.alpha), re),
+                loss: tape.add(tape.scale(head.kl, config.alpha), re),
                 re,
-                kl_pq: tape.with_value(q, |q| kl_div_value(&p, q)),
-                assign: q,
-                head: Some((ce, m)),
+                kl_pq: head.kl_pq,
+                assign: head.q,
+                ce: Some(head.kl),
             }
         });
         drop(train_timer);
         let net = Net { config, params, ae, centers };
         let model = net.freeze(x_std, x_mean, x_inv_std);
-        let (q, m) = match (trained.assign, trained.m) {
-            (Some(q), Some(m)) => (q, m),
+        let (q, m) = match trained.assign {
+            // The clustering probabilities of Eq. 9, as the head forms them.
+            Some(q) => {
+                let m = q.softmax_rows();
+                (q, m)
+            }
             // With no epoch to run, the assignments are the initialized model's.
             _ if net.config.epochs == 0 => model.soft_assignments(x),
             // An abort in the first epoch leaves no assignment.
@@ -287,25 +290,28 @@ impl Net {
     }
 }
 
-/// The clustering head, Eq. 3–9, on the training tape: squared
-/// distances between the latent rows `z` and the centers `c` (Eq. 3–6),
-/// the similarity kernel (Eq. 7), row normalization (Eq. 8) and the
-/// softmax (Eq. 9). Returns the soft assignments `q` and the predicted
-/// probabilities `m`.
-fn cluster_head(cfg: &TableDcConfig, tape: &Tape, z: Var, c: Var) -> (Var, Var) {
-    let d2 = cfg
+/// The clustering head and its loss, Eq. 3–11, on the training tape:
+/// squared distances between the latent rows `z` and the centers `c`
+/// (Eq. 3–6), then one [`Tape::cluster_head`] node for the similarity
+/// kernel (Eq. 7), row normalization (Eq. 8), softmax (Eq. 9), target
+/// distribution (Eq. 11) and `KL(p‖m)` (Eq. 10). The scaled-identity
+/// Mahalanobis distance's `1/δ` is applied inside that node.
+fn cluster_head(cfg: &TableDcConfig, tape: &Tape, z: Var, c: Var) -> ClusterHead {
+    let (d2, scale) = cfg
         .distance
-        .sq_cdist(tape, z, c)
+        .sq_cdist_unscaled(tape, z, c)
         .expect("distance computation failed (non-SPD covariance)");
-    let q = cfg.kernel.apply(tape, d2, cfg.eps);
-    (q, tape.softmax_rows(q))
+    let spec = HeadSpec { scale, kernel: cfg.kernel.soft_kernel(), eps: cfg.eps, log_eps: LOG_EPS };
+    tape.cluster_head(d2, spec)
 }
 
 /// The target distribution `p` (Eq. 11 with the standard DEC row
 /// normalization): `p_ij ∝ q_ij² / f_j` where `f_j = Σ_i q_ij` are the soft
 /// cluster frequencies; rows are normalized to sum to 1 so `p` is a valid
 /// distribution. Squaring emphasizes confident assignments; dividing by
-/// `f_j` prevents large clusters from dominating (§2.1).
+/// `f_j` prevents large clusters from dominating (§2.1). TableDC's own
+/// head forms it row by row ([`Tape::cluster_head`]); the baselines call
+/// this.
 pub fn target_distribution(q: &Matrix) -> Matrix {
     let (n, k) = q.shape();
     let f = q.col_sums();
@@ -313,17 +319,7 @@ pub fn target_distribution(q: &Matrix) -> Matrix {
     // Rows are independent given `f`: fixed row blocks on the pool.
     runtime::par_for_rows(runtime::global(), p.as_mut_slice(), k, rows_per_block(k), |first, block| {
         for (r, p_row) in block.chunks_exact_mut(k).enumerate() {
-            let mut row_sum = 0.0;
-            for ((pv, &qv), &fj) in p_row.iter_mut().zip(q.row(first + r)).zip(&f) {
-                let v = if fj > 0.0 { qv * qv / fj } else { 0.0 };
-                *pv = v;
-                row_sum += v;
-            }
-            if row_sum > 0.0 {
-                for pv in p_row.iter_mut() {
-                    *pv /= row_sum;
-                }
-            }
+            target_row(q.row(first + r), &f, p_row);
         }
     });
     p
@@ -338,8 +334,10 @@ impl Net {
         let tape = Tape::new();
         let bound = self.params.bind(&tape);
         let z = self.ae.encode(&bound, tape.constant_ref(x_std));
-        let (q, m) = cluster_head(&self.config, &tape, z, bound.var(self.centers));
-        (tape.value(q), tape.value(m))
+        let head = cluster_head(&self.config, &tape, z, bound.var(self.centers));
+        let q = tape.value(head.q);
+        let m = q.softmax_rows();
+        (q, m)
     }
 
     /// This network's weights under another distance and kernel, with the

@@ -136,12 +136,14 @@ impl History {
 /// metrics and health tensors, and nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
-    /// TableDC: `tabledc.epoch`/`tabledc.diag`/`tabledc.convergence`
-    /// events without a `method` field, `tabledc.*` metrics and unprefixed
+    /// TableDC: `tabledc.epoch`/`tabledc.diag`/`tabledc.convergence` and
+    /// `nn.grad_norm` events without a `method` field, `tabledc.*` metrics
+    /// (the optimizer's step statistics as `tabledc.nn.*`) and unprefixed
     /// health tensors.
     TableDc,
-    /// A deep baseline (`"sdcn"`, …): `baseline.*` events stamped with
-    /// `method`, and `<method>.*` metrics and health tensors.
+    /// A deep baseline (`"sdcn"`, …): `baseline.*` and `nn.grad_norm`
+    /// events stamped with `method`, and `<method>.*` metrics and health
+    /// tensors.
     Baseline(&'static str),
 }
 
@@ -167,8 +169,9 @@ pub struct Objective {
     /// The `n × k` assignment matrix the diagnostics watch and the labels
     /// come from: `q`, or SDCN's GCN distribution `Z`, or EDESC's `s`.
     pub assign: Var,
-    /// TableDC's clustering term: `KL(p‖m)` and the probabilities `m`.
-    pub head: Option<(Var, Var)>,
+    /// TableDC's clustering loss `KL(p‖m)` (Eq. 10), reported as
+    /// `ce_loss`.
+    pub ce: Option<Var>,
 }
 
 /// What a run hands back.
@@ -176,8 +179,6 @@ pub struct Trained {
     /// The last completed epoch's assignment matrix; `None` when no epoch
     /// completed.
     pub assign: Option<Matrix>,
-    /// The last completed epoch's `m`, for a method with a clustering head.
-    pub m: Option<Matrix>,
     /// The per-epoch series.
     pub history: History,
     /// The numerical-health verdict.
@@ -236,7 +237,7 @@ impl Driver {
         let mut monitor = HealthMonitor::new(self.health.policy.unwrap_or_else(Policy::from_env));
         let mut tracker = DiagnosticsTracker::new();
         let mut history = History::default();
-        let (mut assign, mut m) = (None, None);
+        let mut assign = None;
 
         for epoch in 0..self.epochs {
             let epoch_start = std::time::Instant::now();
@@ -254,7 +255,7 @@ impl Driver {
             let obj = objective(&tape, &bound, data.map(|x| tape.constant_ref(x)));
             let scalar = |v: Var| tape.value(v)[(0, 0)];
             let re = scalar(obj.re);
-            let ce = obj.head.map(|(ce, _)| scalar(ce));
+            let ce = obj.ce.map(scalar);
             let loss = scalar(obj.loss);
 
             // Health checks before the history pushes and the update.
@@ -276,12 +277,11 @@ impl Driver {
             }
 
             // Backprop and update, instrumented with gradient and
-            // update-norm telemetry. The epoch's matrices leave the tape
-            // (moved, not copied) before the update ends its borrow of the
-            // parameters.
+            // update-norm telemetry. The epoch's assignment matrix leaves
+            // the tape (moved, not copied) before the update ends its
+            // borrow of the parameters.
             let grads = bound.backward(obj.loss);
             let epoch_assign = tape.take_value(obj.assign);
-            let epoch_m = obj.head.map(|(_, m)| tape.take_value(m));
             let stats = adam.step_instrumented(params, &grads);
             if let Some(id) = stats.nonfinite_grad {
                 let name = tensor(&format!("grad.{}", params.name(id)));
@@ -291,8 +291,8 @@ impl Driver {
                     break;
                 }
             }
-            stats.record(params);
-            stats.emit_event(e);
+            stats.record(prefix, params);
+            stats.emit_event(e, fit_id, method);
 
             history.re_loss.push(re);
             history.ce_loss.extend(ce);
@@ -327,7 +327,7 @@ impl Driver {
                 .emit();
             diagnostics::emit_diag_event(&diag_event, method, fit_id, &diag);
 
-            (assign, m) = (Some(epoch_assign), epoch_m);
+            assign = Some(epoch_assign);
         }
 
         let convergence = tracker.verdict(self.k, &VerdictRules::default());
@@ -337,7 +337,7 @@ impl Driver {
             .i64("epoch", convergence.epoch.map_or(-1, |e| e as i64))
             .str("rule", &convergence.rule)
             .emit();
-        Trained { assign, m, history, health: monitor.report(), convergence }
+        Trained { assign, history, health: monitor.report(), convergence }
     }
 
     /// Strict-policy abort path: writes the diagnostic dump, emits the
@@ -451,7 +451,7 @@ mod tests {
             let re = t.sum(t.square(bound.var(w)));
             let scale = if epoch >= nan_from { f64::NAN } else { 1.0 };
             epoch += 1;
-            Objective { loss: t.scale(re, scale), re, kl_pq: 0.1, assign: qv, head: None }
+            Objective { loss: t.scale(re, scale), re, kl_pq: 0.1, assign: qv, ce: None }
         })
     }
 
@@ -461,7 +461,7 @@ mod tests {
             obs::test_support::with_memory_sink(|| run_toy(toy_driver("unit", 12, policy(Policy::Warn)), usize::MAX));
         assert_eq!(trained.health.verdict, Verdict::Healthy);
         assert_eq!(trained.history.re_loss.len(), 12);
-        assert!(trained.history.ce_loss.is_empty(), "a method without a head has no ce_loss");
+        assert!(trained.history.ce_loss.is_empty(), "a method without a clustering loss has no ce_loss");
         // Constant labels: settled after the first full-churn epoch.
         assert_eq!(trained.convergence.status, crate::ConvergenceStatus::Converged);
         assert_eq!(trained.convergence.epoch, Some(1));

@@ -4,10 +4,12 @@
 //! (160×4248 · 4248×256, via `matmul_tn`), the fused dense layer at the
 //! fit-tall first layer (4248×160 → 256, ReLU): its forward (product, bias
 //! and activation in one pass) and its backward (activation gradient,
-//! bias, weight and input gradients), the fused clustering head
+//! bias, weight and input gradients), TableDC's one-node clustering head
 //! at the fit-wide shape (2050 latent rows, 684 centers): its forward
-//! (soft assignment, softmax, KL loss) and its backward (KL, softmax and
-//! soft-assignment gradients), one 64-row request to a frozen TableDC
+//! (the `1/δ` scale, soft assignment, then the softmax and target rows
+//! with the `KL(p‖m)` and `KL(p‖q)` sums) and its backward (softmax and
+//! target rows again, then the KL, softmax, soft-assignment and scale
+//! gradients, in one pass), one 64-row request to a frozen TableDC
 //! model at the assign shape (d = 160, hidden `[256, 128]`, latent 48,
 //! k = 684), and Birch's global step at the fit-wide shape (weighted
 //! K-means, 8 restarts, over 1950 subclusters of 48 features, k = 684),
@@ -27,7 +29,7 @@ use std::time::{Duration, Instant};
 use clustering::KMeans;
 use runtime::ThreadPool;
 use tabledc::{Init, TableDc, TableDcConfig};
-use tensor::head::{Head, SoftKernel};
+use tensor::head::{Head, HeadSpec, SoftKernel};
 use tensor::layer::{Activation, Dense};
 use tensor::random::{randn, rng};
 use tensor::par;
@@ -94,15 +96,14 @@ fn main() {
     let w = randn(160, 256, &mut r);
     let grad = randn(4248, 256, &mut r);
     let bias = randn(1, 256, &mut r);
-    // Fit-wide clustering head: squared Mahalanobis distances (Σ = 0.01·I)
-    // from 2050 latent rows to 684 centers, the Cauchy kernel, and a
-    // target distribution from a sharper softmax of the same distances.
+    // Fit-wide clustering head: squared Euclidean distances from 2050
+    // latent rows to 684 centers, with the Mahalanobis factor 1/δ = 100
+    // (Σ = 0.01·I) and the Cauchy kernel applied inside the head.
     let latent = randn(2050, 48, &mut r);
     let centers = randn(684, 48, &mut r);
-    let d2 = &par::sq_euclidean_cdist(&ThreadPool::new(1), &latent, &centers) * 100.0;
-    let cauchy = SoftKernel::Power { scale: 1.0, exponent: -1.0 };
-    let (eps, log_eps, inv_n) = (1e-10, 1e-12, 1.0 / 2050.0);
-    let target = (&d2 * -0.01).softmax_rows();
+    let d2 = par::sq_euclidean_cdist(&ThreadPool::new(1), &latent, &centers);
+    let kernel = SoftKernel::Power { scale: 1.0, exponent: -1.0 };
+    let spec = HeadSpec { scale: Some(100.0), kernel, eps: 1e-10, log_eps: 1e-12 };
     // Assign-shaped model: untrained weights and random-row centers are
     // enough to time the frozen plan and check its bits.
     let config = TableDcConfig {
@@ -147,23 +148,13 @@ fn main() {
         let grads = Dense::on(pool).backward(&act, &w, &layer_out, grad.clone(), Activation::Relu, (true, true, true));
         (grads.dx, grads.dw, grads.db)
     });
-    let forward = |pool: &ThreadPool| {
-        let head = Head::on(pool);
-        let sa = head.soft_assign(&d2, cauchy, eps);
-        let m = par::softmax_rows(pool, &sa.q);
-        let loss = -head.cross_sum(&target, &m, log_eps) * inv_n + head.neg_entropy_sum(&target) * inv_n;
-        (sa, m, loss.to_bits())
-    };
-    ok &= check("fused head forward 2050x684", &serial, parallel, |pool| {
-        let (sa, m, loss) = forward(pool);
-        (sa.q, sa.raw, sa.denom, m, loss)
+    ok &= check("cluster head forward 2050x684", &serial, parallel, |pool| {
+        let out = Head::on(pool).cluster_head(&d2, spec);
+        (out.q, out.saved.u, out.saved.denom, out.saved.f, out.loss.to_bits(), out.kl_pq.to_bits())
     });
-    let (sa, m, _) = forward(&serial);
-    ok &= check("fused head backward 2050x684", &serial, parallel, |pool| {
-        let head = Head::on(pool);
-        let dm = head.cross_backward(&target, &m, log_eps, -(0.9 * inv_n));
-        let dq = head.softmax_rows_backward(&m, &dm);
-        head.soft_assign_backward(&d2, cauchy, &sa.raw, &sa.denom, &dq)
+    let head = Head::on(&serial).cluster_head(&d2, spec);
+    ok &= check("cluster head backward 2050x684", &serial, parallel, |pool| {
+        Head::on(pool).cluster_head_backward(spec, &d2, &head.q, &head.saved, 0.9)
     });
 
     ok &= check("frozen request 64x160 -> k=684", &serial, parallel, |pool| {

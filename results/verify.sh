@@ -10,8 +10,10 @@
 #      matmul at the fit-tall forward shape (4248x160 . 160x256),
 #      matmul_tn at its backward shape (160x4248 . 4248x256), the fused
 #      dense layer's forward and backward at the fit-tall first layer
-#      (4248x160 -> 256, ReLU), the fused clustering head's forward and
-#      backward at the fit-wide shape (2050 latent rows, 684 centers),
+#      (4248x160 -> 256, ReLU), TableDC's one-node clustering head
+#      (Head::cluster_head: scale, kernel, q, softmax, target rows and
+#      loss sums) and its one-pass backward at the fit-wide shape (2050
+#      latent rows, 684 centers),
 #      one 64-row request to a frozen TableDC model at the assign shape
 #      (d=160, hidden [256,128], latent 48, k=684), and Birch's global
 #      step at the fit-wide shape (weighted k-means, 8 restarts, 1950x48

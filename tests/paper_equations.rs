@@ -124,11 +124,11 @@ fn eq11_target_distribution_sharpens() {
 fn eq13_total_loss_combination() {
     use nn::loss::{kl_div, mse};
     let t = Tape::new();
-    let p = Matrix::from_rows(&[&[0.8, 0.2]]);
+    let p = t.constant(Matrix::from_rows(&[&[0.8, 0.2]]));
     let m = t.constant(Matrix::from_rows(&[&[0.5, 0.5]]));
     let x = t.constant(Matrix::from_rows(&[&[1.0, 0.0]]));
     let xhat = t.constant(Matrix::from_rows(&[&[0.5, 0.5]]));
-    let ce = kl_div(&t, &p, m);
+    let ce = kl_div(&t, p, m);
     let re = mse(&t, x, xhat);
     let total = t.add(t.scale(ce, 0.9), re);
     let expected_ce = 0.8 * (0.8f64 / 0.5).ln() + 0.2 * (0.2f64 / 0.5).ln();
