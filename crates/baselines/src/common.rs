@@ -21,8 +21,7 @@ use rand::rngs::StdRng;
 use obs::json::Json;
 use tabledc::diagnostics::ConvergenceVerdict;
 use tabledc::train::{Driver, Method, Objective};
-use tabledc::{target_distribution, HealthConfig};
-use tensor::head::SoftKernel;
+use tabledc::{target_distribution, HealthConfig, Kernel};
 use tensor::Matrix;
 
 /// Hyper-parameters shared by the deep baselines.
@@ -154,7 +153,7 @@ pub fn train_epochs<const N: usize>(
 /// kernel and the normalization are one fused node ([`Tape::soft_assign`]).
 pub fn student_t_assignments(t: &Tape, z: Var, c: Var, nu: f64) -> Var {
     let d2 = t.sq_dist_cdist(z, c);
-    t.soft_assign(d2, SoftKernel::Power { scale: 1.0 / nu, exponent: -(nu + 1.0) / 2.0 }, 1e-12)
+    t.soft_assign(d2, Kernel::StudentT { nu }.soft_kernel(), 1e-12)
 }
 
 /// The self-supervision target of the assignment node `q` (DEC's

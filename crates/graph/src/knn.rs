@@ -133,6 +133,23 @@ mod tests {
         }
     }
 
+    /// More than one 256-row chunk, so on a parallel global pool each
+    /// chunk's distance pass forks from inside a pool block and runs
+    /// inline; the graph must equal a serial brute-force reference.
+    #[test]
+    fn knn_over_several_chunks_matches_a_serial_reference() {
+        let (n, k) = (600, 5);
+        let x = randn(n, 8, &mut rng(7));
+        let d = tensor::par::sq_euclidean_cdist(&runtime::ThreadPool::new(1), &x, &x);
+        let mut triplets = Vec::new();
+        for i in 0..n {
+            let mut idx: Vec<usize> = (0..n).filter(|&j| j != i).collect();
+            idx.sort_by(|&a, &b| d.row(i)[a].total_cmp(&d.row(i)[b]));
+            triplets.extend(idx[..k].iter().map(|&j| (i, j, 1.0)));
+        }
+        assert_eq!(knn_adjacency(&x, k), Csr::from_triplets(n, n, &triplets));
+    }
+
     #[test]
     fn normalized_adjacency_rows_of_regular_graph_sum_to_one() {
         // A cycle: every node has degree 2 (+1 self-loop = 3). For a regular

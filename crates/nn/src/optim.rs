@@ -141,16 +141,7 @@ impl Adam {
             let moments = m.as_mut_slice().chunks_mut(ADAM_CHUNK).zip(v.as_mut_slice().chunks_mut(ADAM_CHUNK));
             chunks.extend(parts.zip(moments).map(|((w, g), (m, v))| (w, g, m, v)));
         }
-        let pool = runtime::global();
-        if pool.is_serial() || chunks.len() <= 1 {
-            chunks.into_iter().for_each(|c| step.update(c));
-        } else {
-            pool.scope(|s| {
-                for c in chunks {
-                    s.spawn(move || step.update(c));
-                }
-            });
-        }
+        runtime::par_for_rows(runtime::global(), &mut chunks, 1, 1, |_, chunk| step.update(&mut chunk[0]));
     }
 
     /// [`Adam::step_instrumented`] given `(id, gradient)` pairs.
@@ -201,7 +192,7 @@ impl Adam {
     }
 }
 
-/// Values per task of a parallel Adam step: a fixed chunking, so the
+/// Values per pool block of a parallel Adam step: a fixed chunking, so the
 /// schedule never depends on the thread count (and no output depends on
 /// the schedule: every element's update reads only its own state).
 const ADAM_CHUNK: usize = 8192;
@@ -221,8 +212,8 @@ struct AdamStep {
 type AdamChunk<'a> = (&'a mut [f64], &'a [f64], &'a mut [f64], &'a mut [f64]);
 
 impl AdamStep {
-    fn update(self, (w, g, m, v): AdamChunk<'_>) {
-        for (((w, gi), mi), vi) in w.iter_mut().zip(g).zip(m.iter_mut()).zip(v.iter_mut()) {
+    fn update(self, (w, g, m, v): &mut AdamChunk<'_>) {
+        for (((w, gi), mi), vi) in w.iter_mut().zip(g.iter()).zip(m.iter_mut()).zip(v.iter_mut()) {
             *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
             *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
             let m_hat = *mi / self.bc1;

@@ -239,7 +239,7 @@ impl Event {
 /// memory sink and tests that assert "no events" cannot race each other
 /// within a test binary. Tests that never touch the sink still run
 /// concurrently, so a memory sink captures only its own scope: the calling
-/// thread plus the pool tasks spawned under it.
+/// thread plus the pool blocks forked under it.
 pub mod test_support {
     use super::*;
 
@@ -254,7 +254,7 @@ pub mod test_support {
 
     /// Runs `f` with an in-memory sink installed (tracing *enabled*),
     /// returning `f`'s result and the JSON lines emitted within `f`'s
-    /// scope — on the calling thread or in pool tasks spawned under it;
+    /// scope — on the calling thread or in pool blocks forked under it;
     /// events of concurrently running tests are dropped. The sink is
     /// restored to disabled afterwards.
     pub fn with_memory_sink<R>(f: impl FnOnce() -> R) -> (R, Vec<String>) {
@@ -325,7 +325,7 @@ mod tests {
             let threads: Vec<_> = (0..4)
                 .map(|t| {
                     std::thread::spawn(move || {
-                        // Join the capture scope like a pool task would.
+                        // Join the capture scope like a pool worker would.
                         let _ctx = crate::profile::enter_context(ctx);
                         for i in 0..50u64 {
                             event("mono.test").u64("t", t).u64("i", i).emit();

@@ -1,9 +1,9 @@
 //! # runtime — std-only parallel execution for the TableDC stack
 //!
-//! A work-stealing thread pool ([`ThreadPool`]) with scoped execution and
-//! deterministic data-parallel primitives ([`par_for_rows`], [`par_join`],
-//! [`par_reduce`]), built entirely on `std` — the build environment has no
-//! registry access, so no external crates (rayon, crossbeam) are available.
+//! A fork-join pool over numbered blocks ([`ThreadPool`]) and deterministic
+//! data-parallel primitives on it ([`par_for_rows`], [`par_reduce`]), built
+//! entirely on `std` — the build environment has no registry access, so no
+//! external crates (rayon, crossbeam) are available.
 //!
 //! Every dense hot path in the workspace — `Matrix::matmul`, the pairwise
 //! distance kernels, k-means assignment, KNN graph construction, and TableDC
@@ -14,7 +14,7 @@
 //! The global pool is lazily initialized on first use and sized from
 //! [`std::thread::available_parallelism`]. The `TABLEDC_THREADS` environment
 //! variable overrides the size; `TABLEDC_THREADS=1` selects pure serial
-//! inline execution (no worker threads, no queues) for debugging.
+//! inline execution (no worker threads) for debugging.
 //!
 //! ## Determinism
 //!
@@ -24,14 +24,14 @@
 //!
 //! ## Observability
 //!
-//! Each pool keeps lifetime counters — tasks executed, steals, cumulative
-//! busy time — exposed via [`ThreadPool::stats`] as [`PoolStats`].
+//! Each pool keeps lifetime counters — blocks run inside a job and the busy
+//! time spent on them — exposed via [`ThreadPool::stats`] as [`PoolStats`].
 
 mod par;
 mod pool;
 
-pub use par::{block_rows, par_for_rows, par_join, par_reduce};
-pub use pool::{PoolStats, Scope, ThreadPool};
+pub use par::{block_rows, par_for_rows, par_reduce};
+pub use pool::{PoolStats, ThreadPool};
 
 use std::sync::OnceLock;
 
@@ -77,8 +77,8 @@ mod tests {
         let a = global() as *const ThreadPool;
         let b = global() as *const ThreadPool;
         assert_eq!(a, b);
-        let (x, y) = par_join(global(), || 1, || 2);
-        assert_eq!(x + y, 3);
+        let sum = par_reduce(global(), 2, 1, |r| r.start + 1, |a, b| a + b);
+        assert_eq!(sum, Some(3));
         assert!(global().threads() >= 1);
     }
 
@@ -121,25 +121,21 @@ mod tests {
     #[test]
     fn record_stats_publishes_gauges() {
         let pool = ThreadPool::new(2);
-        pool.scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {});
-            }
-        });
+        pool.for_each_block(8, &|_| {});
         // The sink-control lock also serializes against the traced test
-        // above, whose scope exits write the same pool.* gauges.
-        let (threads, tasks, ratio) = obs::test_support::with_sink_disabled(|| {
+        // above, whose job exits write the same pool.* gauges.
+        let (threads, tasks, steals) = obs::test_support::with_sink_disabled(|| {
             pool.record_stats();
             let registry = obs::registry();
             (
                 registry.gauge("pool.threads").get(),
                 registry.gauge("pool.tasks_executed").get(),
-                registry.gauge("pool.steal_ratio").get(),
+                registry.gauge("pool.steals").get(),
             )
         });
         assert_eq!(threads, 2.0);
         assert!(tasks >= 8.0);
-        assert!(ratio >= 0.0);
+        assert_eq!(steals, 0.0);
     }
 }
 

@@ -1,4 +1,5 @@
-//! Deterministic data-parallel primitives built on [`ThreadPool::scope`].
+//! Deterministic data-parallel primitives built on
+//! [`ThreadPool::for_each_block`].
 //!
 //! ## The determinism contract
 //!
@@ -8,8 +9,6 @@
 //! - [`par_for_rows`] runs a pure per-block function on disjoint slices —
 //!   the computation per element is exactly the serial one, only the
 //!   schedule changes.
-//! - [`par_join`] runs two independent closures; their results are returned
-//!   in a fixed order.
 //! - [`par_reduce`] evaluates a caller-fixed chunking of `0..n` and combines
 //!   the chunk results along a **fixed-shape binary tree** over the chunk
 //!   sequence. The tree's shape depends only on `n` and `chunk` — never on
@@ -21,6 +20,7 @@
 
 use crate::pool::ThreadPool;
 use std::ops::Range;
+use std::sync::Mutex;
 
 /// Picks the number of rows per parallel block for a rows-sized job.
 ///
@@ -54,53 +54,12 @@ where
     }
     assert!(row_width > 0, "par_for_rows: zero row width with non-empty data");
     assert_eq!(data.len() % row_width, 0, "par_for_rows: buffer not a whole number of rows");
-    let rows = data.len() / row_width;
     let block = rows_per_block.max(1);
-    if pool.is_serial() || rows <= block {
-        // One thread or one block: run inline without touching the queues.
-        let mut start = 0;
-        for chunk in data.chunks_mut(block * row_width) {
-            let rows_here = chunk.len() / row_width;
-            f(start, chunk);
-            start += rows_here;
-        }
-        return;
-    }
-    let f = &f;
-    pool.scope(|s| {
-        let mut start = 0;
-        for chunk in data.chunks_mut(block * row_width) {
-            let rows_here = chunk.len() / row_width;
-            s.spawn(move || f(start, chunk));
-            start += rows_here;
-        }
+    let blocks: Vec<Mutex<&mut [T]>> = data.chunks_mut(block * row_width).map(Mutex::new).collect();
+    pool.for_each_block(blocks.len(), &|b| {
+        let mut chunk = blocks[b].lock().expect("each block locks only its own chunk");
+        f(b * block, &mut chunk);
     });
-}
-
-/// Runs two independent closures, potentially in parallel, and returns
-/// `(a(), b())`. `b` always runs on the calling thread; `a` is offloaded
-/// when the pool is parallel.
-pub fn par_join<A, B, RA, RB>(pool: &ThreadPool, a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB,
-    RA: Send,
-{
-    if pool.is_serial() {
-        let ra = a();
-        let rb = b();
-        return (ra, rb);
-    }
-    let mut slot: Option<RA> = None;
-    let rb = {
-        let slot_ref = &mut slot;
-        pool.scope(move |s| {
-            s.spawn(move || *slot_ref = Some(a()));
-            b()
-        })
-    };
-    let ra = slot.expect("par_join: spawned closure did not run");
-    (ra, rb)
 }
 
 /// Deterministic parallel reduction over `0..n`.
@@ -130,20 +89,18 @@ where
     }
     assert!(chunk > 0, "par_reduce: chunk must be positive");
     let n_chunks = n.div_ceil(chunk);
-    let ranges = (0..n_chunks).map(|c| (c * chunk)..((c + 1) * chunk).min(n));
-
-    let mut results: Vec<Option<T>> = if pool.is_serial() || n_chunks == 1 {
-        ranges.map(|r| Some(map(r))).collect()
-    } else {
-        let mut slots: Vec<Option<T>> = (0..n_chunks).map(|_| None).collect();
-        let map = &map;
-        pool.scope(|s| {
-            for (slot, r) in slots.iter_mut().zip(ranges) {
-                s.spawn(move || *slot = Some(map(r)));
-            }
-        });
-        slots
-    };
+    let slots: Vec<Mutex<Option<T>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
+    pool.for_each_block(n_chunks, &|c| {
+        let range = (c * chunk)..((c + 1) * chunk).min(n);
+        *slots[c].lock().expect("each block locks only its own slot") = Some(map(range));
+    });
+    let mut results: Vec<T> = slots
+        .into_iter()
+        .map(|slot| {
+            let result = slot.into_inner().expect("each block locks only its own slot");
+            result.expect("for_each_block runs every block")
+        })
+        .collect();
 
     // Fixed-shape pairwise tree over the chunk sequence. The combine work is
     // O(n_chunks) small merges, so it runs serially (and deterministically).
@@ -151,17 +108,14 @@ where
         let mut next = Vec::with_capacity(results.len().div_ceil(2));
         let mut it = results.into_iter();
         while let Some(left) = it.next() {
-            match it.next() {
-                Some(right) => next.push(Some(combine(
-                    left.expect("par_reduce: missing chunk result"),
-                    right.expect("par_reduce: missing chunk result"),
-                ))),
-                None => next.push(left),
-            }
+            next.push(match it.next() {
+                Some(right) => combine(left, right),
+                None => left,
+            });
         }
         results = next;
     }
-    results.pop().flatten()
+    results.pop()
 }
 
 #[cfg(test)]
@@ -197,15 +151,6 @@ mod tests {
             row[0] = 9.0;
         });
         assert_eq!(one, vec![9.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn par_join_returns_both() {
-        for threads in [1, 4] {
-            let pool = ThreadPool::new(threads);
-            let (a, b) = par_join(&pool, || 6 * 7, || "ok");
-            assert_eq!((a, b), (42, "ok"));
-        }
     }
 
     #[test]

@@ -23,6 +23,10 @@ use crate::train::{Driver, HealthConfig, History, Method, Objective};
 
 pub use frozen::TableDc;
 
+/// Division-by-zero guard ε of Eq. 8, added to each row's kernel sum
+/// before the soft assignments `q` are normalized.
+const EPS: f64 = 1e-10;
+
 /// Configuration of a TableDC run. Defaults follow §3 and §4.3 of the
 /// paper; the distance/kernel/init fields expose the Table 5 and Figure 4
 /// ablations.
@@ -54,8 +58,6 @@ pub struct TableDcConfig {
     pub epochs: usize,
     /// Adam learning rate.
     pub lr: f64,
-    /// Division-by-zero guard ε of Eq. 8.
-    pub eps: f64,
     /// Training-health monitoring: NaN/Inf policy, diagnostic-dump
     /// location, and fault injection for tests.
     pub health: HealthConfig,
@@ -75,7 +77,6 @@ impl TableDcConfig {
             pretrain_epochs: 30,
             epochs: 100,
             lr: 1e-3,
-            eps: 1e-10,
             health: HealthConfig::default(),
         }
     }
@@ -301,7 +302,7 @@ fn cluster_head(cfg: &TableDcConfig, tape: &Tape, z: Var, c: Var) -> ClusterHead
         .distance
         .sq_cdist_unscaled(tape, z, c)
         .expect("distance computation failed (non-SPD covariance)");
-    let spec = HeadSpec { scale, kernel: cfg.kernel.soft_kernel(), eps: cfg.eps, log_eps: LOG_EPS };
+    let spec = HeadSpec { scale, kernel: cfg.kernel.soft_kernel(), eps: EPS, log_eps: LOG_EPS };
     tape.cluster_head(d2, spec)
 }
 

@@ -214,7 +214,7 @@ impl TableDc {
                 }
             }
             for (q_row, m_row) in q.chunks_exact_mut(k).zip(m.chunks_exact_mut(k)) {
-                let den = kernel_row(self.kernel, q_row, self.config.eps);
+                let den = kernel_row(self.kernel, q_row, super::EPS);
                 for v in q_row.iter_mut() {
                     *v /= den;
                 }

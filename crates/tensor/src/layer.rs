@@ -187,9 +187,9 @@ impl<'p> Dense<'p> {
                 row = rest;
             }
         }
-        let run = |(first, stripe_sums, segments): Stripe<'_>| {
-            for (i, segment) in segments.into_iter().enumerate() {
-                let y_segment = &y.row(i)[first..first + segment.len()];
+        let run = |(first, stripe_sums, segments): &mut Stripe<'_>| {
+            for (i, segment) in segments.iter_mut().enumerate() {
+                let y_segment = &y.row(i)[*first..*first + segment.len()];
                 for ((gv, &yv), s) in segment.iter_mut().zip(y_segment).zip(stripe_sums.iter_mut()) {
                     *gv = act.backward(*gv, yv);
                     if sums {
@@ -198,16 +198,8 @@ impl<'p> Dense<'p> {
                 }
             }
         };
-        if self.pool.is_serial() || stripes.len() == 1 || n * c < MIN_PARALLEL_ENTRIES {
-            stripes.into_iter().for_each(run);
-        } else {
-            let run = &run;
-            self.pool.scope(|scope| {
-                for stripe in stripes {
-                    scope.spawn(move || run(stripe));
-                }
-            });
-        }
+        let stripes_per_block = if n * c < MIN_PARALLEL_ENTRIES { stripes.len() } else { 1 };
+        par_for_rows(self.pool, &mut stripes, 1, stripes_per_block, |_, block| block.iter_mut().for_each(&run));
         sums.then_some(col_sums)
     }
 

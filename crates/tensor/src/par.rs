@@ -26,7 +26,7 @@
 //! lane sums one row's dot product, with the same arithmetic and the same
 //! three compiled copies.
 
-use runtime::{block_rows, par_for_rows, par_join, ThreadPool};
+use runtime::{block_rows, par_for_rows, ThreadPool};
 
 use crate::matrix::Matrix;
 
@@ -670,18 +670,16 @@ pub fn sq_euclidean_cdist(pool: &ThreadPool, x: &Matrix, y: &Matrix) -> Matrix {
         y.cols()
     );
     let _timer = obs::span!("tensor.cdist");
-    let (xn, yn): (Vec<f64>, Vec<f64>) =
-        par_join(pool, || x.row_iter().map(sq_norm).collect(), || y.row_iter().map(sq_norm).collect());
+    let yn: Vec<f64> = y.row_iter().map(sq_norm).collect();
     let mut g = matmul_nt(pool, x, y);
     let m = g.cols();
     if m == 0 || g.rows() == 0 {
         return g;
     }
     let block = block_rows(g.rows(), pool.threads(), MIN_MAP_ROWS);
-    let (xn, yn) = (&xn, &yn);
     par_for_rows(pool, g.as_mut_slice(), m, block, |first_row, chunk| {
         for (r, row) in chunk.chunks_exact_mut(m).enumerate() {
-            sq_dist_row(row, xn[first_row + r], yn);
+            sq_dist_row(row, sq_norm(x.row(first_row + r)), &yn);
         }
     });
     g

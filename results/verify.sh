@@ -4,6 +4,10 @@
 # training-health/ledger gate, and a perf-regression gate.
 #
 #   1. cargo build --release && cargo test -q   (the repo's tier-1 gate),
+#      then a determinism step: the tabledc and baselines golden_fit tests
+#      in release under TABLEDC_THREADS=1 and again under
+#      TABLEDC_THREADS=4, so the five golden fit hashes (TableDC, SDCN,
+#      DFCN, DCRN, EDESC) must hold on a serial and a four-thread pool,
 #      then cargo clippy --workspace --all-targets --release with
 #      -D warnings: any lint warning fails the gate.
 #   2. par_smoke example: times sq_euclidean_cdist on a 2000x128 matrix,
@@ -69,6 +73,11 @@ cargo build --release
 
 echo "== tier-1: cargo test -q =="
 cargo test -q
+
+echo "== determinism: golden fits on a 1- and a 4-thread pool =="
+for threads in 1 4; do
+    TABLEDC_THREADS=$threads cargo test -q --release -p tabledc -p baselines --test golden_fit
+done
 
 echo "== lint: cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets --release -- -D warnings
