@@ -4,7 +4,9 @@
 //! `nn.grad_norm` event; one fit id on all of them, with strictly
 //! increasing epochs; the `method` field on baseline events; one
 //! convergence event last; and step statistics in histograms of the
-//! method's own metric prefix.
+//! method's own metric prefix. The epoch and diag events are also a
+//! lossless record of the run's per-epoch series: every value a fit
+//! returns is on its epoch's event under the same name, bit for bit.
 
 use baselines::{ClusterOutput, Dcrn, DeepConfig, Dfcn, Edesc, Sdcn};
 use datagen::{generate_mixture, MixtureConfig};
@@ -68,6 +70,42 @@ fn check_fit(lines: &[String], family: &str, method: Option<&str>) {
     }
 }
 
+/// True when `field` is how a trace event writes `value`: the same bits
+/// when finite (`obs::json` writes an `f64` with `{}`, which round-trips),
+/// `null` otherwise.
+fn records(field: &Json, value: f64) -> bool {
+    match field.as_f64() {
+        Some(v) => value.is_finite() && v.to_bits() == value.to_bits(),
+        None => !value.is_finite() && *field == Json::Null,
+    }
+}
+
+/// Checks that for every epoch `e`, each `(name, values)` series of the
+/// fit `what` has `values[e]` in the field `name` of epoch `e`'s
+/// `family.epoch` or `family.diag` event (of each of the two that has it).
+fn check_values(lines: &[String], family: &str, what: &str, series: &[(&str, &[f64])]) {
+    let kinds = [format!("{family}.epoch"), format!("{family}.diag")];
+    let events: Vec<Json> = lines
+        .iter()
+        .map(|l| parse(l).expect("valid JSON line"))
+        .filter(|v| v.get("event").and_then(Json::as_str).is_some_and(|n| kinds.iter().any(|k| k == n)))
+        .collect();
+    for &(name, values) in series {
+        assert_eq!(values.len(), EPOCHS, "{what}: {name} has one value per epoch");
+        for (e, &value) in values.iter().enumerate() {
+            let fields: Vec<&Json> = events
+                .iter()
+                .filter(|v| v.get("epoch").and_then(Json::as_f64) == Some(e as f64))
+                .filter_map(|v| v.get(name))
+                .collect();
+            assert!(!fields.is_empty(), "{what}: no {name} field at epoch {e}");
+            for field in fields {
+                assert!(records(field, value), "{what}: epoch {e} {name} is {field:?} in the trace, {value:?} in the fit");
+            }
+        }
+    }
+}
+
 #[test]
 fn every_deep_method_emits_one_event_set_per_epoch() {
     let x = mixture();
@@ -83,6 +121,7 @@ fn every_deep_method_emits_one_event_set_per_epoch() {
     let ((_, fit), lines) = obs::test_support::with_memory_sink(|| TableDc::fit(config, &x, &mut rng(6)));
     assert_eq!(fit.health.verdict, Verdict::Healthy);
     check_fit(&lines, "tabledc", None);
+    check_values(&lines, "tabledc", "tabledc", &fit.history.series());
     assert_eq!(grad_norm_samples("tabledc") - before, EPOCHS as u64, "tabledc: one grad-norm sample per epoch");
 
     let cfg = DeepConfig { latent_dim: 4, pretrain_epochs: 2, epochs: EPOCHS, ..Default::default() };
@@ -98,6 +137,7 @@ fn every_deep_method_emits_one_event_set_per_epoch() {
         assert_eq!(out.health.verdict, Verdict::Healthy, "{method}");
         assert_eq!((out.labels.len(), out.re_loss.len(), out.kl_pq.len()), (x.rows(), EPOCHS, EPOCHS), "{method}");
         check_fit(&lines, "baseline", Some(method));
+        check_values(&lines, "baseline", method, &[("re_loss", &out.re_loss), ("kl_pq", &out.kl_pq)]);
         // Only this fit's steps land in the method's histogram.
         assert_eq!(grad_norm_samples(method) - before, EPOCHS as u64, "{method}: one grad-norm sample per epoch");
     }

@@ -158,9 +158,6 @@ fn main() {
     // tracing; force one final snapshot so the summary always carries
     // steal/busy figures for the whole run.
     runtime::global().record_stats();
-    // Drain the epoch-indexed series into the trace before the summary,
-    // so a trace consumer sees the decimated curves too.
-    obs::series::emit_all();
     // Fold the span tree into the report so perfdiff can compare
     // per-phase self times across runs.
     report.profile = bench::report::PhaseProfile::collect();

@@ -63,11 +63,6 @@ impl Method {
         }
     }
 
-    /// True for the deep (trained) methods.
-    pub fn is_deep(self) -> bool {
-        !matches!(self, Method::KMeans | Method::Dbscan | Method::Birch)
-    }
-
     /// Runs the method on `x` targeting `k` clusters with the per-task
     /// training budget, returning labels and wall-clock seconds.
     pub fn run(

@@ -17,7 +17,7 @@ use std::sync::Mutex;
 use rand::rngs::StdRng;
 use rand::Rng;
 use runtime::{par_for_rows, ThreadPool};
-use tensor::par::{self, PackedRhs, RowStrips, LANES};
+use tensor::par::{self, PackedPoints, RowStrips, LANES};
 use tensor::random::sample_without_replacement;
 use tensor::Matrix;
 
@@ -339,27 +339,6 @@ pub fn nearest(x: &Matrix, centers: &Matrix) -> (Vec<usize>, Vec<f64>) {
     state.into_iter().unzip()
 }
 
-/// Centers packed as the right operand of `x·cᵀ`, with their `‖c‖²`.
-struct Packed {
-    centers: PackedRhs,
-    norms: Vec<f64>,
-}
-
-impl Packed {
-    fn new(centers: &Matrix) -> Self {
-        Self { centers: PackedRhs::transposed(centers), norms: row_norms(centers) }
-    }
-
-    /// `out = ‖a‖² + ‖c‖² − 2·a·cᵀ`, clamped at 0, for the row-major rows
-    /// `a` with squared norms `a_norms`: `sq_euclidean_cdist`'s bits.
-    fn sq_dists(&self, a: &[f64], a_norms: impl Iterator<Item = f64>, out: &mut [f64]) {
-        par::matmul_packed(a, &self.centers, out);
-        for (row, xn) in out.chunks_exact_mut(self.norms.len()).zip(a_norms) {
-            par::sq_dist_row(row, xn, &self.norms);
-        }
-    }
-}
-
 /// One block's scratch: gathered rows, distances, and the block's rows
 /// split by whether their own center moved.
 #[derive(Default)]
@@ -408,10 +387,10 @@ fn assign(
         Some([]) => return,
         Some(m) => {
             m.iter().for_each(|&c| is_moved[c] = true);
-            Some((m, Packed::new(&centers.select_rows(m))))
+            Some((m, PackedPoints::new(&centers.select_rows(m))))
         }
     };
-    let all = state.iter().any(|s| is_moved[s.0]).then(|| Packed::new(centers));
+    let all = state.iter().any(|s| is_moved[s.0]).then(|| PackedPoints::new(centers));
     // Buffers the blocks borrow and return, so a pass allocates one set per
     // concurrently running block. Fresh buffers per block (a 256 × k
     // distance block each) made the assign benchmark's fit about 8 %

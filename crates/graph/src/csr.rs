@@ -7,8 +7,6 @@
 //! `O(nnz · d)` instead of `O(n² · d)` — which is exactly the quadratic
 //! scaling in the number of data points that Figure 3 measures against.
 
-use std::rc::Rc;
-
 use autograd::LinearOperator;
 use tensor::Matrix;
 
@@ -169,12 +167,6 @@ impl Csr {
         trip.sort_unstable_by_key(|a| (a.0, a.1));
         trip.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
         Csr::from_triplets(self.rows, self.cols, &trip)
-    }
-
-    /// Wraps this matrix in an [`Rc`] for use as a constant operator inside
-    /// the autograd graph.
-    pub fn into_operator(self) -> Rc<Csr> {
-        Rc::new(self)
     }
 }
 

@@ -5,7 +5,7 @@
 //! adjacency `Â = D̃^{-1/2} (A + I) D̃^{-1/2}` into their GCN modules; this
 //! module reproduces that preprocessing.
 
-use tensor::distance::sq_euclidean_cdist;
+use tensor::par::PackedPoints;
 use tensor::Matrix;
 
 use crate::csr::Csr;
@@ -14,13 +14,16 @@ use crate::csr::Csr;
 /// `j` is one of the `k` nearest neighbours of `i` (excluding `i` itself).
 ///
 /// Distances are Euclidean. Complexity is `O(n² d)` time and `O(n·k)`
-/// memory; the n² distance pass is chunked so it never materializes more
-/// than one row block, and the chunks run in parallel on the
-/// [`runtime::global`] pool. Each chunk reuses one candidate-index scratch
-/// buffer across its rows instead of allocating per row, and selection uses
-/// [`f64::total_cmp`] so a NaN distance degrades deterministically (NaN
-/// sorts above every real distance and is simply never picked as a
-/// neighbour while real candidates remain) instead of panicking.
+/// memory. The rows are packed once with their squared norms
+/// ([`PackedPoints`]); the n² distance pass is chunked so it never
+/// materializes more than one row block, and the chunks run in parallel on
+/// the [`runtime::global`] pool, each scoring its own rows in place with
+/// [`tensor::distance::sq_euclidean_cdist`]'s bits. Each chunk reuses one
+/// candidate-index scratch buffer across its rows instead of allocating per
+/// row, and selection uses [`f64::total_cmp`] so a NaN distance degrades
+/// deterministically (NaN sorts above every real distance and is simply
+/// never picked as a neighbour while real candidates remain) instead of
+/// panicking.
 ///
 /// The neighbour set per row is independent of the thread count, so the
 /// resulting graph is identical under `TABLEDC_THREADS=1` and parallel
@@ -39,19 +42,21 @@ pub fn knn_adjacency(x: &Matrix, k: usize) -> Csr {
     const CHUNK: usize = 256;
     // One slot of k neighbour ids per row, filled by disjoint row chunks.
     let mut neighbors = vec![0usize; n * k];
+    let packed = PackedPoints::new(x);
     runtime::par_for_rows(runtime::global(), &mut neighbors, k, CHUNK, |start, slots| {
         // The block timer only observes wall time; the slot writes are
         // disjoint per chunk, so recording here cannot perturb the graph.
         let block_start = std::time::Instant::now();
         let rows = slots.len() / k;
         let end = start + rows;
-        let block = x.select_rows(&(start..end).collect::<Vec<_>>());
-        let d = sq_euclidean_cdist(&block, x);
+        let dim = x.cols();
+        let mut dists = vec![0.0; rows * n];
+        packed.sq_dists(&x.as_slice()[start * dim..end * dim], packed.norms()[start..end].iter().copied(), &mut dists);
         // Candidate list hoisted out of the row loop and reused.
         let mut idx: Vec<usize> = Vec::with_capacity(n - 1);
-        for (bi, i) in (start..end).enumerate() {
+        for (bi, row) in dists.chunks_exact(n).enumerate() {
             // Partial selection of the k smallest distances, skipping self.
-            let row = d.row(bi);
+            let i = start + bi;
             idx.clear();
             idx.extend((0..n).filter(|&j| j != i));
             idx.select_nth_unstable_by(k - 1, |&a, &b| row[a].total_cmp(&row[b]));

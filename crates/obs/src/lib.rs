@@ -46,7 +46,6 @@ pub mod hist;
 pub mod json;
 pub mod profile;
 mod registry;
-pub mod series;
 mod sink;
 mod span;
 
@@ -54,7 +53,6 @@ pub use health::{HealthMonitor, HealthReport};
 pub use hist::Histogram;
 pub use profile::folded;
 pub use registry::{registry, Counter, Gauge, Hist, Registry, Snapshot};
-pub use series::{Series, SeriesCell};
 pub use sink::{
     enabled, event, run_id, set_run_id, test_support, trace_target_description, Event, TRACE_ENV,
 };
@@ -116,11 +114,7 @@ pub fn summary() -> String {
 /// snapshot in tests.
 pub fn render_summary(snap: &Snapshot) -> String {
     let mut out = String::from("\n== observability summary ==\n");
-    if snap.counters.is_empty()
-        && snap.gauges.is_empty()
-        && snap.histograms.is_empty()
-        && snap.series.is_empty()
-    {
+    if snap.counters.is_empty() && snap.gauges.is_empty() && snap.histograms.is_empty() {
         out.push_str("(no metrics recorded)\n");
         return out;
     }
@@ -150,23 +144,6 @@ pub fn render_summary(snap: &Snapshot) -> String {
                 h.quantile(0.95),
                 h.quantile(0.99),
                 h.max(),
-            ));
-        }
-    }
-    if !snap.series.is_empty() {
-        out.push_str(&format!(
-            "series:\n  {:<26} {:>8} {:>10} {:>10} {:>10} {:>10}\n",
-            "name", "points", "min", "mean", "max", "last"
-        ));
-        for (name, s) in &snap.series {
-            out.push_str(&format!(
-                "  {:<26} {:>8} {:>10.3} {:>10.3} {:>10.3} {:>10.3}\n",
-                name,
-                s.points(),
-                s.min(),
-                s.mean(),
-                s.max(),
-                s.last(),
             ));
         }
     }
@@ -234,22 +211,5 @@ mod tests {
         assert_eq!(rendered, expected);
         // And identical on re-render.
         assert_eq!(rendered, render_summary(&snap));
-    }
-
-    /// Same pin for the series section, which only renders when a series
-    /// has been registered.
-    #[test]
-    fn summary_series_section_is_pinned() {
-        let r = Registry::new();
-        r.series("diag.churn").record(0.5);
-        r.series("diag.churn").record(0.25);
-        let rendered = render_summary(&r.snapshot());
-        let expected = concat!(
-            "\n== observability summary ==\n",
-            "series:\n",
-            "  name                         points        min       mean        max       last\n",
-            "  diag.churn                        2      0.250      0.375      0.500      0.250\n",
-        );
-        assert_eq!(rendered, expected);
     }
 }

@@ -23,15 +23,8 @@
 //! children may sum to more — concurrent children on N threads
 //! legitimately accumulate up to N× the parent's wall time. Self time is
 //! only meaningful on the thread that ran the span, which is exactly what
-//! the per-thread child accumulator measures.
-//!
-//! A thread waiting in a pool scope runs queued tasks, so a context frame
-//! can open on top of a span frame. When it closes, the frame beneath is
-//! credited as child time: the context's whole wall time if the task
-//! belongs to a different node (another kernel's work is not the waiting
-//! span's own), or only the spans completed inside it if the node is the
-//! same (a kernel helping with its own blocks keeps that work as self
-//! time). A worker's task time outside any span stays unattributed.
+//! the per-thread child accumulator measures. A worker's time outside any
+//! span stays unattributed.
 //!
 //! ## Determinism
 //!
@@ -44,7 +37,6 @@ use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Instant;
 
 pub(crate) type NodeId = u32;
 
@@ -124,9 +116,6 @@ struct Frame {
     child_ns: u64,
     /// True for [`enter_context`] frames, which record nothing in the tree.
     context: bool,
-    /// When a context frame opened on top of another frame (a helping
-    /// wait); `None` for span frames and for a worker's bottom frame.
-    helping_since: Option<Instant>,
 }
 
 thread_local! {
@@ -147,9 +136,7 @@ pub(crate) fn current_node() -> NodeId {
 pub(crate) fn enter(name: &Cow<'static, str>) -> NodeId {
     let parent = CURRENT.with(Cell::get);
     let id = lock(tree()).intern(parent, name);
-    STACK.with(|s| {
-        s.borrow_mut().push(Frame { node: id, child_ns: 0, context: false, helping_since: None })
-    });
+    STACK.with(|s| s.borrow_mut().push(Frame { node: id, child_ns: 0, context: false }));
     CURRENT.with(|c| c.set(id));
     id
 }
@@ -209,16 +196,11 @@ pub struct ContextGuard {
 }
 
 /// Installs `ctx` as the ambient parent for spans created on this thread
-/// until the guard drops. Used by the runtime pool at task boundaries; the
-/// frame itself is never recorded in the tree, but on top of another frame
-/// it is timed so the frame beneath can count it as child time.
+/// until the guard drops. Used by the runtime pool's workers when they
+/// enter a job; the frame itself is never recorded in the tree.
 pub fn enter_context(ctx: SpanContext) -> ContextGuard {
     let prev = CURRENT.with(Cell::get);
-    STACK.with(|s| {
-        let mut st = s.borrow_mut();
-        let helping_since = (!st.is_empty()).then(Instant::now);
-        st.push(Frame { node: ctx.node, child_ns: 0, context: true, helping_since });
-    });
+    STACK.with(|s| s.borrow_mut().push(Frame { node: ctx.node, child_ns: 0, context: true }));
     CURRENT.with(|c| c.set(ctx.node));
     let prev_capture = crate::sink::set_capture_scope(ctx.capture);
     ContextGuard { node: ctx.node, prev, prev_capture }
@@ -228,16 +210,8 @@ impl Drop for ContextGuard {
     fn drop(&mut self) {
         STACK.with(|s| {
             let mut st = s.borrow_mut();
-            if !matches!(st.last(), Some(f) if f.context && f.node == self.node) {
-                return;
-            }
-            let frame = st.pop().expect("non-empty: just matched");
-            if let (Some(since), Some(beneath)) = (frame.helping_since, st.last_mut()) {
-                beneath.child_ns += if beneath.node == frame.node {
-                    frame.child_ns
-                } else {
-                    since.elapsed().as_nanos() as u64
-                };
+            if matches!(st.last(), Some(f) if f.context && f.node == self.node) {
+                st.pop();
             }
         });
         CURRENT.with(|c| c.set(self.prev));
@@ -502,61 +476,6 @@ mod tests {
                     .any(|n| n.path == "profiletest.ctx_parent;profiletest.ctx_child"),
                 "child should nest under the captured parent, got paths: {:?}",
                 nodes.iter().map(|n| &n.path).collect::<Vec<_>>()
-            );
-        });
-    }
-
-    #[test]
-    fn helping_wait_credits_other_nodes_work_as_child_time() {
-        use std::time::Duration;
-        let nap = Duration::from_millis(30);
-        crate::test_support::with_sink_disabled(|| {
-            let other = {
-                let _kernel = crate::span("profiletest.help_other_kernel");
-                current_context()
-            };
-            {
-                // A waiting span runs a queued task of another node.
-                let _waiter = crate::span("profiletest.help_waiter");
-                let _task = enter_context(other);
-                let _inner = crate::span("profiletest.help_task_span");
-                std::thread::sleep(nap);
-            }
-            {
-                // A kernel helping with its own blocks: the task runs under
-                // the waiting span's own node.
-                let _kernel = crate::span("profiletest.help_self");
-                let _task = enter_context(current_context());
-                std::thread::sleep(nap);
-                let _inner = crate::span("profiletest.help_self_inner");
-                std::thread::sleep(nap);
-            }
-            let nodes = snapshot();
-            let find = |path: &str| {
-                nodes
-                    .iter()
-                    .find(|n| n.path == path)
-                    .unwrap_or_else(|| panic!("no node {path}"))
-                    .clone()
-            };
-            let waiter = find("profiletest.help_waiter");
-            let task = find("profiletest.help_other_kernel;profiletest.help_task_span");
-            assert!(waiter.total_ms >= 30.0 && task.total_ms >= 30.0);
-            assert!(
-                waiter.self_ms < 15.0,
-                "the other node's task is child time: self {} total {}",
-                waiter.self_ms,
-                waiter.total_ms
-            );
-            let kernel = find("profiletest.help_self");
-            let inner = find("profiletest.help_self;profiletest.help_self_inner");
-            assert!(inner.self_ms >= 30.0);
-            assert!(
-                kernel.self_ms >= 30.0 && kernel.self_ms <= kernel.total_ms - inner.total_ms + 1.0,
-                "own-block work stays self time, nested spans do not: self {} total {} inner {}",
-                kernel.self_ms,
-                kernel.total_ms,
-                inner.total_ms
             );
         });
     }

@@ -6,7 +6,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::hist::Histogram;
-use crate::series::{Series, SeriesCell};
 
 /// A monotonically increasing `u64` metric.
 #[derive(Debug, Default)]
@@ -68,7 +67,6 @@ pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Hist>>>,
-    series: Mutex<BTreeMap<String, Arc<SeriesCell>>>,
 }
 
 /// A point-in-time copy of every metric, sorted by name.
@@ -80,8 +78,6 @@ pub struct Snapshot {
     pub gauges: BTreeMap<String, f64>,
     /// Histogram copies.
     pub histograms: BTreeMap<String, Histogram>,
-    /// Time-series copies.
-    pub series: BTreeMap<String, Series>,
 }
 
 impl Registry {
@@ -106,12 +102,6 @@ impl Registry {
         get_or_insert(&self.histograms, name)
     }
 
-    /// The time series named `name`, created on first use (default bucket
-    /// capacity; see [`crate::series::DEFAULT_CAPACITY`]).
-    pub fn series(&self, name: &str) -> Arc<SeriesCell> {
-        get_or_insert(&self.series, name)
-    }
-
     /// Copies every metric out of the registry.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
@@ -121,7 +111,6 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
-            series: lock(&self.series).iter().map(|(k, v)| (k.clone(), v.snapshot())).collect(),
         }
     }
 
@@ -131,7 +120,6 @@ impl Registry {
         lock(&self.counters).clear();
         lock(&self.gauges).clear();
         lock(&self.histograms).clear();
-        lock(&self.series).clear();
     }
 }
 
@@ -187,17 +175,6 @@ mod tests {
         let snap = r.snapshot().histograms["h"].clone();
         assert_eq!(snap.count(), 2);
         assert_eq!(snap.max(), 3.0);
-    }
-
-    #[test]
-    fn series_record_through_shared_handle() {
-        let r = Registry::new();
-        let s = r.series("s");
-        s.record(2.0);
-        r.series("s").record(6.0);
-        let snap = r.snapshot().series["s"].clone();
-        assert_eq!(snap.points(), 2);
-        assert_eq!(snap.max(), 6.0);
     }
 
     #[test]

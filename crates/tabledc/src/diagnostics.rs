@@ -350,18 +350,6 @@ pub fn emit_diag_event(event_name: &str, method: Option<&str>, fit_id: u64, d: &
         .emit();
 }
 
-/// Records the epoch's diagnostics into the global `obs` series registry
-/// under `<prefix>.<metric>` names, so they show up in `obs::summary()`
-/// and `obs::series::emit_all()`.
-pub fn record_series(prefix: &str, d: &EpochDiagnostics) {
-    let reg = obs::registry();
-    reg.series(&format!("{prefix}.share_entropy")).record(d.share_entropy);
-    reg.series(&format!("{prefix}.max_share")).record(d.max_share);
-    reg.series(&format!("{prefix}.churn")).record(d.delta_label_frac);
-    reg.series(&format!("{prefix}.mean_margin")).record(d.mean_margin);
-    reg.series(&format!("{prefix}.centroid_drift")).record(d.centroid_drift);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

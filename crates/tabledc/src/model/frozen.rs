@@ -15,7 +15,7 @@
 //! Every output element goes through the operations of the training
 //! tape's forward pass ([`crate::Distance::sq_cdist`],
 //! [`crate::Kernel::apply`], the row softmax), in the same order, through
-//! the same row functions ([`standardize_row`], [`sq_dist_row`],
+//! the same row functions ([`standardize_row`], [`sq_dist_row`](tensor::par::sq_dist_row),
 //! [`kernel_row`], [`softmax_row`]). `q`, `m` and the labels are therefore
 //! bit-identical to the tape's, for every request size and thread count.
 //! Each row is scored from its own input alone: under
@@ -26,7 +26,7 @@ use nn::FrozenMlp;
 use runtime::{par_for_rows, ThreadPool};
 use tensor::head::{kernel_row, SoftKernel};
 use tensor::par::{
-    matmul_packed, plan_block_rows, softmax_row, sq_dist_row, sq_norm, standardize_row, with_scratch, PackedRhs,
+    matmul_packed, plan_block_rows, softmax_row, sq_norm, standardize_row, with_scratch, PackedPoints, PackedRhs,
 };
 use tensor::Matrix;
 
@@ -45,12 +45,10 @@ pub struct TableDc {
     /// The learned cluster centers, as [`TableDc::centers`] returns them.
     centers: Matrix,
     metric: Metric,
-    /// The right operand of `z·cᵀ`: the centers as the metric sees them
-    /// (whitened under [`Metric::Whitened`], L2-normalized under
-    /// [`Metric::Cosine`]), packed transposed.
-    centers_t: PackedRhs,
-    /// `‖c‖²` of each of those center rows.
-    c_sq: Vec<f64>,
+    /// The centers as the metric sees them (whitened under
+    /// [`Metric::Whitened`], L2-normalized under [`Metric::Cosine`]),
+    /// packed as the right operand of `z·cᵀ` with their `‖c‖²`.
+    packed: PackedPoints,
     kernel: SoftKernel,
 }
 
@@ -110,14 +108,13 @@ impl TableDc {
             encoder,
             centers,
             metric,
-            centers_t: PackedRhs::transposed(&c),
-            c_sq: c.row_iter().map(sq_norm).collect(),
+            packed: PackedPoints::new(&c),
         }
     }
 
     /// Number of clusters.
     fn k(&self) -> usize {
-        self.c_sq.len()
+        self.packed.norms().len()
     }
 
     /// `(q, m)` (Eq. 8–9) for (possibly new) data without training, on the
@@ -207,7 +204,7 @@ impl TableDc {
                 }
                 Metric::Cosine => {
                     z.chunks_exact_mut(latent).for_each(normalize_row);
-                    matmul_packed(z, &self.centers_t, q);
+                    matmul_packed(z, self.packed.transposed(), q);
                     for v in q.iter_mut() {
                         *v = square(-*v + 1.0);
                     }
@@ -227,14 +224,11 @@ impl TableDc {
     /// Squared Euclidean distances from the latent rows `z` to the packed
     /// centers into `d2`, each times `scale` when set.
     fn sq_distances(&self, z: &[f64], d2: &mut [f64], scale: Option<f64>) {
-        matmul_packed(z, &self.centers_t, d2);
-        let width = self.centers_t.rows();
-        for (row, z_row) in d2.chunks_exact_mut(self.k()).zip(z.chunks_exact(width)) {
-            sq_dist_row(row, sq_norm(z_row), &self.c_sq);
-            if let Some(s) = scale {
-                for v in row.iter_mut() {
-                    *v *= s;
-                }
+        let width = self.packed.transposed().rows();
+        self.packed.sq_dists(z, z.chunks_exact(width).map(sq_norm), d2);
+        if let Some(s) = scale {
+            for v in d2.iter_mut() {
+                *v *= s;
             }
         }
     }

@@ -230,10 +230,7 @@ impl Driver {
         let fit_id = diagnostics::next_fit_id();
         let reg = obs::registry();
         let epoch_hist = reg.histogram(&format!("{prefix}.epoch_ms"));
-        let re_series = reg.series(&format!("{prefix}.re_loss"));
-        let kl_series = reg.series(&format!("{prefix}.kl_pq"));
-        let grad_series = reg.series(&format!("{prefix}.grad_norm"));
-        let (diag_prefix, diag_event) = (format!("{prefix}.diag"), format!("{family}.diag"));
+        let diag_event = format!("{family}.diag");
         let mut monitor = HealthMonitor::new(self.health.policy.unwrap_or_else(Policy::from_env));
         let mut tracker = DiagnosticsTracker::new();
         let mut history = History::default();
@@ -306,10 +303,6 @@ impl Driver {
             // feeds back into training.
             let diag = tracker.observe(&epoch_assign, self.centers.map(|c| params.get(c)));
             history.push_diagnostics(&diag);
-            re_series.record(re);
-            kl_series.record(obj.kl_pq);
-            grad_series.record(stats.global_grad_norm);
-            diagnostics::record_series(&diag_prefix, &diag);
 
             let epoch_ms = epoch_start.elapsed().as_secs_f64() * 1e3;
             history.epoch_ms.push(epoch_ms);

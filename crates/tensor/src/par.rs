@@ -702,6 +702,47 @@ pub fn sq_dist_row(row: &mut [f64], xn: f64, yn: &[f64]) {
     }
 }
 
+/// Points packed once as the right operand of `a·yᵀ`, with their `‖yⱼ‖²`:
+/// the squared Euclidean distances from any block of rows to these points
+/// are then one [`matmul_packed`] and one [`sq_dist_row`] per row, with
+/// [`sq_euclidean_cdist`]'s bits. K-means assignment, the frozen TableDC
+/// model's centers and the KNN graph's rows are packed this way.
+#[derive(Clone, Debug)]
+pub struct PackedPoints {
+    points: PackedRhs,
+    norms: Vec<f64>,
+}
+
+impl PackedPoints {
+    /// Packs the rows of `y` and sums their squared norms ([`sq_norm`]).
+    pub fn new(y: &Matrix) -> Self {
+        Self { points: PackedRhs::transposed(y), norms: y.row_iter().map(sq_norm).collect() }
+    }
+
+    /// `yᵀ` as packed, for callers that want the raw products `a·yᵀ`.
+    pub fn transposed(&self) -> &PackedRhs {
+        &self.points
+    }
+
+    /// `‖yⱼ‖²` of every point, in row order.
+    pub fn norms(&self) -> &[f64] {
+        &self.norms
+    }
+
+    /// `out = ‖a‖² + ‖y‖² − 2·a·yᵀ`, clamped at 0, for the row-major rows
+    /// `a` with squared norms `a_norms`, on the calling thread.
+    ///
+    /// # Panics
+    /// Panics unless `out` holds whole rows of one value per point and `a`
+    /// as many rows of the points' width.
+    pub fn sq_dists(&self, a: &[f64], a_norms: impl IntoIterator<Item = f64>, out: &mut [f64]) {
+        matmul_packed(a, &self.points, out);
+        for (row, xn) in out.chunks_exact_mut(self.norms.len()).zip(a_norms) {
+            sq_dist_row(row, xn, &self.norms);
+        }
+    }
+}
+
 /// Standardizes one row with given column statistics:
 /// `out[j] = (x[j] − means[j]) · inv_std[j]` (see
 /// [`Matrix::standardize_cols_with`]).

@@ -44,15 +44,6 @@ pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut StdRng) -> Matrix
     uniform(fan_in, fan_out, -a, a, rng)
 }
 
-/// Kaiming/He-normal initialization `N(0, 2/fan_in)` — better suited to deep
-/// ReLU stacks.
-pub fn kaiming_normal(fan_in: usize, fan_out: usize, rng: &mut StdRng) -> Matrix {
-    let std = (2.0 / fan_in as f64).sqrt();
-    let mut m = randn(fan_in, fan_out, rng);
-    m.map_inplace(|x| x * std);
-    m
-}
-
 /// Fisher–Yates shuffle of `0..n`, used for minibatching and subsampling.
 pub fn permutation(n: usize, rng: &mut StdRng) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..n).collect();

@@ -100,9 +100,6 @@ fn main() {
 
     if obs::enabled() {
         runtime::global().record_stats();
-        // Drain the epoch-indexed series into the trace before the
-        // summary, so a trace consumer sees the decimated curves too.
-        obs::series::emit_all();
         eprintln!("{}", obs::summary());
         eprintln!("{}", obs::profile::report());
     }

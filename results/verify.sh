@@ -32,7 +32,11 @@
 #      must be valid JSON lines with monotone timestamps, balanced
 #      per-thread spans, finite nn.grad_norm telemetry, and the per-epoch
 #      training events (checked by the trace_check binary, which also
-#      enforces the health.abort -> health.dump contract); the run must be
+#      enforces the health.abort -> health.dump contract). No `series`
+#      event is required: the decimated obs::series copies are gone, and
+#      the values they summarized are required through tabledc.epoch and
+#      tabledc.diag, which carry every History value bit for bit (pinned
+#      by crates/baselines/tests/event_contract.rs). The run must be
 #      violation-free under the strict policy; the folded-stack export
 #      must be non-empty and rooted at tabledc.fit.
 #   4. baseline trace gate: repro fig5 --epoch-factor 0.1 (TableDC, SDCN,
@@ -99,7 +103,7 @@ quickstart_out=$(TABLEDC_TRACE="$trace_file" TABLEDC_PROFILE=alloc TABLEDC_FOLDE
     TABLEDC_HEALTH=strict TABLEDC_RUNS_DIR="$runs_dir" \
     cargo run --release -q -p bench --example quickstart)
 cargo run --release -q -p bench --bin trace_check -- "$trace_file" \
-    ae.pretrain_epoch tabledc.epoch tabledc.diag tabledc.convergence series \
+    ae.pretrain_epoch tabledc.epoch tabledc.diag tabledc.convergence \
     nn.grad_norm span.enter span.exit
 test -s "$folded_file" || { echo "folded export is empty"; exit 1; }
 grep -q '^tabledc\.fit;' "$folded_file" \
