@@ -51,7 +51,12 @@ pub fn knn_adjacency(x: &Matrix, k: usize) -> Csr {
         let end = start + rows;
         let dim = x.cols();
         let mut dists = vec![0.0; rows * n];
-        packed.sq_dists(&x.as_slice()[start * dim..end * dim], packed.norms()[start..end].iter().copied(), &mut dists);
+        {
+            // Its own span, so the distance kernel's time is not counted
+            // as `knn.build` self time.
+            let _dist_timer = obs::span!("knn.distances");
+            packed.sq_dists(&x.as_slice()[start * dim..end * dim], packed.norms()[start..end].iter().copied(), &mut dists);
+        }
         // Candidate list hoisted out of the row loop and reused.
         let mut idx: Vec<usize> = Vec::with_capacity(n - 1);
         for (bi, row) in dists.chunks_exact(n).enumerate() {
