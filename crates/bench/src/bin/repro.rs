@@ -154,16 +154,12 @@ fn main() {
         }
     }
 
-    // Pool counters are normally snapshotted at scope exit only while
-    // tracing; force one final snapshot so the summary always carries
-    // steal/busy figures for the whole run.
-    runtime::global().record_stats();
     // Fold the span tree into the report so perfdiff can compare
     // per-phase self times across runs.
     report.profile = bench::report::PhaseProfile::collect();
 
     eprint!("{}", experiment_summary(&report));
-    eprintln!("{}", obs::summary());
+    eprintln!("{}", runtime::global().stats());
     eprintln!("{}", obs::profile::report());
     if let Some(folded_path) = obs::profile::write_folded_if_requested() {
         eprintln!("# wrote folded stacks to {folded_path}");

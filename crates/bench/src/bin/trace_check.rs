@@ -17,8 +17,10 @@
 //!   enter on their thread, and every thread's stack must be empty at
 //!   end of file;
 //! * `nn.grad_norm` events carry finite numeric `epoch`, `global`, and
-//!   `update_ratio` fields (the emitter skips non-finite steps, so a
-//!   non-finite value in the trace is a bug);
+//!   `update_ratio` fields, and every per-parameter `grad.<name>` field is
+//!   a finite number (the emitter skips steps whose global norm is
+//!   non-finite, and a non-finite parameter norm makes the global norm
+//!   non-finite, so a non-finite value in the trace is a bug);
 //! * `health.violation` events carry a non-empty string `tensor` and a
 //!   numeric `epoch`; `health.abort` must be followed (not necessarily
 //!   immediately) by a `health.dump` event whose `path` is a non-empty
@@ -205,6 +207,12 @@ fn main() {
                     });
                     if !v.is_finite() {
                         fail(&format!("line {n}: nn.grad_norm {key} = {v} is not finite"));
+                    }
+                }
+                let Json::Obj(fields) = &value else { unreachable!("checked to be an object above") };
+                for (key, field) in fields.iter().filter(|(k, _)| k.starts_with("grad.")) {
+                    if !field.as_f64().is_some_and(f64::is_finite) {
+                        fail(&format!("line {n}: nn.grad_norm {key} = {field:?} is not a finite number"));
                     }
                 }
             }

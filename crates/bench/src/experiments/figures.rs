@@ -326,11 +326,6 @@ impl Fig5Result {
         }
         out
     }
-
-    /// The curve triple of one method.
-    pub fn curve(&self, method: &str) -> Option<&(String, Vec<f64>, Vec<f64>)> {
-        self.curves.iter().find(|(n, _, _)| n == method)
-    }
 }
 
 /// Runs Figure 5: loss traces on SBERT/web tables for TableDC, SDCN, DFCN,

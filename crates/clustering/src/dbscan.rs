@@ -109,29 +109,6 @@ pub fn kth_nn_distances(x: &Matrix, k: usize) -> Vec<f64> {
     kth
 }
 
-/// Selects DBSCAN's ε without labels by maximizing the silhouette score
-/// over a grid of k-NN-distance quantiles — the model-selection loop a
-/// real deployment needs (the benchmark harness uses the median-4NN
-/// heuristic directly for parity with the paper's untuned runs).
-pub fn auto_eps(x: &Matrix, min_pts: usize, quantiles: &[f64]) -> f64 {
-    let n = x.rows();
-    let kth = kth_nn_distances(x, min_pts);
-    let mut best = (f64::NEG_INFINITY, kth[n / 2]);
-    for &q in quantiles {
-        let idx = ((q.clamp(0.0, 1.0)) * (n - 1) as f64).round() as usize;
-        let eps = kth[idx].max(f64::MIN_POSITIVE);
-        let result = Dbscan::new(eps, min_pts).fit_assign_noise(x);
-        if result.n_clusters < 2 || result.n_clusters >= n {
-            continue;
-        }
-        let score = crate::internal::silhouette_score(x, &result.labels);
-        if score > best.0 {
-            best = (score, eps);
-        }
-    }
-    best.1
-}
-
 /// Output of a DBSCAN run.
 #[derive(Debug, Clone)]
 pub struct DbscanResult {
@@ -196,23 +173,6 @@ mod tests {
         let x = Matrix::from_rows(&[&[0.0], &[10.0]]);
         let r = Dbscan::new(0.5, 1).fit(&x);
         assert_eq!(r.n_clusters, 2);
-    }
-
-    #[test]
-    fn auto_eps_finds_separating_radius() {
-        let x = Matrix::from_rows(&[
-            &[0.0, 0.0],
-            &[0.2, 0.0],
-            &[0.0, 0.2],
-            &[0.2, 0.2],
-            &[8.0, 8.0],
-            &[8.2, 8.0],
-            &[8.0, 8.2],
-            &[8.2, 8.2],
-        ]);
-        let eps = auto_eps(&x, 2, &[0.25, 0.5, 0.75, 0.9]);
-        let r = Dbscan::new(eps, 2).fit(&x);
-        assert_eq!(r.n_clusters, 2, "eps = {eps}");
     }
 
     #[test]

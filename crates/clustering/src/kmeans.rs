@@ -126,11 +126,10 @@ impl KMeans {
         let mut state = vec![(0usize, 0.0f64); x.rows()];
         let mut moved: Option<Vec<usize>> = None;
         let mut n_iter = 0;
-        // Phase spans nest under kmeans.fit in the profile tree (and feed
-        // the like-named histograms); they wrap the parallel kernels from
-        // the outside, so the Lloyd iterates are untouched by
+        // Phase spans nest under kmeans.fit in the profile tree (one
+        // `kmeans.update` call per Lloyd iteration); they wrap the parallel
+        // kernels from the outside, so the Lloyd iterates are untouched by
         // instrumentation.
-        let iterations = obs::registry().counter("kmeans.iterations");
         for iter in 0..self.max_iter {
             n_iter = iter + 1;
             {
@@ -146,7 +145,6 @@ impl KMeans {
                 centroids = next;
                 shift
             };
-            iterations.inc();
             if shift < self.tol {
                 break;
             }

@@ -36,17 +36,11 @@ pub fn knn_adjacency(x: &Matrix, k: usize) -> Csr {
     assert!(k > 0, "knn_adjacency: k must be positive");
     assert!(k < n, "knn_adjacency: k = {k} must be < n = {n}");
     let _build_timer = obs::span!("knn.build");
-    let registry = obs::registry();
-    registry.counter("knn.rows").add(n as u64);
-    let block_hist = registry.histogram("knn.block_ms");
     const CHUNK: usize = 256;
     // One slot of k neighbour ids per row, filled by disjoint row chunks.
     let mut neighbors = vec![0usize; n * k];
     let packed = PackedPoints::new(x);
     runtime::par_for_rows(runtime::global(), &mut neighbors, k, CHUNK, |start, slots| {
-        // The block timer only observes wall time; the slot writes are
-        // disjoint per chunk, so recording here cannot perturb the graph.
-        let block_start = std::time::Instant::now();
         let rows = slots.len() / k;
         let end = start + rows;
         let dim = x.cols();
@@ -67,7 +61,6 @@ pub fn knn_adjacency(x: &Matrix, k: usize) -> Csr {
             idx.select_nth_unstable_by(k - 1, |&a, &b| row[a].total_cmp(&row[b]));
             slots[bi * k..(bi + 1) * k].copy_from_slice(&idx[..k]);
         }
-        block_hist.record(block_start.elapsed().as_secs_f64() * 1e3);
     });
     let triplets: Vec<(usize, usize, f64)> =
         neighbors.iter().enumerate().map(|(s, &j)| (s / k, j, 1.0)).collect();

@@ -103,7 +103,6 @@ impl Autoencoder {
         let batch_size = Self::PRETRAIN_BATCH.min(n.max(1));
         let mut adam = Adam::new(lr);
         let mut trace = Vec::with_capacity(epochs);
-        let pretrain_hist = obs::registry().histogram("ae.pretrain_epoch_ms");
         for epoch in 0..epochs {
             let epoch_start = std::time::Instant::now();
             let order = tensor::random::permutation(n, rng);
@@ -131,7 +130,6 @@ impl Autoencoder {
             let mean_loss = epoch_loss / batches.max(1) as f64;
             trace.push(mean_loss);
             let epoch_ms = epoch_start.elapsed().as_secs_f64() * 1e3;
-            pretrain_hist.record(epoch_ms);
             obs::event("ae.pretrain_epoch")
                 .u64("epoch", epoch as u64)
                 .f64("loss", mean_loss)

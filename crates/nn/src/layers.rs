@@ -37,8 +37,8 @@ impl Linear {
     }
 
     /// [`Linear::new`] with a telemetry name: the parameters register as
-    /// `<name>.w` / `<name>.b`, which labels per-layer gradient-norm
-    /// histograms and health-dump entries.
+    /// `<name>.w` / `<name>.b`, which labels the per-layer `grad.<name>.w`
+    /// fields of `nn.grad_norm` events and health-dump entries.
     pub fn new_named(
         params: &mut Params,
         name: &str,

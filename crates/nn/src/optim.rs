@@ -28,44 +28,29 @@ impl StepStats {
         self.update_norm / (self.param_norm + 1e-12)
     }
 
-    /// Records the finite stats into the metrics registry under the
-    /// training method's metric prefix (`tabledc`, `sdcn`, …), so fits of
-    /// several methods in one process keep separate histograms: one
-    /// `<prefix>.nn.grad_norm.<name>` histogram per parameter, plus
-    /// `<prefix>.nn.grad_norm` (global norm) and `<prefix>.nn.update_ratio`.
-    /// Non-finite values are skipped — they are the health monitor's
-    /// story, not a sample.
-    pub fn record(&self, prefix: &str, params: &Params) {
-        let reg = obs::registry();
-        for (id, norm) in &self.grad_norms {
-            if norm.is_finite() {
-                reg.histogram(&format!("{prefix}.nn.grad_norm.{}", params.name(*id))).record(*norm);
-            }
-        }
-        if self.global_grad_norm.is_finite() {
-            reg.histogram(&format!("{prefix}.nn.grad_norm")).record(self.global_grad_norm);
-        }
-        let ratio = self.update_ratio();
-        if ratio.is_finite() {
-            reg.histogram(&format!("{prefix}.nn.update_ratio")).record(ratio);
-        }
-    }
-
     /// Emits one `nn.grad_norm` trace event for this step of fit `fit`,
-    /// carrying the global norm and update ratio, and the baseline's name
-    /// as `method` when one is given. Skipped when either value is
-    /// non-finite so every emitted `nn.grad_norm` event has finite numeric
-    /// fields (`trace_check` enforces this).
-    pub fn emit_event(&self, epoch: u64, fit: u64, method: Option<&str>) {
+    /// carrying the global norm, the update ratio and each parameter's
+    /// norm as a `grad.<name>` field (names from `params`), and the
+    /// baseline's name as `method` when one is given. Skipped when the
+    /// global norm or the ratio is non-finite, so every emitted
+    /// `nn.grad_norm` event has finite numeric fields (`trace_check`
+    /// enforces this): a non-finite parameter norm makes the global norm
+    /// non-finite too. The per-parameter field names are formatted only
+    /// while tracing.
+    pub fn emit_event(&self, params: &Params, epoch: u64, fit: u64, method: Option<&str>) {
         let ratio = self.update_ratio();
-        if self.global_grad_norm.is_finite() && ratio.is_finite() {
-            let ev = obs::event("nn.grad_norm").u64("fit", fit);
-            let ev = match method {
-                Some(m) => ev.str("method", m),
-                None => ev,
-            };
-            ev.u64("epoch", epoch).f64("global", self.global_grad_norm).f64("update_ratio", ratio).emit();
+        if !obs::enabled() || !self.global_grad_norm.is_finite() || !ratio.is_finite() {
+            return;
         }
+        let mut ev = obs::event("nn.grad_norm").u64("fit", fit);
+        if let Some(m) = method {
+            ev = ev.str("method", m);
+        }
+        ev = ev.u64("epoch", epoch).f64("global", self.global_grad_norm).f64("update_ratio", ratio);
+        for (id, norm) in &self.grad_norms {
+            ev = ev.f64(&format!("grad.{}", params.name(*id)), *norm);
+        }
+        ev.emit();
     }
 }
 
@@ -331,6 +316,37 @@ mod tests {
         assert!(stats.nonfinite_grad.is_none());
         // Near-zero parameter norm saturates the ratio guard, not a panic.
         assert!(stats.update_ratio().is_finite());
+    }
+
+    /// The `nn.grad_norm` event is the only record of the per-parameter
+    /// norms: each one lands, bit for bit, in its own `grad.<name>` field.
+    #[test]
+    fn grad_norm_event_carries_each_parameter_norm_bitwise() {
+        let mut params = Params::new();
+        let ids = ["enc.l0.w", "enc.l0.b", "centers"].map(|name| params.register_named(name, Matrix::zeros(1, 1)));
+        let norms = [0.1 + 0.2, 1.0 / 3.0, 2f64.sqrt() * 1e-7];
+        let stats = StepStats {
+            grad_norms: ids.into_iter().zip(norms).collect(),
+            global_grad_norm: 0.75,
+            param_norm: 2.0,
+            update_norm: 0.1,
+            nonfinite_grad: None,
+        };
+        let ((), lines) = obs::test_support::with_memory_sink(|| stats.emit_event(&params, 3, 11, Some("sdcn")));
+        assert_eq!(lines.len(), 1, "lines: {lines:?}");
+        let v = obs::json::parse(&lines[0]).expect("valid JSON");
+        let obs::json::Json::Obj(fields) = &v else { panic!("an event is an object") };
+        let grads: Vec<(&str, u64)> = fields
+            .iter()
+            .filter_map(|(k, f)| Some((k.strip_prefix("grad.")?, f.as_f64()?.to_bits())))
+            .collect();
+        let want: Vec<(&str, u64)> =
+            ["enc.l0.w", "enc.l0.b", "centers"].into_iter().zip(norms.map(f64::to_bits)).collect();
+        assert_eq!(grads, want);
+        assert_eq!(v.get("global").and_then(obs::json::Json::as_f64), Some(0.75));
+        assert_eq!(v.get("update_ratio").and_then(obs::json::Json::as_f64), Some(stats.update_ratio()));
+        assert_eq!(v.get("method").and_then(obs::json::Json::as_str), Some("sdcn"));
+        assert_eq!(v.get("fit").and_then(obs::json::Json::as_f64), Some(11.0));
     }
 
     #[test]

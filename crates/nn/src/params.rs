@@ -37,9 +37,9 @@ impl Params {
     }
 
     /// Registers a parameter under an explicit name, returning its id.
-    /// Names label telemetry (`nn.grad_norm.<name>` histograms, health
-    /// violations, diagnostic dumps); they are not required to be unique —
-    /// duplicate names simply share a histogram.
+    /// Names label telemetry (the `grad.<name>` fields of `nn.grad_norm`
+    /// events, health violations, diagnostic dumps), so they should be
+    /// unique within a store: duplicates repeat a field name.
     pub fn register_named(&mut self, name: impl Into<String>, value: Matrix) -> ParamId {
         self.mats.push(value);
         self.names.push(name.into());

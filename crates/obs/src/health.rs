@@ -18,15 +18,15 @@
 //!
 //! The policy comes from the `TABLEDC_HEALTH` environment variable (read
 //! per [`Policy::from_env`] call, so tests can construct monitors with an
-//! explicit policy instead of racing on the environment). Violations also
-//! increment the process-wide counters `health.violations` and
-//! `health.aborts`, so multi-fit drivers (`repro`) can roll up a whole
-//! run's verdict without threading monitors through every call.
+//! explicit policy instead of racing on the environment). Violations and
+//! aborts are also counted process-wide ([`global_counts`]), so multi-fit
+//! drivers (`repro`) can roll up a whole run's verdict without threading
+//! monitors through every call.
 //!
 //! This module is numeric-free on the happy path: scanning is a single
 //! pass of `f64::is_finite` and nothing here feeds back into training.
 
-use crate::registry;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Name of the environment variable selecting the health policy.
 pub const HEALTH_ENV: &str = "TABLEDC_HEALTH";
@@ -208,7 +208,7 @@ impl HealthMonitor {
 
     fn record(&mut self, tensor: &str, kind: &'static str, index: usize, epoch: u64) -> Action {
         self.total += 1;
-        registry().counter("health.violations").inc();
+        VIOLATIONS.fetch_add(1, Ordering::Relaxed);
         if self.violations.len() < MAX_STORED_VIOLATIONS {
             self.violations.push(Violation { tensor: tensor.to_string(), kind, index, epoch });
         }
@@ -227,11 +227,11 @@ impl HealthMonitor {
     }
 
     /// Marks the run as aborted, optionally attaching the diagnostic-dump
-    /// path. Increments the process-wide `health.aborts` counter.
+    /// path. Counts one process-wide abort ([`global_counts`]).
     pub fn mark_aborted(&mut self, dump_path: Option<String>) {
         self.aborted = true;
         self.dump_path = dump_path;
-        registry().counter("health.aborts").inc();
+        ABORTS.fetch_add(1, Ordering::Relaxed);
     }
 
     /// True once [`HealthMonitor::mark_aborted`] has been called.
@@ -267,13 +267,15 @@ impl HealthMonitor {
     }
 }
 
-/// Process-wide `(violations, aborts)` counter values — the roll-up the
-/// `repro` driver records in its run manifest.
+/// Violations recorded by every monitor in the process.
+static VIOLATIONS: AtomicU64 = AtomicU64::new(0);
+/// Aborts marked by every monitor in the process.
+static ABORTS: AtomicU64 = AtomicU64::new(0);
+
+/// Process-wide `(violations, aborts)` counts — the roll-up the `repro`
+/// driver records in its run manifest.
 pub fn global_counts() -> (u64, u64) {
-    (
-        registry().counter("health.violations").get(),
-        registry().counter("health.aborts").get(),
-    )
+    (VIOLATIONS.load(Ordering::Relaxed), ABORTS.load(Ordering::Relaxed))
 }
 
 fn kind_of(v: f64) -> &'static str {

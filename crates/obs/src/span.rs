@@ -1,6 +1,5 @@
-//! RAII wall-clock span timers on the monotonic clock, feeding both the
-//! flat registry histogram named after the span and the hierarchical
-//! span tree in [`crate::profile`].
+//! RAII wall-clock span timers on the monotonic clock, feeding the
+//! hierarchical span tree in [`crate::profile`].
 //!
 //! Static span names (`span!("kmeans.fit")`) are borrowed, not allocated;
 //! dynamic names (`span(format!("epoch.{i}"))`) still work through the
@@ -11,9 +10,9 @@ use std::time::Instant;
 
 use crate::profile::{self, NodeId};
 
-/// A running span. On drop, the elapsed milliseconds are recorded into the
-/// registry histogram named after the span, and total/self time lands in
-/// the span tree under the innermost enclosing span.
+/// A running span. On drop, its total/self time lands in the span tree
+/// under the innermost enclosing span, and, while tracing, a `span.exit`
+/// event carries the elapsed milliseconds.
 #[must_use = "bind to a variable; dropping immediately times nothing"]
 pub struct Span {
     name: Cow<'static, str>,
@@ -37,12 +36,7 @@ pub fn span(name: impl Into<Cow<'static, str>>) -> Span {
 }
 
 impl Span {
-    /// Milliseconds elapsed so far.
-    pub fn elapsed_ms(&self) -> f64 {
-        self.start.elapsed().as_secs_f64() * 1e3
-    }
-
-    /// The histogram / tree-node name this span records into.
+    /// The tree-node name this span records into.
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -52,7 +46,6 @@ impl Drop for Span {
     fn drop(&mut self) {
         let elapsed_ns = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         profile::exit(self.node, elapsed_ns);
-        crate::registry().histogram(&self.name).record(elapsed_ns as f64 / 1e6);
         if crate::enabled() {
             crate::event("span.exit")
                 .str("span", &self.name)
@@ -64,8 +57,8 @@ impl Drop for Span {
 }
 
 /// Starts an RAII span timer: `let _t = obs::span!("kmeans.fit");`.
-/// The elapsed time lands in the histogram of the same name — and in the
-/// span tree, nested under the enclosing span — when the binding drops.
+/// The elapsed time lands in the span tree, nested under the enclosing
+/// span, when the binding drops.
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
@@ -76,21 +69,6 @@ macro_rules! span {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn span_records_elapsed_ms_into_named_histogram() {
-        crate::test_support::with_sink_disabled(|| {
-            {
-                let s = span("test.span_ms");
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                assert!(s.elapsed_ms() >= 1.0);
-                assert_eq!(s.name(), "test.span_ms");
-            }
-            let h = crate::registry().histogram("test.span_ms").snapshot();
-            assert!(h.count() >= 1);
-            assert!(h.max() >= 1.0, "max = {}", h.max());
-        });
-    }
 
     #[test]
     fn static_names_are_borrowed_dynamic_names_still_work() {

@@ -117,26 +117,6 @@ mod tests {
             );
         }
     }
-
-    #[test]
-    fn record_stats_publishes_gauges() {
-        let pool = ThreadPool::new(2);
-        pool.for_each_block(8, &|_| {});
-        // The sink-control lock also serializes against the traced test
-        // above, whose job exits write the same pool.* gauges.
-        let (threads, tasks, steals) = obs::test_support::with_sink_disabled(|| {
-            pool.record_stats();
-            let registry = obs::registry();
-            (
-                registry.gauge("pool.threads").get(),
-                registry.gauge("pool.tasks_executed").get(),
-                registry.gauge("pool.steals").get(),
-            )
-        });
-        assert_eq!(threads, 2.0);
-        assert!(tasks >= 8.0);
-        assert_eq!(steals, 0.0);
-    }
 }
 
 #[cfg(test)]

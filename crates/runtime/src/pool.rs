@@ -32,19 +32,32 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Snapshot of a pool's lifetime counters — the first observability hook of
-/// the runtime subsystem.
+/// Snapshot of a pool's lifetime counters, the one record of its work:
+/// `repro` and `quickstart` print it, and the benchmark reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
     /// Total parallelism (worker threads plus the forking caller).
     pub threads: usize,
     /// Blocks run inside a job (blocks run inline are not counted).
     pub tasks_executed: u64,
-    /// Always 0: the pool does not steal. Kept so existing readers of the
-    /// counter still build.
+    /// Always 0: the pool does not steal. Kept only because the benchmark
+    /// reads it.
     pub steals: u64,
     /// Cumulative wall-clock time threads spent running blocks of a job.
     pub busy: Duration,
+}
+
+impl std::fmt::Display for PoolStats {
+    /// One line for end-of-run summaries.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "pool: {} threads, {} blocks run in parallel jobs, {:.1} ms busy",
+            self.threads,
+            self.tasks_executed,
+            self.busy.as_secs_f64() * 1e3
+        )
+    }
 }
 
 #[derive(Default)]
@@ -223,20 +236,6 @@ impl ThreadPool {
         self.threads == 1
     }
 
-    /// Publishes this pool's lifetime counters into the [`obs`] registry as
-    /// `pool.*` gauges (threads, blocks run, steals, busy milliseconds), so
-    /// they appear in [`obs::summary`]. Called automatically at the end of
-    /// every job while tracing is enabled; call it directly before
-    /// rendering a summary in untraced runs.
-    pub fn record_stats(&self) {
-        let stats = self.stats();
-        let registry = obs::registry();
-        registry.gauge("pool.threads").set(stats.threads as f64);
-        registry.gauge("pool.tasks_executed").set(stats.tasks_executed as f64);
-        registry.gauge("pool.steals").set(stats.steals as f64);
-        registry.gauge("pool.busy_ms").set(stats.busy.as_secs_f64() * 1e3);
-    }
-
     /// Snapshot of the lifetime counters.
     pub fn stats(&self) -> PoolStats {
         let c = &self.shared.counters;
@@ -287,11 +286,6 @@ impl ThreadPool {
         self.shared.wake.notify_all();
         job.run_blocks(&self.shared.counters);
         drop(retire);
-        // Publish pool counters while a trace sink is active, so the
-        // end-of-run summary always reflects the last completed job.
-        if obs::enabled() {
-            self.record_stats();
-        }
         if let Some(payload) = job.panic.into_inner().expect("no block panics under the panic slot's lock") {
             resume_unwind(payload);
         }
@@ -468,6 +462,7 @@ mod tests {
         assert_eq!(stats.tasks_executed, 4);
         assert_eq!(stats.steals, 0);
         assert!(stats.busy >= Duration::from_millis(8), "busy = {:?}", stats.busy);
+        assert!(stats.to_string().starts_with("pool: 2 threads, 4 blocks run in parallel jobs, "), "{stats}");
     }
 
     #[test]

@@ -132,28 +132,26 @@ impl History {
     }
 }
 
-/// Which method is training. It fixes the names of the run's events,
-/// metrics and health tensors, and nothing else.
+/// Which method is training. It fixes the names of the run's events and
+/// health tensors, and nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
     /// TableDC: `tabledc.epoch`/`tabledc.diag`/`tabledc.convergence` and
-    /// `nn.grad_norm` events without a `method` field, `tabledc.*` metrics
-    /// (the optimizer's step statistics as `tabledc.nn.*`) and unprefixed
+    /// `nn.grad_norm` events without a `method` field, and unprefixed
     /// health tensors.
     TableDc,
     /// A deep baseline (`"sdcn"`, …): `baseline.*` and `nn.grad_norm`
-    /// events stamped with `method`, and `<method>.*` metrics and health
-    /// tensors.
+    /// events stamped with `method`, and `<method>.*` health tensors.
     Baseline(&'static str),
 }
 
 impl Method {
-    /// The event-name family, the metric-name prefix and the `method`
-    /// field (which also prefixes health tensors).
-    fn names(self) -> (&'static str, &'static str, Option<&'static str>) {
+    /// The event-name family and the `method` field (which also prefixes
+    /// health tensors).
+    fn names(self) -> (&'static str, Option<&'static str>) {
         match self {
-            Method::TableDc => ("tabledc", "tabledc", None),
-            Method::Baseline(m) => ("baseline", m, Some(m)),
+            Method::TableDc => ("tabledc", None),
+            Method::Baseline(m) => ("baseline", Some(m)),
         }
     }
 }
@@ -218,7 +216,7 @@ impl Driver {
         data: [&Matrix; N],
         mut objective: impl FnMut(&Tape<'_>, &BoundParams<'_>, [Var; N]) -> Objective,
     ) -> Trained {
-        let (family, prefix, method) = self.method.names();
+        let (family, method) = self.method.names();
         let tensor = |name: &str| method.map_or_else(|| name.to_string(), |m| format!("{m}.{name}"));
         let event = |kind: &str| {
             let ev = obs::event(&format!("{family}.{kind}"));
@@ -228,8 +226,6 @@ impl Driver {
             }
         };
         let fit_id = diagnostics::next_fit_id();
-        let reg = obs::registry();
-        let epoch_hist = reg.histogram(&format!("{prefix}.epoch_ms"));
         let diag_event = format!("{family}.diag");
         let mut monitor = HealthMonitor::new(self.health.policy.unwrap_or_else(Policy::from_env));
         let mut tracker = DiagnosticsTracker::new();
@@ -288,8 +284,7 @@ impl Driver {
                     break;
                 }
             }
-            stats.record(prefix, params);
-            stats.emit_event(e, fit_id, method);
+            stats.emit_event(params, e, fit_id, method);
 
             history.re_loss.push(re);
             history.ce_loss.extend(ce);
@@ -306,7 +301,6 @@ impl Driver {
 
             let epoch_ms = epoch_start.elapsed().as_secs_f64() * 1e3;
             history.epoch_ms.push(epoch_ms);
-            epoch_hist.record(epoch_ms);
             let mut ev = event("epoch").u64("fit", fit_id).u64("epoch", e).f64("re_loss", re);
             if let Some(ce) = ce {
                 ev = ev.f64("ce_loss", ce);
@@ -494,14 +488,16 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tabledc-dumps-driver-{}", std::process::id()));
         let health = HealthConfig { dump_dir: dir.to_string_lossy().into_owned(), ..policy(Policy::Strict) };
         let nan_epoch = 3;
-        let aborts_before = obs::health::global_counts().1;
+        let (violations_before, aborts_before) = obs::health::global_counts();
         let (trained, lines) =
             obs::test_support::with_memory_sink(|| run_toy(toy_driver("toy", 10, health), nan_epoch));
 
         assert_eq!(trained.health.verdict, Verdict::Aborted);
         assert_eq!(trained.history.re_loss.len(), nan_epoch);
         assert_eq!(trained.history.grad_norm.len(), nan_epoch);
-        assert!(obs::health::global_counts().1 > aborts_before, "health.aborts must rise");
+        let (violations, aborts) = obs::health::global_counts();
+        assert!(violations > violations_before, "the process-wide violation count must rise");
+        assert!(aborts > aborts_before, "the process-wide abort count must rise");
         let first = &trained.health.violations[0];
         assert_eq!((first.tensor.as_str(), first.epoch), ("toy.loss", nan_epoch as u64));
 

@@ -145,16 +145,6 @@ pub fn spd_inverse(a: &Matrix) -> Result<Matrix, LinalgError> {
     solve_upper(&l.transpose(), &y)
 }
 
-/// Log-determinant of an SPD matrix via Cholesky:
-/// `log det A = 2 Σ log L[i,i]`.
-///
-/// # Errors
-/// Propagates Cholesky failure.
-pub fn spd_log_det(a: &Matrix) -> Result<f64, LinalgError> {
-    let l = cholesky(a)?;
-    Ok((0..a.rows()).map(|i| l[(i, i)].ln()).sum::<f64>() * 2.0)
-}
-
 /// Empirical covariance of the rows of `x` (features are columns), with
 /// optional shrinkage towards the scaled identity:
 /// `Σ = (1-λ)·S + λ·(tr(S)/d)·I`.
@@ -269,13 +259,6 @@ mod tests {
         // (δI)⁻¹ = (1/δ)I — the exact quantity TableDC's Mahalanobis uses.
         let inv = spd_inverse(&Matrix::scaled_identity(4, 0.01)).unwrap();
         assert!(inv.max_abs_diff(&Matrix::scaled_identity(4, 100.0)) < 1e-9);
-    }
-
-    #[test]
-    fn log_det_matches_known_value() {
-        // det(δI_n) = δⁿ.
-        let ld = spd_log_det(&Matrix::scaled_identity(3, 2.0)).unwrap();
-        assert!((ld - 3.0 * 2.0_f64.ln()).abs() < 1e-12);
     }
 
     #[test]

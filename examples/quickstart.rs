@@ -6,11 +6,11 @@
 //! ```
 //!
 //! With `TABLEDC_TRACE=stderr` (or a file path) the run also emits
-//! per-epoch JSON-lines events and ends with the observability summary
-//! table (epoch timing quantiles, pool steal/busy stats) plus the
-//! hierarchical span tree. `TABLEDC_PROFILE=alloc` adds attributed
-//! allocation columns; `TABLEDC_FOLDED=<path>` writes the tree in
-//! folded-stack format for flamegraph tooling.
+//! per-epoch JSON-lines events and ends with one pool line (threads,
+//! blocks run, busy time) plus the hierarchical span tree.
+//! `TABLEDC_PROFILE=alloc` adds attributed allocation columns;
+//! `TABLEDC_FOLDED=<path>` writes the tree in folded-stack format for
+//! flamegraph tooling.
 
 use bench::ledger::{ConvergenceSummary, HealthSummary, RunManifest};
 use clustering::metrics::{accuracy, adjusted_rand_index, normalized_mutual_info};
@@ -99,8 +99,7 @@ fn main() {
     println!("predicted clusters for 10 new rows: {assigned:?}");
 
     if obs::enabled() {
-        runtime::global().record_stats();
-        eprintln!("{}", obs::summary());
+        eprintln!("{}", runtime::global().stats());
         eprintln!("{}", obs::profile::report());
     }
     if let Some(folded_path) = obs::profile::write_folded_if_requested() {

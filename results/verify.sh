@@ -36,9 +36,12 @@
 #      event is required: the decimated obs::series copies are gone, and
 #      the values they summarized are required through tabledc.epoch and
 #      tabledc.diag, which carry every History value bit for bit (pinned
-#      by crates/baselines/tests/event_contract.rs). The run must be
-#      violation-free under the strict policy; the folded-stack export
-#      must be non-empty and rooted at tabledc.fit.
+#      by crates/baselines/tests/event_contract.rs). Every grad.<name>
+#      field of an nn.grad_norm event (one per parameter) must be a finite
+#      number: the event is emitted only when the global norm is finite,
+#      and a non-finite parameter norm makes the global norm non-finite.
+#      The run must be violation-free under the strict policy; the
+#      folded-stack export must be non-empty and rooted at tabledc.fit.
 #   4. baseline trace gate: repro fig5 --epoch-factor 0.1 (TableDC, SDCN,
 #      DFCN and EDESC, about 7 s) under TABLEDC_TRACE=<file> +
 #      TABLEDC_HEALTH=strict. All four methods train through one epoch
